@@ -11,7 +11,6 @@ from .spectral import (
     PeriodicGrid,
     WaveField,
     apply_filter,
-    drop_nyquist,
     norm,
 )
 from .kernels import (
@@ -46,13 +45,11 @@ from .evolution import (
     PerturbationSpec,
     SineSquared,
     StepSizeUnderflowError,
-    TabulatedPotential,
     Trajectory,
     conserved_quantities,
     evolve,
     perturbed_initial,
     random_band_limited,
-    rhs,
     write_summary_csv,
     write_trajectory_csv,
 )
@@ -100,17 +97,16 @@ __all__ = [
     "NonpositiveMultiplierError", "OffsetTooSmallError", "PeriodMismatchError",
     "PeriodicGrid", "PerturbationSpec", "ScaledKernel", "SineSquared",
     "SolutionParams", "StabilityMap", "StationaryState",
-    "StepSizeUnderflowError", "TabulatedPotential", "Trajectory",
-    "TruncationTooSmallError", "ValidationReport", "WaveField", "a_crit",
-    "analytic_spectrum_V0_zero", "apply_filter", "assemble", "b_star", "beta",
-    "build_solution", "conserved_quantities", "convolve_periodic",
-    "drop_nyquist", "eigen_summary", "evolve", "fit_growth_rate",
-    "full_period_spectrum", "generalized_zero_mode", "hill_quadratic_form",
-    "instability_predicate", "kernel_from_name", "krein_form", "lipschitz_gap",
-    "match_spectra", "matrix_quadratic_form", "multiplier", "norm",
-    "perturbed_initial", "phase_zero_mode", "random_band_limited", "rhs",
-    "run_aes_sweep", "run_figure_regime", "sine_squared_potential",
-    "solution_params", "spectrum", "stability_map", "stationary_residual",
-    "validate_hypotheses", "write_eigen_csv", "write_summary_csv",
-    "write_trajectory_csv", "x_weighted_l1",
+    "StepSizeUnderflowError", "Trajectory", "TruncationTooSmallError",
+    "ValidationReport", "WaveField", "a_crit", "analytic_spectrum_V0_zero",
+    "apply_filter", "assemble", "b_star", "beta", "build_solution",
+    "conserved_quantities", "convolve_periodic", "eigen_summary", "evolve",
+    "fit_growth_rate", "full_period_spectrum", "generalized_zero_mode",
+    "hill_quadratic_form", "instability_predicate", "kernel_from_name",
+    "krein_form", "lipschitz_gap", "match_spectra", "matrix_quadratic_form",
+    "multiplier", "norm", "perturbed_initial", "phase_zero_mode",
+    "random_band_limited", "run_aes_sweep", "run_figure_regime",
+    "sine_squared_potential", "solution_params", "spectrum", "stability_map",
+    "stationary_residual", "validate_hypotheses", "write_eigen_csv",
+    "write_summary_csv", "write_trajectory_csv", "x_weighted_l1",
 ]

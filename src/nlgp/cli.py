@@ -45,8 +45,6 @@ SCHEMAS = {
         "evolution.record_every": ("float", 0.25),
         "evolution.stepper": ("str", "adaptive"),
         "evolution.dt": ("float", 1e-3),
-        "evolution.filter_mode": ("str", "per-rhs"),
-        "evolution.integrating_factor": ("bool", False),
         "perturbation.nu": ("float", 0.0),
         "perturbation.mode_cutoff": ("int", 16),
         "run.seed": ("int", experiments.DEFAULT_SEED),
@@ -138,7 +136,7 @@ def resolve_config(command: str, config_path, overrides: dict) -> dict:
     return out
 
 
-def _write_echo(cfg: dict, out_dir, command: str):
+def _write_echo(cfg: dict, out_dir):
     if out_dir is None:
         return
     out = Path(out_dir)
@@ -195,10 +193,8 @@ def cmd_simulate(cfg: dict, out_dir, threads: int) -> int:
         grid=grid, kernel=_scaled_kernel(cfg),
         potential=evolution.SineSquared(cfg["solution.V0"], k),
         alpha=cfg["solution.alpha"], time_horizon=cfg["evolution.horizon"],
-        stepper=stepper, record_every=cfg["evolution.record_every"],
-        filter_mode=cfg["evolution.filter_mode"],
-        integrating_factor=cfg["evolution.integrating_factor"])
-    _write_echo(cfg, out_dir, "simulate")
+        stepper=stepper, record_every=cfg["evolution.record_every"])
+    _write_echo(cfg, out_dir)
 
     def dump(traj, tag=""):
         if out_dir is None:
@@ -231,7 +227,7 @@ def cmd_spectrum(cfg: dict, out_dir, threads: int) -> int:
                                          cfg["spectrum.truncation"],
                                          max_workers=threads)
     summary = bloch.eigen_summary(reports, params)
-    _write_echo(cfg, out_dir, "spectrum")
+    _write_echo(cfg, out_dir)
     if out_dir is not None:
         bloch.write_eigen_csv(reports, Path(out_dir) / "spectrum.csv")
     print(f"max real part {summary['max_real_part']:.6g} over "
@@ -250,7 +246,7 @@ def cmd_spectrum(cfg: dict, out_dir, threads: int) -> int:
 def cmd_aes_sweep(cfg: dict, out_dir, threads: int) -> int:
     eps = _parse_float_list(cfg["aes.epsilons"], "aes.epsilons")
     base = kernels.kernel_from_name(cfg["aes.kernel"])
-    _write_echo(cfg, out_dir, "aes-sweep")
+    _write_echo(cfg, out_dir)
     table = experiments.run_aes_sweep(
         eps, B=cfg["aes.B"], V0=cfg["aes.V0"], k=cfg["aes.k"],
         alpha=cfg["aes.alpha"], base=base, horizon=cfg["aes.horizon"],
@@ -278,7 +274,7 @@ def cmd_figures(cfg: dict, out_dir, threads: int) -> int:
                           f"one of {sorted(experiments.FIGURE_REGIMES)}, "
                           f"got {regime!r}")
     base = kernels.kernel_from_name(cfg["figures.kernel"])
-    _write_echo(cfg, out_dir, "figures")
+    _write_echo(cfg, out_dir)
     result = experiments.run_figure_regime(
         regime, kernel_base=base, seed=cfg["run.seed"],
         horizon=cfg["figures.horizon"], num_modes=cfg["figures.num_modes"],
@@ -305,7 +301,7 @@ def cmd_validate_kernel(cfg: dict, out_dir, threads: int) -> int:
         raise ConfigError("validate.which must be 'H', 'Hprime' or 'both', "
                           f"got {which!r}")
     sets = ("H", "Hprime") if which == "both" else (which,)
-    _write_echo(cfg, out_dir, "validate-kernel")
+    _write_echo(cfg, out_dir)
     ok = True
     report_lines = []
     for s in sets:
@@ -324,7 +320,7 @@ def cmd_stability_map(cfg: dict, out_dir, threads: int) -> int:
     B_vals = _parse_float_list(cfg["map.B_values"], "map.B_values")
     V0_vals = _parse_float_list(cfg["map.V0_values"], "map.V0_values")
     base = kernels.kernel_from_name(cfg["map.kernel"])
-    _write_echo(cfg, out_dir, "stability-map")
+    _write_echo(cfg, out_dir)
     result = experiments.stability_map(
         B_vals, V0_vals, k=cfg["map.k"], eps=cfg["map.eps"],
         alpha=cfg["map.alpha"], base=base, n_periods=cfg["map.n_periods"],

@@ -4,6 +4,11 @@ The integrated system is  i psi_t = -psi_xx/2 + alpha*psi*(R*|psi|^2) + V*psi,
 with the convolution acting as a Fourier multiplier on |psi|^2 and the
 exponential filter applied to the nonlinear product.  Setting the kernel to
 None selects the local cubic equation (R*|psi|^2 replaced by |psi|^2).
+
+The flow is always stepped in integrating-factor form: the stiff Laplacian
+symbol is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
+stepper (adaptive RK45 or fixed RK4) integrates only the filtered nonlinear
+and potential terms.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ class AdaptiveRK45:
 
 @dataclass(frozen=True)
 class FixedRK4:
-    """Classic fixed-step RK4, for reproducibility studies."""
+    """Fixed-step RK4 on the integrating-factor form, for reproducibility studies."""
 
     dt: float
 
@@ -78,30 +83,15 @@ class SineSquared:
 
 
 @dataclass(frozen=True)
-class TabulatedPotential:
-    """Smooth periodic potential given by its samples on the grid."""
-
-    table: np.ndarray
-
-    def values(self, grid: PeriodicGrid) -> np.ndarray:
-        v = np.asarray(self.table, dtype=float)
-        if v.shape != (grid.num_modes,):
-            raise ValueError("potential table length does not match grid")
-        return v
-
-
-@dataclass(frozen=True)
 class EvolutionConfig:
     grid: PeriodicGrid
     kernel: kernels.ScaledKernel | None  # None selects the local equation
-    potential: SineSquared | TabulatedPotential | None
+    potential: SineSquared | None
     alpha: int
     time_horizon: float = 30.0
     stepper: AdaptiveRK45 | FixedRK4 = AdaptiveRK45()
     filter: FilterSpec = FilterSpec()
     record_every: float = 0.25
-    filter_mode: str = "per-rhs"  # "per-rhs" | "per-step" | "off"
-    integrating_factor: bool = False
 
     def __post_init__(self):
         if self.alpha not in (+1, -1):
@@ -110,12 +100,6 @@ class EvolutionConfig:
             raise ValueError("time_horizon must be positive")
         if not 0 < self.record_every <= self.time_horizon:
             raise ValueError("record_every must lie in (0, time_horizon]")
-        if self.filter_mode not in ("per-rhs", "per-step", "off"):
-            raise ValueError(f"unknown filter_mode {self.filter_mode!r}")
-        if self.filter_mode == "per-step" and not isinstance(self.stepper, FixedRK4):
-            raise ValueError("filter_mode='per-step' requires the FixedRK4 stepper")
-        if self.filter_mode == "per-step" and self.integrating_factor:
-            raise ValueError("filter_mode='per-step' and integrating_factor are exclusive")
 
 
 class _Workspace:
@@ -138,24 +122,14 @@ class _Workspace:
         filt = cfg.filter.multipliers(grid)  # shifted order
         self.filt = np.fft.ifftshift(filt)
         self.filt[j == -N // 2] = 0.0  # unmatched Nyquist mode always dropped
-        self.nyq_only = np.ones(N)
-        self.nyq_only[j == -N // 2] = 0.0
         self.alpha = cfg.alpha
         self.h = grid.spacing
-        self.product_filter = self.filt if cfg.filter_mode == "per-rhs" else self.nyq_only
-
-    def rhs(self, t, y):
-        q = y.real**2 + y.imag**2
-        conv = np.fft.ifft(np.fft.fft(q) * self.mult)
-        p = np.fft.ifft(np.fft.fft(y * conv) * self.product_filter)
-        lin = np.fft.ifft(self.half_ksq * np.fft.fft(y))
-        return -1j * (lin + self.alpha * p + self.V * y)
 
     def nonlinear_rhs_hat(self, t, y):
-        """FFT of the non-Laplacian part of rhs (integrating-factor form)."""
+        """FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi), the product filtered."""
         q = y.real**2 + y.imag**2
         conv = np.fft.ifft(np.fft.fft(q) * self.mult)
-        p_hat = np.fft.fft(y * conv) * self.product_filter
+        p_hat = np.fft.fft(y * conv) * self.filt
         return -1j * (self.alpha * p_hat + np.fft.fft(self.V * y))
 
     def mass_energy(self, y):
@@ -165,12 +139,6 @@ class _Workspace:
         conv = np.fft.ifft(np.fft.fft(q) * self.mult).real
         dens = np.abs(dpsi) ** 2 + 2.0 * self.V * q + self.alpha * q * conv
         return mass, float(0.5 * np.sum(dens) * self.h)
-
-
-def rhs(psi: WaveField, cfg: EvolutionConfig) -> WaveField:
-    """One right-hand-side evaluation, -i*(-psi_xx/2 + alpha*psi*(R*|psi|^2) + V*psi)."""
-    ws = _Workspace(cfg)
-    return WaveField(cfg.grid, ws.rhs(0.0, psi.samples))
 
 
 def conserved_quantities(psi: WaveField, cfg: EvolutionConfig) -> tuple[float, float]:
@@ -235,21 +203,16 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     ws = _Workspace(cfg)
     rec = _record_times(cfg)
 
-    if cfg.integrating_factor:
-        phase = ws.half_ksq  # linear symbol: psi_hat' = -i*phase*psi_hat + ...
+    # psi_hat' = -i*half_ksq*psi_hat + N(psi) becomes u' = e(t)*N(psi) for
+    # u = e(t)*psi_hat, e(t) = exp(i*half_ksq*t): the stiff part is exact.
+    def to_state(t, u):
+        return np.fft.ifft(u / np.exp(1j * ws.half_ksq * t))
 
-        def f(t, u):
-            e = np.exp(1j * phase * t)
-            y = np.fft.ifft(u / e)
-            return e * ws.nonlinear_rhs_hat(t, y)
+    def f(t, u):
+        e = np.exp(1j * ws.half_ksq * t)
+        return e * ws.nonlinear_rhs_hat(t, np.fft.ifft(u / e))
 
-        to_state = lambda t, u: np.fft.ifft(u / np.exp(1j * phase * t))
-        y = np.fft.fft(psi0.samples.astype(complex))
-    else:
-        f = ws.rhs
-        to_state = lambda t, u: u
-        y = psi0.samples.astype(complex)
-
+    y = np.fft.fft(psi0.samples.astype(complex))
     times, states, masses, energies = [], [], [], []
 
     def snapshot(t, u):
@@ -266,16 +229,7 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     snapshot(rec[0], y)
     for t0, t1 in zip(rec[:-1], rec[1:]):
         if isinstance(cfg.stepper, FixedRK4):
-            if cfg.filter_mode == "per-step":
-                nsteps = max(1, int(np.ceil((t1 - t0) / cfg.stepper.dt - 1e-12)))
-                h = (t1 - t0) / nsteps
-                t = t0
-                for _ in range(nsteps):
-                    y = _rk4_span(f, t, t + h, y, h)
-                    y = np.fft.ifft(np.fft.fft(y) * ws.filt)
-                    t += h
-            else:
-                y = _rk4_span(f, t0, t1, y, cfg.stepper.dt)
+            y = _rk4_span(f, t0, t1, y, cfg.stepper.dt)
         else:
             sol = solve_ivp(f, (t0, t1), y, method="RK45",
                             rtol=cfg.stepper.rtol, atol=cfg.stepper.atol,

@@ -194,10 +194,3 @@ class FilterSpec:
 
 def apply_filter(f: WaveField, spec: FilterSpec) -> WaveField:
     return WaveField.from_coeffs(f.grid, f.coeffs * spec.multipliers(f.grid))
-
-
-def drop_nyquist(coeffs: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Zero the unmatched j = -N/2 mode (used after nonlinear products)."""
-    out = np.array(coeffs, dtype=complex)
-    out[0] = 0.0
-    return out

@@ -79,9 +79,13 @@ def test_validate_kernel_custom_table_failure(tmp_path):
     assert code == 1
 
 
-def test_unknown_config_key_is_exit_2(tmp_path):
-    cfg = _write(tmp_path, "bad.cfg", "not.a.key = 1\n")
-    assert cli.main(["simulate", "--config", cfg]) == 2
+def test_unknown_config_key_is_exit_2(tmp_path, capsys):
+    # the last two were simulate keys once; old configs must not pass silently
+    for line in ("not.a.key = 1", "evolution.filter_mode = off",
+                 "evolution.integrating_factor = true"):
+        cfg = _write(tmp_path, "bad.cfg", line + "\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
 
 
 def test_invalid_parameters_are_exit_2(tmp_path):
@@ -129,12 +133,11 @@ def test_simulate_writes_artifacts_and_echo(tmp_path):
 
 
 def test_simulate_blow_up_is_exit_3_with_partial(tmp_path):
-    # fixed dt = 0.2 is far outside the stability region at 128 modes
+    # fixed dt = 2 lies outside IF-RK4's stability region for the nonlinear term
     cfg = _write(tmp_path, "blow.cfg",
-                 "grid.num_modes = 128\nevolution.horizon = 5.0\n"
-                 "evolution.stepper = fixed\nevolution.dt = 0.2\n"
-                 "evolution.filter_mode = off\n"
-                 "evolution.record_every = 1.0\n")
+                 "grid.num_modes = 128\nevolution.horizon = 20.0\n"
+                 "evolution.stepper = fixed\nevolution.dt = 2.0\n"
+                 "evolution.record_every = 2.0\n")
     out = tmp_path / "blow"
     with np.errstate(all="ignore"):
         code = cli.main(["simulate", "--config", cfg, "--out", str(out)])

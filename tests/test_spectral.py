@@ -6,7 +6,6 @@ from nlgp.spectral import (
     PeriodicGrid,
     WaveField,
     apply_filter,
-    drop_nyquist,
     norm,
 )
 
@@ -165,15 +164,3 @@ def test_filter_is_linear_and_idempotent_on_low_modes():
     # mode 1 of 64 is damped by exp(alpha*(1/32)^8) ~ 1 - 3e-11, near identity
     low = WaveField.basis_mode(grid, 1)
     assert np.max(np.abs(apply_filter(low, spec).samples - low.samples)) < 1e-9
-
-
-def test_drop_nyquist_zeroes_only_top_mode():
-    rng = np.random.default_rng(4)
-    grid = PeriodicGrid(2 * np.pi, 16)
-    c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    out = drop_nyquist(c.copy(), grid)
-    nyq = np.where(grid.modes == -8)[0][0]
-    assert out[nyq] == 0.0
-    mask = np.ones(16, bool)
-    mask[nyq] = False
-    assert np.array_equal(out[mask], c[mask])
