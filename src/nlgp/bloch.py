@@ -15,7 +15,6 @@ negative values mark the collisions that can trigger instability.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,23 +197,17 @@ def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
     )
 
 
-def full_period_spectrum(n_periods: int, params: SolutionParams, truncation: int,
-                         max_workers: int = 1) -> list:
-    """Spectra at mu = r/n_periods, r = 0..n_periods-1, merged in mu order.
+def full_period_spectrum(n_periods: int, params: SolutionParams,
+                         truncation: int) -> list:
+    """Spectra at mu = r/n_periods, r = 0..n_periods-1, in mu order.
 
     sigma(JL) over perturbations of period 2*pi*n/k is the union of the
-    per-mu spectra.  Entries may be computed in parallel threads.
+    per-mu spectra, computed one after another.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    mus = [r / n_periods for r in range(n_periods)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(
-                lambda mu: spectrum(assemble(mu, truncation, params)), mus))
-    else:
-        reports = [spectrum(assemble(mu, truncation, params)) for mu in mus]
-    return reports
+    return [spectrum(assemble(r / n_periods, truncation, params))
+            for r in range(n_periods)]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ SCHEMAS = {
         **_SOLUTION_KEYS,
         "spectrum.n_periods": ("int", 4),
         "spectrum.truncation": ("int", 64),
-        "run.seed": ("int", experiments.DEFAULT_SEED),
     },
     "aes-sweep": {
         "aes.B": ("float", 1.0),
@@ -67,7 +66,6 @@ SCHEMAS = {
         "aes.epsilons": ("str", "0.1,0.05,0.025,0.0125"),
         "evolution.rtol": ("float", 1e-10),
         "evolution.atol": ("float", 1e-10),
-        "run.seed": ("int", experiments.DEFAULT_SEED),
     },
     "figures": {
         "figures.regime": ("str", ""),
@@ -96,7 +94,6 @@ SCHEMAS = {
         "map.kernel": ("str", "gaussian-normalized"),
         "map.n_periods": ("int", 1),
         "map.truncation": ("int", 32),
-        "run.seed": ("int", experiments.DEFAULT_SEED),
     },
 }
 
@@ -171,7 +168,7 @@ def _solution(cfg, grid=None):
                                 kern, grid)
 
 
-def cmd_simulate(cfg: dict, out_dir, threads: int) -> int:
+def cmd_simulate(cfg: dict, out_dir) -> int:
     k = cfg["solution.k"]
     period = cfg["grid.period"] if cfg["grid.period"] > 0 else 2.0 * np.pi / k
     cfg["grid.period"] = period
@@ -221,11 +218,10 @@ def cmd_simulate(cfg: dict, out_dir, threads: int) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: dict, out_dir, threads: int) -> int:
+def cmd_spectrum(cfg: dict, out_dir) -> int:
     params = _solution(cfg)
     reports = bloch.full_period_spectrum(cfg["spectrum.n_periods"], params,
-                                         cfg["spectrum.truncation"],
-                                         max_workers=threads)
+                                         cfg["spectrum.truncation"])
     summary = bloch.eigen_summary(reports, params)
     _write_echo(cfg, out_dir)
     if out_dir is not None:
@@ -243,7 +239,7 @@ def cmd_spectrum(cfg: dict, out_dir, threads: int) -> int:
     return 1 if summary["verdict"] == "unstable" else 0
 
 
-def cmd_aes_sweep(cfg: dict, out_dir, threads: int) -> int:
+def cmd_aes_sweep(cfg: dict, out_dir) -> int:
     eps = _parse_float_list(cfg["aes.epsilons"], "aes.epsilons")
     base = kernels.kernel_from_name(cfg["aes.kernel"])
     _write_echo(cfg, out_dir)
@@ -252,7 +248,7 @@ def cmd_aes_sweep(cfg: dict, out_dir, threads: int) -> int:
         alpha=cfg["aes.alpha"], base=base, horizon=cfg["aes.horizon"],
         num_modes=cfg["aes.num_modes"], rtol=cfg["evolution.rtol"],
         atol=cfg["evolution.atol"], record_every=cfg["aes.record_every"],
-        out_dir=out_dir, seed=cfg["run.seed"])
+        out_dir=out_dir)
     print(f"{'epsilon':>10}  {'sup-t Linf':>12}  {'sup-t H1':>12}")
     for row in table.rows:
         print(f"{row.epsilon:>10.4g}  {row.err_linf:>12.4e}  {row.err_h1:>12.4e}")
@@ -267,7 +263,7 @@ def cmd_aes_sweep(cfg: dict, out_dir, threads: int) -> int:
     return 0
 
 
-def cmd_figures(cfg: dict, out_dir, threads: int) -> int:
+def cmd_figures(cfg: dict, out_dir) -> int:
     regime = cfg["figures.regime"]
     if regime not in experiments.FIGURE_REGIMES:
         raise ConfigError("figures.regime (or the positional argument) must be "
@@ -281,8 +277,7 @@ def cmd_figures(cfg: dict, out_dir, threads: int) -> int:
         n_periods=cfg["figures.n_periods"], truncation=cfg["figures.truncation"],
         rtol=cfg["evolution.rtol"], atol=cfg["evolution.atol"],
         record_every=cfg["figures.record_every"],
-        mode_cutoff=cfg["figures.mode_cutoff"], out_dir=out_dir,
-        threads=threads)
+        mode_cutoff=cfg["figures.mode_cutoff"], out_dir=out_dir)
     print(f"regime {regime}: abscissa {result.abscissa:.6g}, "
           f"max deviation {np.max(result.deviations):.6g}")
     if result.growth_rate is not None:
@@ -294,7 +289,7 @@ def cmd_figures(cfg: dict, out_dir, threads: int) -> int:
     return 0
 
 
-def cmd_validate_kernel(cfg: dict, out_dir, threads: int) -> int:
+def cmd_validate_kernel(cfg: dict, out_dir) -> int:
     kern = _scaled_kernel(cfg)
     which = cfg["validate.which"]
     if which not in ("H", "Hprime", "both"):
@@ -316,7 +311,7 @@ def cmd_validate_kernel(cfg: dict, out_dir, threads: int) -> int:
     return 0 if ok else 1
 
 
-def cmd_stability_map(cfg: dict, out_dir, threads: int) -> int:
+def cmd_stability_map(cfg: dict, out_dir) -> int:
     B_vals = _parse_float_list(cfg["map.B_values"], "map.B_values")
     V0_vals = _parse_float_list(cfg["map.V0_values"], "map.V0_values")
     base = kernels.kernel_from_name(cfg["map.kernel"])
@@ -324,8 +319,7 @@ def cmd_stability_map(cfg: dict, out_dir, threads: int) -> int:
     result = experiments.stability_map(
         B_vals, V0_vals, k=cfg["map.k"], eps=cfg["map.eps"],
         alpha=cfg["map.alpha"], base=base, n_periods=cfg["map.n_periods"],
-        truncation=cfg["map.truncation"], out_dir=out_dir, threads=threads,
-        seed=cfg["run.seed"])
+        truncation=cfg["map.truncation"], out_dir=out_dir)
     n_pts = result.abscissa.size
     n_bad = int(np.sum(np.isnan(result.abscissa)))
     n_unst = int(np.sum(result.abscissa > 1e-8))
@@ -378,9 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for CSVs, plot scripts, and the "
                             "resolved-config echo")
         p.add_argument("--seed", metavar="N", type=int, default=None,
-                       help="override run.seed")
+                       help="override run.seed (read by simulate and figures "
+                            "only)")
         p.add_argument("--threads", metavar="N", type=int, default=1,
-                       help="worker threads for spectrum sweeps")
+                       help="no effect: sweeps run serially and BLAS threads "
+                            "follow OPENBLAS_NUM_THREADS")
         p.add_argument("--kernel", metavar="NAME", default=None,
                        help="kernel selection: gaussian-normalized, "
                             "gaussian-raw, algebraic:P, custom:PATH")
@@ -405,7 +401,7 @@ def main(argv=None) -> int:
         overrides["figures.regime"] = args.regime
     try:
         cfg = resolve_config(command, args.config, overrides)
-        return _HANDLERS[command](cfg, args.out, max(1, args.threads))
+        return _HANDLERS[command](cfg, args.out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

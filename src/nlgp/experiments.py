@@ -1,23 +1,22 @@
 """Scripted reproductions: the AES epsilon-sweep, the four figure regimes,
 and stability maps over the (B, V0) plane.
 
-Every runner can write its artifacts (CSV tables, a config echo, and a
-matplotlib plot script) into an output directory; identical inputs and seed
-produce byte-identical CSVs.
+Every runner can write its artifacts (CSV tables, a JSON report, and a
+matplotlib plot script) into an output directory; the sweeps run serially,
+and identical inputs and seed produce byte-identical CSVs.  The settings of a
+run are recorded by the command line (``resolved.cfg``), not here.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import bloch, evolution, kernels, waves
-from ._config import format_flat_config
 from .spectral import PeriodicGrid, WaveField
 
 # Parameter sets of the four published stability figures (k = 1, alpha = 1,
@@ -32,25 +31,11 @@ FIGURE_REGIMES = {
 DEFAULT_SEED = 1234
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """Resolved settings of one experiment run, echoed next to its outputs."""
-
-    name: str
-    settings: dict
-    outputs: Path | None
-    seed: int
-
-
-def _write_outputs(plan: ExperimentPlan, writers: dict):
-    if plan.outputs is None:
+def _write_outputs(out_dir, writers: dict):
+    if out_dir is None:
         return
-    out = Path(plan.outputs)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    echo = dict(plan.settings)
-    echo["experiment.name"] = plan.name
-    echo["experiment.seed"] = plan.seed
-    (out / f"{plan.name}.plan.cfg").write_text(format_flat_config(echo))
     for fname, writer in writers.items():
         writer(out / fname)
 
@@ -87,7 +72,7 @@ class AesTable:
 def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
                   alpha=1, base: kernels.KernelSpec | None = None, horizon=5.0,
                   num_modes=64, rtol=1e-10, atol=1e-10, record_every=0.2,
-                  out_dir=None, seed=DEFAULT_SEED) -> AesTable:
+                  out_dir=None) -> AesTable:
     """Evolve nonlocal vs local flows from identical initial data.
 
     The initial state is the exact local-equation profile; for each eps the
@@ -125,18 +110,7 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
             err_h1 = max(err_h1, diff.hs_norm(1.0))
         rows.append(AesRow(eps, err_linf, err_h1))
     table = AesTable(tuple(rows))
-
-    plan = ExperimentPlan(
-        name="aes-sweep",
-        settings={
-            "aes.B": B, "aes.V0": V0, "aes.k": k, "aes.alpha": alpha,
-            "aes.kernel": base.family, "aes.horizon": horizon,
-            "aes.num_modes": num_modes, "aes.record_every": record_every,
-            "aes.epsilons": ",".join(repr(e) for e in eps_sorted),
-            "evolution.rtol": rtol, "evolution.atol": atol,
-        },
-        outputs=out_dir, seed=seed)
-    _write_outputs(plan, {
+    _write_outputs(out_dir, {
         "aes.csv": lambda p: _write_aes_csv(table, p),
         "plot_aes.py": _write_aes_plot_script,
     })
@@ -209,7 +183,7 @@ def fit_growth_rate(times, deviations, nu: float, phi_sup: float) -> float | Non
 def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = None,
                       seed=DEFAULT_SEED, horizon=30.0, num_modes=128, n_periods=4,
                       truncation=64, rtol=1e-10, atol=1e-10, record_every=0.25,
-                      mode_cutoff=16, out_dir=None, threads=1) -> FigureRegimeResult:
+                      mode_cutoff=16, out_dir=None) -> FigureRegimeResult:
     """Reproduce one published regime: perturbed evolution plus Bloch spectra.
 
     The regimes run with k = 1, alpha = 1 on [0, 8*pi].  The default kernel
@@ -237,8 +211,7 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
     traj = evolution.evolve(psi0, cfg)
     deviations = traj.deviation_from(state.field)
 
-    reports = bloch.full_period_spectrum(n_periods, state.params, truncation,
-                                         max_workers=threads)
+    reports = bloch.full_period_spectrum(n_periods, state.params, truncation)
     abscissa = max(rep.max_real_part for rep in reports)
     sigma = fit_growth_rate(traj.times, deviations, reg["nu"],
                             state.field.linf_norm())
@@ -252,21 +225,7 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
         regime=which, params=state.params, nu=reg["nu"], trajectory=traj,
         reports=reports, deviations=deviations, abscissa=abscissa,
         growth_rate=sigma, warnings=tuple(warnings))
-
-    plan = ExperimentPlan(
-        name=f"figure-{which}",
-        settings={
-            "regime.B": reg["B"], "regime.V0": reg["V0"], "regime.eps": reg["eps"],
-            "regime.nu": reg["nu"], "regime.k": k, "regime.alpha": alpha,
-            "regime.kernel": base.family, "grid.num_modes": num_modes,
-            "grid.period": grid.period, "evolution.horizon": horizon,
-            "evolution.rtol": rtol, "evolution.atol": atol,
-            "evolution.record_every": record_every,
-            "perturbation.mode_cutoff": mode_cutoff,
-            "spectrum.n_periods": n_periods, "spectrum.truncation": truncation,
-        },
-        outputs=out_dir, seed=seed)
-    _write_outputs(plan, {
+    _write_outputs(out_dir, {
         "trajectory.csv": lambda p: evolution.write_trajectory_csv(traj, p),
         "summary.csv": lambda p: evolution.write_summary_csv(traj, p,
                                                              reference=state.field),
@@ -338,8 +297,7 @@ class StabilityMap:
 
 def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
                   base: kernels.KernelSpec | None = None, n_periods=1,
-                  truncation=32, out_dir=None, threads=1,
-                  seed=DEFAULT_SEED) -> StabilityMap:
+                  truncation=32, out_dir=None) -> StabilityMap:
     """Spectral abscissa over a (B, V0) grid, with threshold annotations."""
     if base is None:
         base = kernels.KernelSpec.gaussian_normalized()
@@ -349,8 +307,7 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
         raise ValueError("B_values and V0_values must be nonempty")
     kern = kernels.ScaledKernel(base, eps)
 
-    def point(args):
-        B, V0 = args
+    def point(B, V0):
         try:
             params = waves.solution_params(B, V0, k, alpha, kern)
         except (waves.OffsetTooSmallError, waves.BetaZeroError):
@@ -358,13 +315,7 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
         reports = bloch.full_period_spectrum(n_periods, params, truncation)
         return max(rep.max_real_part for rep in reports)
 
-    tasks = [(B, V0) for B in B_values for V0 in V0_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(point, tasks))
-    else:
-        flat = [point(t) for t in tasks]
-    grid_vals = np.array(flat).reshape(len(B_values), len(V0_values))
+    grid_vals = np.array([[point(B, V0) for V0 in V0_values] for B in B_values])
 
     bta = kernels.beta(kern, k)
     A_values = -V0_values / (alpha * bta)
@@ -374,18 +325,7 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
         bs = None
     result = StabilityMap(B_values, V0_values, grid_vals, A_values, bs,
                           bloch.a_crit(k))
-
-    plan = ExperimentPlan(
-        name="stability-map",
-        settings={
-            "map.k": k, "map.eps": eps, "map.alpha": alpha,
-            "map.kernel": base.family, "map.n_periods": n_periods,
-            "map.truncation": truncation,
-            "map.B_values": ",".join(repr(float(b)) for b in B_values),
-            "map.V0_values": ",".join(repr(float(v)) for v in V0_values),
-        },
-        outputs=out_dir, seed=seed)
-    _write_outputs(plan, {
+    _write_outputs(out_dir, {
         "stability_map.csv": lambda p: _write_map_csv(result, p),
         "plot_map.py": _write_map_plot_script,
     })

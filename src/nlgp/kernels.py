@@ -284,14 +284,14 @@ def validate_hypotheses(kern: ScaledKernel, which: str = "H") -> ValidationRepor
     """
     z = kern.base.zeta
     zh = kern.base.zeta_hat
-    if which in ("H", "H_set"):
+    if which == "H":
         checks = (
             _check_nonnegative(z),
             _check_unit_mass(z),
             _check_first_moment(z),
             _check_decay_envelope(zh, "transform decay envelope"),
         )
-    elif which in ("Hprime", "Hprime_set"):
+    elif which == "Hprime":
         checks = (
             _check_nonnegative(z),
             _check_even(z),

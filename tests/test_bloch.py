@@ -365,9 +365,6 @@ def test_full_period_spectrum_merges_in_mu_order():
     p = _params(B=1.0, V0=-0.5, eps=0.05)
     reports = full_period_spectrum(4, p, 16)
     assert [r.mu for r in reports] == [0.0, 0.25, 0.5, 0.75]
-    threaded = full_period_spectrum(4, p, 16, max_workers=3)
-    for a, b in zip(reports, threaded):
-        assert np.array_equal(np.array(a.eigenvalues), np.array(b.eigenvalues))
 
 
 def test_eigen_summary_fields():

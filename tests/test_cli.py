@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,11 +82,15 @@ def test_validate_kernel_custom_table_failure(tmp_path):
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
-    # the last two were simulate keys once; old configs must not pass silently
-    for line in ("not.a.key = 1", "evolution.filter_mode = off",
-                 "evolution.integrating_factor = true"):
+    # all but the first were accepted once; old configs must not pass silently
+    for command, line in (("simulate", "not.a.key = 1"),
+                          ("simulate", "evolution.filter_mode = off"),
+                          ("simulate", "evolution.integrating_factor = true"),
+                          ("spectrum", "run.seed = 7"),
+                          ("aes-sweep", "run.seed = 7"),
+                          ("stability-map", "run.seed = 7")):
         cfg = _write(tmp_path, "bad.cfg", line + "\n")
-        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert cli.main([command, "--config", cfg]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
 
 
@@ -112,24 +118,30 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().out
 
 
-def test_simulate_writes_artifacts_and_echo(tmp_path):
-    cfg = _write(tmp_path, "sim.cfg",
-                 "grid.num_modes = 32\nevolution.horizon = 0.5\n"
-                 "evolution.rtol = 1e-8\nevolution.atol = 1e-8\n"
-                 "perturbation.nu = 0.01\nperturbation.mode_cutoff = 8\n")
-    out1 = tmp_path / "run1"
-    assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-    assert (out1 / "trajectory.csv").exists()
-    assert (out1 / "summary.csv").exists()
+def _replay_echo(tmp_path, command, cfg_text, csv_name):
+    """Run once, rerun from the run's resolved.cfg, and compare both runs."""
+    cfg = _write(tmp_path, f"{command}.cfg", cfg_text)
+    out1, out2 = tmp_path / f"{command}-1", tmp_path / f"{command}-2"
+    assert cli.main([command, "--config", cfg, "--out", str(out1)]) == 0
     echo = out1 / "resolved.cfg"
-    assert echo.exists()
-    # the echo replays to bit-identical outputs
-    out2 = tmp_path / "run2"
-    assert cli.main(["simulate", "--config", str(echo), "--out", str(out2)]) == 0
-    assert (out1 / "trajectory.csv").read_bytes() == \
-        (out2 / "trajectory.csv").read_bytes()
-    assert (out1 / "resolved.cfg").read_bytes() == \
-        (out2 / "resolved.cfg").read_bytes()
+    assert cli.main([command, "--config", str(echo), "--out", str(out2)]) == 0
+    for name in (csv_name, "resolved.cfg"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    return out1
+
+
+def test_simulate_writes_artifacts_and_echo(tmp_path):
+    out = _replay_echo(tmp_path, "simulate",
+                       "grid.num_modes = 32\nevolution.horizon = 0.5\n"
+                       "evolution.rtol = 1e-8\nevolution.atol = 1e-8\n"
+                       "perturbation.nu = 0.01\nperturbation.mode_cutoff = 8\n",
+                       "trajectory.csv")
+    assert (out / "summary.csv").exists()
+    # resolved.cfg is the only settings record, so the sweeps replay from it too
+    _replay_echo(tmp_path, "stability-map", "map.truncation = 16\n",
+                 "stability_map.csv")
+    _replay_echo(tmp_path, "aes-sweep", "aes.horizon = 0.5\naes.num_modes = 32\n",
+                 "aes.csv")
 
 
 def test_simulate_blow_up_is_exit_3_with_partial(tmp_path):
@@ -188,11 +200,35 @@ def test_figures_command_with_config_regime(tmp_path):
     out2 = tmp_path / "fig2"
     assert cli.main(["figures", "2a", "--config", cfg,
                      "--out", str(out2)]) == 0
-    assert (out2 / "figure-2a.plan.cfg").exists()
+    assert json.loads((out2 / "report.json").read_text())["regime"] == "2a"
+    assert "figures.regime = 2a" in (out2 / "resolved.cfg").read_text().splitlines()
 
 
 def test_figures_requires_some_regime():
     assert cli.main(["figures"]) == 2
+
+
+def test_threads_and_seed_flags_parse(tmp_path):
+    # the benchmark's command lines pass both flags; --threads has no effect
+    smoke = {
+        "figures": "figures.regime = 1b\nfigures.num_modes = 32\n"
+                   "figures.horizon = 0.5\nfigures.truncation = 12\n"
+                   "figures.n_periods = 1\nfigures.record_every = 0.5\n"
+                   "figures.mode_cutoff = 8\n",
+        "aes-sweep": "aes.epsilons = 0.2,0.1\naes.horizon = 0.5\n"
+                     "aes.num_modes = 32\n",
+        "stability-map": "map.B_values = 2.0\nmap.V0_values = -1.0\n"
+                         "map.truncation = 16\n",
+        "spectrum": "spectrum.truncation = 16\nspectrum.n_periods = 2\n",
+    }
+    for command, text in smoke.items():
+        cfg = _write(tmp_path, f"{command}.cfg", text)
+        for threads in ("2", "1") if command == "spectrum" else ("2",):
+            out = tmp_path / f"{command}-{threads}"
+            assert cli.main([command, "--config", cfg, "--out", str(out),
+                             "--seed", "5", "--threads", threads]) == 0
+    assert (tmp_path / "spectrum-2" / "spectrum.csv").read_bytes() == \
+        (tmp_path / "spectrum-1" / "spectrum.csv").read_bytes()
 
 
 def test_stability_map_command(tmp_path):

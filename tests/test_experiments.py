@@ -48,7 +48,6 @@ def test_aes_sweep_small_case(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert float(rows[0]["epsilon"]) == 0.2
-    assert (tmp_path / "aes-sweep.plan.cfg").exists()
     assert (tmp_path / "plot_aes.py").exists()
 
 
@@ -75,7 +74,7 @@ def test_figure_regime_small_run(tmp_path):
     assert result.deviations.shape == (len(result.trajectory.times),)
     assert np.max(result.deviations) < 0.1
     for fname in ("trajectory.csv", "summary.csv", "spectrum.csv",
-                  "report.json", "plot_regime.py", "figure-2a.plan.cfg"):
+                  "report.json", "plot_regime.py"):
         assert (tmp_path / fname).exists(), fname
 
 
@@ -109,7 +108,7 @@ def test_figure_regime_seed_reproducibility(tmp_path):
 
 def test_stability_map_grid_and_csv(tmp_path):
     result = stability_map([0.5, 2.0], [-1.0, -0.1], truncation=16,
-                           n_periods=1, out_dir=tmp_path, threads=2)
+                           n_periods=1, out_dir=tmp_path)
     assert result.abscissa.shape == (2, 2)
     # A = 1 at V0 = -1: B = 0.5 lies below B* = 1 and is unstable there
     assert result.abscissa[0, 0] > 1e-2
