@@ -58,8 +58,7 @@ def _verdict(capsys, num, ok, detail):
 
 def test_criterion_01_multiplier_convolution_identity(capsys, tmp_path):
     # three kernel families with closed-form or tabulated symbols; the
-    # quadrature-backed algebraic family has its own oracle test and is
-    # far too slow for this 1 s budget
+    # algebraic family has its own oracle tests in test_kernels.py
     s_tab = np.linspace(0.0, 40.0, 2001)
     table = tmp_path / "bump.csv"
     table.write_text("\n".join(

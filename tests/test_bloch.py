@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import k1
 
 from nlgp import bloch
 from nlgp.bloch import (
@@ -263,6 +264,13 @@ def test_b_star_reference_values():
     smeared = ScaledKernel(KernelSpec.gaussian_normalized(), 0.5)
     # minimizer sits at mu = 1 for the n = 0 ratio: B* = exp(1/16)
     assert b_star(1.0, smeared) == pytest.approx(np.exp(1.0 / 16.0), rel=1e-6)
+
+
+def test_b_star_algebraic_kernel_at_small_epsilon():
+    # the multipliers nearest s = 0 decide B*; here the n = 0 and n = 1
+    # ratios at mu = 1 give B* = 1/zeta_hat(0.1) = 1/(0.1 K_1(0.1))
+    kern = ScaledKernel(KernelSpec.algebraic_decay(3.0), 0.1)
+    assert abs(b_star(1.0, kern) - 1.0 / (0.1 * k1(0.1))) < 1e-12
 
 
 def test_b_star_grows_with_epsilon():

@@ -94,13 +94,29 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
         assert line.split(" = ")[0] in capsys.readouterr().err
 
 
-def test_invalid_parameters_are_exit_2(tmp_path):
+def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg", "solution.B = 0.1\nsolution.V0 = 2.0\n")
     assert cli.main(["simulate", "--config", cfg]) == 2
     cfg2 = _write(tmp_path, "bad2.cfg", "spectrum.truncation = 4\n")
     assert cli.main(["spectrum", "--config", cfg2]) == 2
     cfg3 = _write(tmp_path, "bad3.cfg", "kernel.name = mystery\n")
     assert cli.main(["spectrum", "--config", cfg3]) == 2
+    capsys.readouterr()
+    for p in ("nan", "inf", "200"):
+        assert cli.main(["spectrum", "--kernel", f"algebraic:{p}"]) == 2
+        assert f"p={p}" in capsys.readouterr().err
+
+
+def test_spectrum_algebraic_kernel_small_epsilon_b_star(tmp_path, capsys):
+    # near s = 0 the algebraic transform is ~1; a wrong value there once
+    # made B* "undefined" for this kernel at small eps
+    cfg = _write(tmp_path, "alg.cfg",
+                 "kernel.name = algebraic:3\nkernel.epsilon = 0.1\n"
+                 "spectrum.n_periods = 2\nspectrum.truncation = 8\n")
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "B* = 1.01483" in out
+    assert "undefined" not in out
 
 
 def test_spectrum_verdict_exit_codes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.special import k1
+from scipy.integrate import quad
+from scipy.special import gamma, k1
 
 from nlgp.kernels import (
     KernelSpec,
@@ -41,16 +42,73 @@ def test_algebraic_decay_transform_values():
     x = np.linspace(-60, 60, 20001)
     mass = np.trapezoid(base.zeta(x), x)
     assert abs(mass - 1.0) < 1e-3
-    assert abs(base.zeta_hat(0.0) - 1.0) < 1e-8
-    assert abs(base.zeta_hat(1.0) - k1(1.0)) < 1e-8
-    assert abs(base.zeta_hat(2.5) - 2.5 * k1(2.5)) < 1e-8
+    assert base.zeta_hat(0.0) == 1.0
+    assert abs(base.zeta_hat(1.0) - k1(1.0)) < 1e-13
+    assert abs(base.zeta_hat(2.5) - 2.5 * k1(2.5)) < 1e-13
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 4.0, 7.0])
+def test_algebraic_decay_matches_cosine_quadrature(p):
+    base = KernelSpec.algebraic_decay(p)
+    s = np.geomspace(1e-3, 40.0, 20)
+    oracle = np.array([
+        2.0 * quad(base.zeta, 0, np.inf, weight="cos", wvar=si,
+                   epsabs=1e-13, limit=400)[0]
+        for si in s])
+    got = base.zeta_hat(s)
+    assert got.shape == s.shape
+    assert np.max(np.abs(got - oracle)) < 1e-10
+    assert np.array_equal(base.zeta_hat(-s), got)
+
+
+@pytest.mark.parametrize("p", [30.0, 80.0])
+def test_algebraic_decay_large_power(p):
+    # the cosine-weighted rule fails for these narrow profiles (width
+    # ~ 1/sqrt(p)), so the oracle is plain quadrature over [0, 20]
+    base = KernelSpec.algebraic_decay(p)
+    s = np.concatenate([np.geomspace(1e-12, 1e-4, 9), np.geomspace(1e-3, 40.0, 20)])
+    oracle = np.array([
+        2.0 * quad(lambda x: base.zeta(x) * np.cos(si * x), 0, 20,
+                   epsabs=1e-14, epsrel=1e-13, limit=2000)[0]
+        for si in s])
+    assert np.max(np.abs(base.zeta_hat(s) - oracle)) < 1e-12
+
+
+def _small_s_deficit(nu, s):
+    """Leading term of 1 - zeta_hat(s) as s -> 0+ (from the series of K_nu)."""
+    if s == 0.0:
+        return 0.0
+    if nu < 1:
+        return gamma(1 - nu) / gamma(1 + nu) * (s / 2) ** (2 * nu)
+    if nu == 1:
+        return (s / 2) ** 2 * (2 * np.log(2 / s) + 1 - 2 * np.euler_gamma)
+    return (s / 2) ** 2 / (nu - 1)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+def test_algebraic_decay_transform_at_extreme_s(p):
+    # |s|^nu underflows against an overflowing K_nu (0 * inf at s = 0); the
+    # transform must still be finite, positive and approach 1 as it should.
+    # For p = 1.5 the approach is slow (1 - zeta_hat ~ 1e-6 at s = 1e-12),
+    # so the deficit is checked against its leading term, not against 0.
+    base = KernelSpec.algebraic_decay(p)
+    for s in (0.0, 1e-300, 1e-12, 1e-8, 1e-5):
+        val = float(base.zeta_hat(s))
+        assert np.isfinite(val) and 0.0 < val <= 1.0 + 1e-12, (s, val)
+        lead = _small_s_deficit((p - 1) / 2, s)
+        assert abs((1.0 - val) - lead) <= 1e-12 + 1e-3 * lead, (s, val)
+    vals = base.zeta_hat(np.array([0.0, 1e-300, 1e-5]))
+    assert np.all(np.isfinite(vals)) and vals[0] == 1.0
+    # at the other end |s|^nu overflows against a vanishing K_nu
+    assert np.array_equal(base.zeta_hat(np.array([1e3, 1e200, -1e300])), [0.0] * 3)
 
 
 def test_algebraic_decay_requires_integrable_tail():
-    with pytest.raises(ValueError):
-        KernelSpec.algebraic_decay(1.0)
-    with pytest.raises(ValueError):
-        KernelSpec.algebraic_decay(0.5)
+    # above p = 80, K_nu overflows near s = 0 before zeta_hat is within
+    # ~1e-14 of its limit 1 there
+    for p in (1.0, 0.5, np.nan, np.inf, -np.inf, 80.5):
+        with pytest.raises(ValueError, match="1 < p <= 80"):
+            KernelSpec.algebraic_decay(p)
 
 
 def test_kernel_from_name():
@@ -192,6 +250,12 @@ def test_validate_raw_gaussian_fails_unit_mass():
 def test_validate_algebraic_passes_H():
     kern = ScaledKernel(KernelSpec.algebraic_decay(3.0), 1.0)
     report = validate_hypotheses(kern, which="H")
+    assert report.all_passed, report.lines()
+
+
+def test_validate_algebraic_passes_Hprime():
+    kern = ScaledKernel(KernelSpec.algebraic_decay(3.0), 1.0)
+    report = validate_hypotheses(kern, which="Hprime")
     assert report.all_passed, report.lines()
 
 
