@@ -40,6 +40,11 @@ class EigensolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BlochOperator:
+    """Truncated L_mu as the real-symmetric L' = T* L T, T = diag(I, iI).
+
+    ``L_matrix`` = T L' T* and ``JL_matrix`` = J L are built on access.
+    """
+
     mu: float
     truncation: int
     k: float
@@ -50,28 +55,33 @@ class BlochOperator:
     D: float | None
     kernel: ScaledKernel
     modes: np.ndarray
-    L_matrix: np.ndarray
-    JL_matrix: np.ndarray
+    L_real: np.ndarray
 
     @property
     def size(self) -> int:
         return 2 * (2 * self.truncation + 1)
 
+    @property
+    def L_matrix(self) -> np.ndarray:
+        t = np.repeat([1.0, 1.0j], self.size // 2)
+        return t[:, None] * self.L_real * t.conj()
 
-def _multiplier_diagonal(params: SolutionParams, modes, mu):
-    return np.asarray(
-        params.kernel.base.zeta_hat(params.k * params.kernel.epsilon * (modes - mu)),
-        dtype=float,
-    )
+    @property
+    def JL_matrix(self) -> np.ndarray:
+        n = self.size // 2
+        L = self.L_matrix
+        return np.concatenate([L[n:], -L[:n]])
 
 
 def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperator:
-    """Build the truncated matrices of L_mu and J L_mu.
+    """Build the truncated L_mu in its real-symmetric form L'.
 
-    The nonlocal coupling enters as 2*alpha times the block matrix
+    The nonlocal coupling enters L as 2*alpha times the block matrix
     [[B CLC, sqrt(B(B+A)) CLS], [sqrt(B(B+A)) SLC, (B+A) SLS]] where C and S
-    are the cos/sin shift stencils and Lam = diag(r_j).  At B = 0 the
-    off-diagonal blocks vanish and the matrix is the canonical
+    are the cos/sin shift stencils and Lam = diag(r_j).  With S = i St (St
+    real antisymmetric), L' = [[Dg + a_cc CLC, -a_cs CLSt],
+    [a_cs StLC, Dg - a_ss StLSt]] with a_* the coefficients above times 2*alpha.
+    At B = 0 the off-diagonal blocks vanish and the matrix is the canonical
     diag(L+_mu, L-_mu) form used by the instability analysis.
     """
     if not 0.0 <= mu < 1.0:
@@ -79,40 +89,27 @@ def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperato
     if truncation < 8:
         raise TruncationTooSmallError(f"need truncation >= 8, got {truncation}")
     M = int(truncation)
-    n = 2 * M + 1
     modes = np.arange(-M, M + 1)
     k, B, A, alpha = params.k, params.B, params.A, params.alpha
-
-    kin = 0.5 * k**2 * ((modes - mu) ** 2 - 1.0)
-    Dg = np.diag(kin).astype(complex)
-
-    C = np.zeros((n, n), dtype=complex)
-    S = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    C[idx, idx + 1] = 0.5
-    C[idx + 1, idx] = 0.5
-    S[idx, idx + 1] = -0.5j
-    S[idx + 1, idx] = +0.5j
-
-    lam = _multiplier_diagonal(params, modes, mu)
-    CL = C * lam[None, :]  # C @ diag(lam)
-    SL = S * lam[None, :]
-
     a_cc = 2.0 * alpha * B
     a_cs = 2.0 * alpha * np.sqrt(B * (B + A))
     a_ss = 2.0 * alpha * (B + A)
 
-    L11 = Dg + a_cc * (CL @ C)
-    L12 = a_cs * (CL @ S)
-    L21 = a_cs * (SL @ C)
-    L22 = Dg + a_ss * (SL @ S)
-
-    L = np.block([[L11, L12], [L21, L22]])
-    JL = np.block([[L21, L22], [-L11, -L12]])
+    Dg = np.diag(0.5 * k**2 * ((modes - mu) ** 2 - 1.0))
+    lam = np.asarray(params.kernel.base.zeta_hat(k * params.kernel.epsilon * (modes - mu)),
+                     dtype=float)
+    # the stencils couple neighbours, so each product has the diagonals 0
+    # and +-2 only; built entry by entry, L' is exactly symmetric
+    lo = np.concatenate([[0.0], lam[:-1]])  # r_{j-1}, zero past the edge
+    hi = np.concatenate([lam[1:], [0.0]])   # r_{j+1}
+    F = np.diag(0.25 * lam[1:-1], 2)
+    side = np.diag(0.25 * (lo + hi))
+    L12 = -a_cs * (np.diag(0.25 * (hi - lo)) + F.T - F)  # -a_cs C Lam St
+    L_real = np.block([[Dg + a_cc * (side + F + F.T), L12],
+                       [L12.T, Dg - a_ss * (F + F.T - side)]])
     return BlochOperator(
         mu=float(mu), truncation=M, k=k, B=B, V0=params.V0, alpha=alpha,
-        A=A, D=params.D, kernel=params.kernel, modes=modes,
-        L_matrix=L, JL_matrix=JL,
+        A=A, D=params.D, kernel=params.kernel, modes=modes, L_real=L_real,
     )
 
 
@@ -124,8 +121,9 @@ class EigenReport:
     eigenvalues with definite quadratic form, 0 for zero modes (form below
     tolerance), None for eigenvalues off the imaginary axis.  Eigenvalues
     within ``origin_tol`` of the origin are symmetry (phase/translation)
-    modes; they stay in the list but are excluded from ``max_real_part``
-    and from the count identity.
+    modes, all labelled 0: round-off decides on which axis the split phase
+    Jordan pair lands.  They stay in the list but are excluded from
+    ``max_real_part`` and from the count identity.
     """
 
     mu: float
@@ -147,53 +145,51 @@ _FORM_TOL = 1e-8
 
 
 def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
-    """Dense eigensolve of JL with Krein signatures and stability counts."""
+    """Dense eigensolve of JL with Krein signatures and stability counts.
+
+    JL = T (i P L') T* with P the block swap, so the real matrix P L' is
+    solved and lambda = i nu: a real nu lies exactly on the imaginary axis,
+    and complex nu come in conjugate pairs, i.e. the pairs lambda,
+    -conj(lambda).  The Krein form v^H L v of v = T w is w^H L' w.
+    """
+    n = op.size // 2
+    Lr = op.L_real
     try:
-        w, V = scipy.linalg.eig(op.JL_matrix)
+        nu, W = scipy.linalg.eig(np.concatenate([Lr[n:], Lr[:n]]))
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise EigensolveError(f"eigensolve failed at mu={op.mu}: {exc}") from None
+    w = 1j * nu
+    w.real += 0.0  # 1j * nu gives Re = -0.0 for real nu < 0
     order = np.lexsort((w.real, w.imag))
     w = w[order]
-    V = V[:, order]
 
-    krein = []
-    k_r = k_c = k_im = 0
-    near_origin = 0
-    max_re = -np.inf
-    for i, lam in enumerate(w):
-        scale = _IM_AXIS_TOL * (1.0 + abs(lam))
-        if abs(lam) < origin_tol:
-            near_origin += 1
-            krein.append(0.0 if abs(lam.real) < scale else None)
-            continue
-        max_re = max(max_re, lam.real)
-        if abs(lam.real) < scale:
-            v = V[:, i]
-            form = float(np.real(v.conj() @ (op.L_matrix @ v)))
-            nrm2 = float(np.real(v.conj() @ v))
-            if abs(form) < _FORM_TOL * nrm2:
-                krein.append(0.0)
-            elif form > 0:
-                krein.append(+1.0)
-            else:
-                krein.append(-1.0)
-                k_im += 1
-        else:
-            krein.append(None)
-            if lam.real > scale:
-                if abs(lam.imag) < scale:
-                    k_r += 1
-                else:
-                    k_c += 1
+    mag = np.abs(w)
+    scale = _IM_AXIS_TOL * (1.0 + mag)
+    origin = mag < origin_tol
+    on_axis = ~origin & (np.abs(w.real) < scale)
+    right = ~origin & (w.real > scale)
 
-    ev_L = scipy.linalg.eigvalsh(op.L_matrix)
+    # L' w = nu P w on an eigenpair, so w^H L' w = 2 Re(nu) Re(w1^H w2)
+    X = W[:, order[on_axis]]
+    form = 2.0 * w.imag[on_axis] * np.real(np.sum(X[:n].conj() * X[n:], axis=0))
+    nrm2 = np.sum(np.abs(X) ** 2, axis=0)
+    sig = np.where(np.abs(form) < _FORM_TOL * nrm2, 0.0, np.sign(form))
+    krein = np.full(w.size, None, dtype=object)
+    krein[origin] = 0.0
+    krein[on_axis] = sig
+    k_r = int(np.sum(right & (np.abs(w.imag) < scale)))
+    k_c = int(np.sum(right)) - k_r
+    k_im = int(np.sum(sig < 0))
+
+    ev_L = scipy.linalg.eigvalsh(Lr)
     neg_tol = 1e-8 * max(1.0, float(np.max(np.abs(ev_L))))
     n_L = int(np.sum(ev_L < -neg_tol))
 
     return EigenReport(
         mu=op.mu, eigenvalues=w, krein=tuple(krein),
-        max_real_part=float(max_re), counts=(k_r, k_c, k_im, n_L),
-        near_origin=near_origin, origin_tol=origin_tol,
+        max_real_part=float(np.max(w.real[~origin], initial=-np.inf)),
+        counts=(k_r, k_c, k_im, n_L),
+        near_origin=int(np.sum(origin)), origin_tol=origin_tol,
     )
 
 
@@ -330,8 +326,10 @@ def krein_form(n: int, branch: str, mu: float, params: SolutionParams) -> float:
 
 
 def matrix_quadratic_form(op: BlochOperator, vec: np.ndarray) -> float:
-    """<L v, v> with the assembled matrix (real for Hermitian L)."""
-    return float(np.real(vec.conj() @ (op.L_matrix @ vec)))
+    """<L v, v> with the assembled matrix, as w^H L' w for w = T* v."""
+    n = op.size // 2
+    w = np.concatenate([vec[:n], -1j * vec[n:]])
+    return float(np.real(w.conj() @ (op.L_real @ w)))
 
 
 def match_spectra(analytic: list, report: EigenReport, gap_tol: float = 1e-4):

@@ -10,6 +10,7 @@ resolved config next to its outputs, and exits with:
        non-decreasing convergence table)
     2  configuration error
     3  runtime blow-up (partial outputs are kept)
+    4  internal error (the eigensolver failed)
 """
 
 from __future__ import annotations
@@ -405,6 +406,9 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except bloch.EigensolveError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -243,11 +243,17 @@ def _check_unit_mass(zeta) -> HypothesisCheck:
 
 def _check_first_moment(zeta) -> HypothesisCheck:
     try:
-        val, err = quad(lambda x: x * zeta(x), 0, np.inf, epsabs=1e-10, limit=200)
+        val, err, _, *flag = quad(lambda x: x * zeta(x), 0, np.inf, epsabs=1e-10,
+                                  limit=200, full_output=1)
     except Exception as exc:  # quadrature blew up: treat as non-integrable
         return HypothesisCheck("x*zeta integrable", False, f"quadrature failed: {exc}")
-    ok = np.isfinite(val) and err < 1e-6 * max(1.0, abs(val))
-    return HypothesisCheck("x*zeta integrable", bool(ok), f"||x zeta||_L1 = {2*val:.6g}")
+    # QUADPACK can flag a divergent integral (ier > 0, message returned) while
+    # its error estimate stays small, as for x^-1/2 tails
+    ok = not flag and np.isfinite(val) and val > 0 and err < 1e-6 * max(1.0, abs(val))
+    detail = f"||x zeta||_L1 = {2*val:.6g}"
+    if flag:
+        detail += f" (QUADPACK: {flag[0].splitlines()[0]})"
+    return HypothesisCheck("x*zeta integrable", bool(ok), detail)
 
 
 def _check_decay_envelope(zeta_hat, label: str) -> HypothesisCheck:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import k1
 
 from nlgp import bloch
@@ -21,6 +24,7 @@ from nlgp.bloch import (
     phase_zero_mode,
     spectrum,
 )
+from nlgp.experiments import FIGURE_REGIMES
 from nlgp.kernels import KernelSpec, NonpositiveMultiplierError, ScaledKernel
 from nlgp.waves import solution_params
 
@@ -400,3 +404,83 @@ def test_eigen_csv_export(tmp_path):
     assert len(rows) == expected
     assert set(rows[0]) == {"mu", "re_lambda", "im_lambda", "krein", "flag"}
     assert any(r["flag"] == "near-origin" for r in rows)  # mu = 0 pair
+
+
+# ---------------------------------------------------------------------------
+# Real-symmetric form L' = T* L T
+
+
+def _regime_params(name, base=None):
+    reg = FIGURE_REGIMES[name]
+    return _params(B=reg["B"], V0=reg["V0"], eps=reg["eps"],
+                   base=KernelSpec.gaussian_raw() if base is None else base)
+
+
+def _real_form_cases():
+    gauss = _params(B=0.8, V0=-0.4, eps=0.2)
+    alg = _params(B=1.0, V0=-1.0, eps=0.5, base=KernelSpec.algebraic_decay(3.0))
+    return [(p, mu, M) for p in (gauss, alg) for mu in (0.0, 0.3, 0.5)
+            for M in (16, 32)]
+
+
+def test_real_form_is_real_and_exactly_symmetric():
+    for p, mu, M in _real_form_cases():
+        Lp = assemble(mu, M, p).L_real
+        assert Lp.dtype == np.float64
+        assert np.array_equal(Lp, Lp.T)
+
+
+def test_spectrum_matches_complex_eigensolve_of_JL():
+    for p, mu, M in _real_form_cases():
+        op = assemble(mu, M, p)
+        rep = spectrum(op)
+        ref = scipy.linalg.eigvals(op.JL_matrix)
+        assert rep.eigenvalues.size == ref.size
+        for mine, other in ((rep.eigenvalues, ref), (ref, rep.eigenvalues)):
+            for lam in mine[np.abs(mine) >= rep.origin_tol]:
+                gap = np.min(np.abs(other - lam))
+                assert gap <= 1e-9 * max(1.0, abs(lam)), (mu, M, lam, gap)
+
+
+def test_krein_labels_match_sign_of_quadratic_form():
+    # below B* negative signatures appear; each label must be the sign of
+    # <L v, v> on the eigenvector of the complex matrix JL
+    seen = set()
+    for B, mu in ((0.5, 0.25), (0.5, 0.4), (1.5, 0.3)):
+        op = assemble(mu, 24, _params(B=B, V0=-0.3, eps=0.2))
+        rep = spectrum(op)
+        ref, V = scipy.linalg.eig(op.JL_matrix)
+        for lam, label in zip(rep.eigenvalues, rep.krein):
+            if label not in (1.0, -1.0):
+                continue
+            gaps = np.abs(ref - lam)
+            i = int(np.argmin(gaps))
+            assert gaps[i] < 1e-9 * max(1.0, abs(lam))
+            assert np.sort(gaps)[1] > 1e-6  # the match is unambiguous
+            assert np.sign(matrix_quadratic_form(op, V[:, i])) == label
+            seen.add(label)
+    assert seen == {1.0, -1.0}
+
+
+def test_stable_regimes_have_positive_zero_abscissa(tmp_path):
+    for name in ("1b", "2a"):
+        reports = full_period_spectrum(4, _regime_params(name), 32)
+        for rep in reports:
+            assert rep.max_real_part == 0.0
+            assert math.copysign(1.0, rep.max_real_part) == 1.0
+        path = tmp_path / f"{name}.csv"
+        bloch.write_eigen_csv(reports, path)
+        rows = path.read_text().splitlines()[1:]
+        assert rows and not any(row.split(",")[1] == "-0.0" for row in rows)
+
+
+def test_near_origin_eigenvalues_are_labelled_zero_modes():
+    # the phase-symmetry Jordan pair splits by ~1e-7 onto either axis;
+    # its label must not depend on which
+    alg = _params(B=1.0, V0=-1.0, eps=0.5, base=KernelSpec.algebraic_decay(3.0))
+    for p in (_regime_params("1a"), _regime_params("1b"), alg):
+        rep = spectrum(assemble(0.0, 64, p))
+        near = [kr for lam, kr in zip(rep.eigenvalues, rep.krein)
+                if abs(lam) < rep.origin_tol]
+        assert len(near) == rep.near_origin >= 2
+        assert all(kr == 0.0 for kr in near)

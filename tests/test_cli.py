@@ -134,6 +134,21 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().out
 
 
+def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+    cfg = _write(tmp_path, "s.cfg",
+                 "spectrum.truncation = 8\nspectrum.n_periods = 1\n")
+    assert cli.main(["spectrum", "--config", cfg]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: ")
+    assert "did not converge" in err[0]
+
+
 def _replay_echo(tmp_path, command, cfg_text, csv_name):
     """Run once, rerun from the run's resolved.cfg, and compare both runs."""
     cfg = _write(tmp_path, f"{command}.cfg", cfg_text)

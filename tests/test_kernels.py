@@ -259,6 +259,22 @@ def test_validate_algebraic_passes_Hprime():
     assert report.all_passed, report.lines()
 
 
+def test_validate_first_moment_rejects_divergent_tails():
+    # x*zeta ~ x^(1-P): integrable only for P > 2; QUADPACK returns a
+    # negative value with a small error estimate at P = 1.5
+    def first_moment(base):
+        report = validate_hypotheses(ScaledKernel(base, 1.0), which="H")
+        return next(c for c in report.checks if c.name == "x*zeta integrable")
+
+    for p in (1.5, 2.0):
+        check = first_moment(KernelSpec.algebraic_decay(p))
+        assert not check.passed, check.detail
+    for base in (KernelSpec.algebraic_decay(2.5), KernelSpec.algebraic_decay(3.0),
+                 KernelSpec.gaussian_normalized()):
+        check = first_moment(base)
+        assert check.passed, check.detail
+
+
 def test_validate_oscillating_table_fails_positivity(tmp_path):
     # a transform that dips negative violates the strict-positivity hypothesis
     s_grid = np.linspace(0, 20, 2001)
