@@ -6,13 +6,7 @@ family of traveling-wave solutions supported by a sin^2 potential, and the
 Bloch eigenvalue machinery that decides their spectral stability.
 """
 
-from .spectral import (
-    FilterSpec,
-    PeriodicGrid,
-    WaveField,
-    apply_filter,
-    norm,
-)
+from .spectral import PeriodicGrid, WaveField, filter_multipliers
 from .kernels import (
     KernelSpec,
     NonpositiveMultiplierError,
@@ -21,7 +15,6 @@ from .kernels import (
     beta,
     convolve_periodic,
     kernel_from_name,
-    lipschitz_gap,
     multiplier,
     validate_hypotheses,
     x_weighted_l1,
@@ -30,10 +23,10 @@ from .waves import (
     BetaZeroError,
     OffsetTooSmallError,
     PeriodMismatchError,
+    SineSquared,
     SolutionParams,
     StationaryState,
     build_solution,
-    sine_squared_potential,
     solution_params,
     stationary_residual,
 )
@@ -43,10 +36,8 @@ from .evolution import (
     FixedRK4,
     NonFiniteError,
     PerturbationSpec,
-    SineSquared,
     StepSizeUnderflowError,
     Trajectory,
-    conserved_quantities,
     evolve,
     perturbed_initial,
     random_band_limited,
@@ -92,21 +83,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveRK45", "AesTable", "AnalyticEigen", "BetaZeroError",
     "BlochOperator", "EigenReport", "EigensolveError", "EvolutionConfig",
-    "FIGURE_REGIMES", "FigureRegimeResult", "FilterSpec", "FixedRK4",
-    "InvalidMuError", "KernelSpec", "NonFiniteError",
-    "NonpositiveMultiplierError", "OffsetTooSmallError", "PeriodMismatchError",
-    "PeriodicGrid", "PerturbationSpec", "ScaledKernel", "SineSquared",
-    "SolutionParams", "StabilityMap", "StationaryState",
-    "StepSizeUnderflowError", "Trajectory", "TruncationTooSmallError",
-    "ValidationReport", "WaveField", "a_crit", "analytic_spectrum_V0_zero",
-    "apply_filter", "assemble", "b_star", "beta", "build_solution",
-    "conserved_quantities", "convolve_periodic", "eigen_summary", "evolve",
-    "fit_growth_rate", "full_period_spectrum", "generalized_zero_mode",
-    "hill_quadratic_form", "instability_predicate", "kernel_from_name",
-    "krein_form", "lipschitz_gap", "match_spectra", "matrix_quadratic_form",
-    "multiplier", "norm", "perturbed_initial", "phase_zero_mode",
+    "FIGURE_REGIMES", "FigureRegimeResult", "FixedRK4", "InvalidMuError",
+    "KernelSpec", "NonFiniteError", "NonpositiveMultiplierError",
+    "OffsetTooSmallError", "PeriodMismatchError", "PeriodicGrid",
+    "PerturbationSpec", "ScaledKernel", "SineSquared", "SolutionParams",
+    "StabilityMap", "StationaryState", "StepSizeUnderflowError", "Trajectory",
+    "TruncationTooSmallError", "ValidationReport", "WaveField", "a_crit",
+    "analytic_spectrum_V0_zero", "assemble", "b_star", "beta",
+    "build_solution", "convolve_periodic", "eigen_summary", "evolve",
+    "filter_multipliers", "fit_growth_rate", "full_period_spectrum",
+    "generalized_zero_mode", "hill_quadratic_form", "instability_predicate",
+    "kernel_from_name", "krein_form", "match_spectra", "matrix_quadratic_form",
+    "multiplier", "perturbed_initial", "phase_zero_mode",
     "random_band_limited", "run_aes_sweep", "run_figure_regime",
-    "sine_squared_potential", "solution_params", "spectrum", "stability_map",
-    "stationary_residual", "validate_hypotheses", "write_eigen_csv",
-    "write_summary_csv", "write_trajectory_csv", "x_weighted_l1",
+    "solution_params", "spectrum", "stability_map", "stationary_residual",
+    "validate_hypotheses", "write_eigen_csv", "write_summary_csv",
+    "write_trajectory_csv", "x_weighted_l1",
 ]

@@ -47,14 +47,7 @@ class BlochOperator:
 
     mu: float
     truncation: int
-    k: float
-    B: float
-    V0: float
-    alpha: int
-    A: float
     D: float | None
-    kernel: ScaledKernel
-    modes: np.ndarray
     L_real: np.ndarray
 
     @property
@@ -107,10 +100,7 @@ def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperato
     L12 = -a_cs * (np.diag(0.25 * (hi - lo)) + F.T - F)  # -a_cs C Lam St
     L_real = np.block([[Dg + a_cc * (side + F + F.T), L12],
                        [L12.T, Dg - a_ss * (F + F.T - side)]])
-    return BlochOperator(
-        mu=float(mu), truncation=M, k=k, B=B, V0=params.V0, alpha=alpha,
-        A=A, D=params.D, kernel=params.kernel, modes=modes, L_real=L_real,
-    )
+    return BlochOperator(mu=float(mu), truncation=M, D=params.D, L_real=L_real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +247,10 @@ class AnalyticEigen:
 
 def _analytic_one(n: int, positive_axis: bool, mu: float,
                   params: SolutionParams) -> AnalyticEigen:
+    if params.V0 != 0.0:
+        raise ValueError(f"closed forms require V0 = 0, got V0 = {params.V0}")
+    if not 0.0 < mu < 1.0:
+        raise InvalidMuError(f"closed forms need mu in (0, 1), got {mu}")
     k, B = params.k, params.B
     kern = params.kernel
     rhat = lambda m: float(kern.base.zeta_hat(k * kern.epsilon * (m - mu)))
@@ -296,10 +290,6 @@ def _analytic_one(n: int, positive_axis: bool, mu: float,
 
 def analytic_spectrum_V0_zero(n_range, mu: float, params: SolutionParams) -> list:
     """Closed-form eigenpairs at V0 = 0 for each n in n_range, both branches."""
-    if params.V0 != 0.0:
-        raise ValueError(f"closed forms require V0 = 0, got V0 = {params.V0}")
-    if not 0.0 < mu < 1.0:
-        raise InvalidMuError(f"closed forms need mu in (0, 1), got {mu}")
     out = []
     for n in n_range:
         out.append(_analytic_one(int(n), True, mu, params))
@@ -317,8 +307,6 @@ def krein_form(n: int, branch: str, mu: float, params: SolutionParams) -> float:
     if branch not in ("positive-axis", "negative-axis"):
         raise ValueError(f"branch must be positive-axis or negative-axis, got {branch!r}")
     ae = _analytic_one(n, branch == "positive-axis", mu, params)
-    if params.V0 != 0.0:
-        raise ValueError("closed forms require V0 = 0")
     k, B = params.k, params.B
     al = ae.alpha_n
     kinetic = TWO_PI * k**2 * ((n - mu) ** 2 - 1.0 + al**2 * ((ae.coupled_n - mu) ** 2 - 1.0))

@@ -189,7 +189,7 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
                           f"got {cfg['evolution.stepper']!r}")
     econf = evolution.EvolutionConfig(
         grid=grid, kernel=_scaled_kernel(cfg),
-        potential=evolution.SineSquared(cfg["solution.V0"], k),
+        potential=waves.SineSquared(cfg["solution.V0"], k),
         alpha=cfg["solution.alpha"], time_horizon=cfg["evolution.horizon"],
         stepper=stepper, record_every=cfg["evolution.record_every"])
     _write_echo(cfg, out_dir)

@@ -1,9 +1,9 @@
 """Filtered pseudo-spectral time evolution of the (non)local GP equation.
 
 The integrated system is  i psi_t = -psi_xx/2 + alpha*psi*(R*|psi|^2) + V*psi,
-with the convolution acting as a Fourier multiplier on |psi|^2 and the
-exponential filter applied to the nonlinear product.  Setting the kernel to
-None selects the local cubic equation (R*|psi|^2 replaced by |psi|^2).
+with the convolution acting as a Fourier multiplier on |psi|^2 and the fixed
+exponential filter applied to the nonlinear product.  The local cubic equation
+is the kernel at eps = 0: the unit-mass kernel's multiplier is then exactly 1.
 
 The flow is always stepped in integrating-factor form: the stiff Laplacian
 symbol is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
@@ -20,8 +20,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import kernels
-from .spectral import FilterSpec, PeriodicGrid, WaveField
-from .waves import StationaryState
+from .spectral import PeriodicGrid, WaveField, filter_multipliers
+from .waves import SineSquared, StationaryState
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -65,32 +65,13 @@ class FixedRK4:
 
 
 @dataclass(frozen=True)
-class SineSquared:
-    """Potential V(x) = V0 sin^2(kx)."""
-
-    V0: float
-    k: float
-
-    def values(self, grid: PeriodicGrid) -> np.ndarray:
-        # sin^2(kx) has period pi/k; it must tile the grid period.
-        ratio = grid.period * self.k / np.pi
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
-                f"potential period pi/k = {np.pi/self.k:.6g} does not divide "
-                f"grid period {grid.period:.6g}"
-            )
-        return self.V0 * np.sin(self.k * grid.points) ** 2
-
-
-@dataclass(frozen=True)
 class EvolutionConfig:
     grid: PeriodicGrid
-    kernel: kernels.ScaledKernel | None  # None selects the local equation
-    potential: SineSquared | None
+    kernel: kernels.ScaledKernel  # eps = 0 is the local equation
+    potential: SineSquared  # V0 = 0 is no potential
     alpha: int
     time_horizon: float = 30.0
     stepper: AdaptiveRK45 | FixedRK4 = AdaptiveRK45()
-    filter: FilterSpec = FilterSpec()
     record_every: float = 0.25
 
     def __post_init__(self):
@@ -112,15 +93,9 @@ class _Workspace:
         kappa = 2.0 * np.pi * j / grid.period
         self.half_ksq = 0.5 * kappa**2
         self.kappa = kappa
-        if cfg.kernel is not None:
-            self.mult = np.asarray(
-                kernels.multiplier(cfg.kernel, kappa), dtype=float
-            )
-        else:
-            self.mult = np.ones(N)
-        self.V = cfg.potential.values(grid) if cfg.potential is not None else np.zeros(N)
-        filt = cfg.filter.multipliers(grid)  # shifted order
-        self.filt = np.fft.ifftshift(filt)
+        self.mult = np.asarray(kernels.multiplier(cfg.kernel, kappa), dtype=float)
+        self.V = cfg.potential.values(grid)
+        self.filt = np.fft.ifftshift(filter_multipliers(grid))
         self.filt[j == -N // 2] = 0.0  # unmatched Nyquist mode always dropped
         self.alpha = cfg.alpha
         self.h = grid.spacing
@@ -139,12 +114,6 @@ class _Workspace:
         conv = np.fft.ifft(np.fft.fft(q) * self.mult).real
         dens = np.abs(dpsi) ** 2 + 2.0 * self.V * q + self.alpha * q * conv
         return mass, float(0.5 * np.sum(dens) * self.h)
-
-
-def conserved_quantities(psi: WaveField, cfg: EvolutionConfig) -> tuple[float, float]:
-    """(mass, energy): the squared L2 norm and the Hamiltonian by grid quadrature."""
-    ws = _Workspace(cfg)
-    return ws.mass_energy(psi.samples)
 
 
 @dataclass(eq=False)
@@ -308,17 +277,12 @@ def write_trajectory_csv(traj: Trajectory, path):
                             repr(float(val.imag))])
 
 
-def write_summary_csv(traj: Trajectory, path, reference: WaveField | None = None):
-    """Per-snapshot mass/energy, plus orbit deviation when a reference is given."""
-    dev = traj.deviation_from(reference) if reference is not None else None
+def write_summary_csv(traj: Trajectory, path, reference: WaveField):
+    """Per-snapshot mass, energy and orbit deviation from ``reference``."""
+    dev = traj.deviation_from(reference)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["t", "mass", "energy"]
-        if dev is not None:
-            header.append("mod_deviation")
-        w.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [repr(float(t)), repr(float(traj.mass[i])), repr(float(traj.energy[i]))]
-            if dev is not None:
-                row.append(repr(float(dev[i])))
-            w.writerow(row)
+        w.writerow(["t", "mass", "energy", "mod_deviation"])
+        for t, m, e, d in zip(traj.times, traj.mass, traj.energy, dev):
+            w.writerow([repr(float(t)), repr(float(m)), repr(float(e)),
+                        repr(float(d))])

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, evolution, kernels, waves
-from .spectral import PeriodicGrid, WaveField
+from .spectral import PeriodicGrid
 
 # Parameter sets of the four published stability figures (k = 1, alpha = 1,
 # 128 modes on [0, 8*pi], perturbations with 16 modes).
@@ -77,8 +77,9 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
 
     The initial state is the exact local-equation profile; for each eps the
     nonlocal flow is compared against the local one in sup norm over both
-    time and space (and in H1).  The table is sorted by decreasing eps; an
-    eps = 0 entry runs the nonlocal code path with the delta-limit kernel.
+    time and space (and in H1).  The local flow is the unit-mass Gaussian at
+    eps = 0, whose multiplier is exactly 1.  The table is sorted by
+    decreasing eps.
     """
     if base is None:
         base = kernels.KernelSpec.gaussian_normalized()
@@ -93,11 +94,11 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
 
     def config_for(kern):
         return evolution.EvolutionConfig(
-            grid=grid, kernel=kern, potential=evolution.SineSquared(V0, k),
+            grid=grid, kernel=kern, potential=waves.SineSquared(V0, k),
             alpha=alpha, time_horizon=horizon, stepper=stepper,
             record_every=record_every)
 
-    ref = evolution.evolve(psi0, config_for(None))
+    ref = evolution.evolve(psi0, config_for(local_kernel))
     rows = []
     for eps in eps_sorted:
         kern = kernels.ScaledKernel(base, eps)
@@ -204,7 +205,7 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
         state, evolution.PerturbationSpec(nu=reg["nu"], seed=seed,
                                           mode_cutoff=mode_cutoff))
     cfg = evolution.EvolutionConfig(
-        grid=grid, kernel=kern, potential=evolution.SineSquared(reg["V0"], k),
+        grid=grid, kernel=kern, potential=waves.SineSquared(reg["V0"], k),
         alpha=alpha, time_horizon=horizon,
         stepper=evolution.AdaptiveRK45(rtol=rtol, atol=atol),
         record_every=record_every)

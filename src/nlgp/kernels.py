@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -173,18 +172,6 @@ def beta(kern: ScaledKernel, k: float) -> float:
     if k <= 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
     return float(multiplier(kern, 2.0 * k))
-
-
-def lipschitz_gap(kern_a: ScaledKernel, kern_b: ScaledKernel, s: float) -> float:
-    """|multiplier(a, s) - multiplier(b, s)| for two scales of one base kernel.
-
-    Bounded by |eps_a - eps_b| * |s| * ||x zeta||_L1.
-    """
-    if kern_a.base.family != kern_b.base.family:
-        raise ValueError(
-            f"mismatched base families {kern_a.base.family!r} vs {kern_b.base.family!r}"
-        )
-    return float(abs(multiplier(kern_a, s) - multiplier(kern_b, s)))
 
 
 def x_weighted_l1(base: KernelSpec) -> float:

@@ -1,4 +1,4 @@
-"""Uniform periodic grids, Fourier coefficient transforms, filtering, and norms.
+"""Uniform periodic grids, Fourier coefficient transforms, norms, and the filter.
 
 Fields live on the circle of circumference T, sampled at x_m = m*T/N.  The
 coefficient view expands a field in the orthonormal basis
@@ -78,10 +78,6 @@ class WaveField:
         object.__setattr__(self, "samples", s)
 
     @classmethod
-    def from_samples(cls, grid: PeriodicGrid, samples) -> "WaveField":
-        return cls(grid, np.asarray(samples))
-
-    @classmethod
     def from_coeffs(cls, grid: PeriodicGrid, coeffs) -> "WaveField":
         c = np.asarray(coeffs, dtype=complex)
         if c.shape != (grid.num_modes,):
@@ -156,41 +152,11 @@ class WaveField:
             raise ValueError("fields live on different grids")
 
 
-def norm(f: WaveField, kind: str, s: float | None = None) -> float:
-    """Dispatch on kind in {"l2", "linf", "hs"}; "hs" needs the order s."""
-    kind = kind.lower()
-    if kind == "l2":
-        return f.l2_norm()
-    if kind == "linf":
-        return f.linf_norm()
-    if kind == "hs":
-        if s is None:
-            raise ValueError("Hs norm needs the order s")
-        return f.hs_norm(s)
-    raise ValueError(f"unknown norm kind {kind!r}")
+def filter_multipliers(grid: PeriodicGrid) -> np.ndarray:
+    """Exponential filter exp(ln(eps_mach) * (|j|/(N/2))^8) on grid.modes.
 
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Exponential spectral filter exp(alpha * (|j|/(N/2))^(2*gamma)).
-
-    With alpha = ln(machine eps) the highest retained mode is damped to
-    roughly machine epsilon while the j = 0 mode passes through unchanged.
+    The highest retained mode is damped to machine epsilon while the j = 0
+    mode passes through unchanged.
     """
-
-    alpha: float = np.log(MACHINE_EPS)
-    gamma: int = 4
-
-    def __post_init__(self):
-        if self.alpha >= 0:
-            raise ValueError(f"filter alpha must be negative, got {self.alpha}")
-        if self.gamma < 1 or int(self.gamma) != self.gamma:
-            raise ValueError(f"filter gamma must be a positive integer, got {self.gamma}")
-
-    def multipliers(self, grid: PeriodicGrid) -> np.ndarray:
-        eta = np.abs(grid.modes) / (grid.num_modes // 2)
-        return np.exp(self.alpha * eta ** (2 * self.gamma))
-
-
-def apply_filter(f: WaveField, spec: FilterSpec) -> WaveField:
-    return WaveField.from_coeffs(f.grid, f.coeffs * spec.multipliers(f.grid))
+    eta = np.abs(grid.modes) / (grid.num_modes // 2)
+    return np.exp(np.log(MACHINE_EPS) * eta**8)

@@ -35,6 +35,24 @@ _BETA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
+class SineSquared:
+    """Potential V(x) = V0 sin^2(kx); V0 = 0 is no potential."""
+
+    V0: float
+    k: float
+
+    def values(self, grid: PeriodicGrid) -> np.ndarray:
+        # sin^2(kx) has period pi/k; it must tile the grid period.
+        ratio = grid.period * self.k / np.pi
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError(
+                f"potential period pi/k = {np.pi/self.k:.6g} does not divide "
+                f"grid period {grid.period:.6g}"
+            )
+        return self.V0 * np.sin(self.k * grid.points) ** 2
+
+
+@dataclass(frozen=True)
 class SolutionParams:
     """Inputs (B, V0, k, alpha, kernel) with the derived (beta, A, D, omega).
 
@@ -137,10 +155,6 @@ def build_solution(B, V0, k, alpha, kernel: kernels.ScaledKernel,
     return StationaryState(params, WaveField(grid, samples))
 
 
-def sine_squared_potential(params: SolutionParams, grid: PeriodicGrid) -> np.ndarray:
-    return params.V0 * np.sin(params.k * grid.points) ** 2
-
-
 def stationary_residual(state: StationaryState) -> float:
     """L2 norm of -phi''/2 + alpha*phi*(R*|phi|^2) + V*phi - omega*phi.
 
@@ -153,7 +167,7 @@ def stationary_residual(state: StationaryState) -> float:
     lap = phi.derivative(2)
     modsq = WaveField(grid, np.abs(phi.samples) ** 2)
     conv = kernels.convolve_periodic(p.kernel, modsq)
-    V = sine_squared_potential(p, grid)
+    V = SineSquared(p.V0, p.k).values(grid)
     r = (-0.5 * lap.samples
          + p.alpha * phi.samples * conv.samples
          + V * phi.samples

@@ -254,6 +254,15 @@ def test_krein_form_B_zero_reduction():
     assert krein_form(3, "positive-axis", mu, p) > 0
 
 
+def test_krein_form_shares_the_closed_form_guards():
+    # at mu = 0 the n = 1 negative branch has c_n = 0: the guard must fire
+    # before the form divides by it
+    with pytest.raises(InvalidMuError):
+        krein_form(1, "negative-axis", 0.0, _params())
+    with pytest.raises(ValueError, match="V0 = 0"):
+        krein_form(3, "positive-axis", 0.3, _params(V0=-0.5))
+
+
 def test_krein_form_positive_for_large_modes():
     p = _params(B=1.3, eps=0.2)
     for n in (5, -5, 9):

@@ -1,9 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlgp import cli
+from nlgp import cli, evolution
 from nlgp._config import ConfigError, coerce, format_flat_config, parse_flat_config
 
 
@@ -187,6 +188,24 @@ def test_simulate_blow_up_is_exit_3_with_partial(tmp_path):
     assert code == 3
     assert (out / "trajectory.partial.csv").exists()
     assert (out / "summary.partial.csv").exists()
+
+
+def test_simulate_stall_is_exit_3_with_partial(tmp_path, monkeypatch):
+    # the adaptive stepper gives up on a finite state: a stall, not a blow-up
+    def stalled(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(success=False, y=np.asarray(y0)[:, None],
+                               message="Required step size is less than "
+                                       "spacing between numbers.")
+
+    monkeypatch.setattr(evolution, "solve_ivp", stalled)
+    cfg = _write(tmp_path, "stall.cfg",
+                 "grid.num_modes = 32\nevolution.horizon = 1.0\n")
+    out = tmp_path / "stall"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert (out / "trajectory.partial.csv").exists()
+    summary = (out / "summary.partial.csv").read_text().splitlines()
+    assert len(summary) == 2  # header and the t = 0 snapshot
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_seed_flag_changes_outputs(tmp_path):

@@ -1,17 +1,18 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nlgp import evolution
 from nlgp.evolution import (
     AdaptiveRK45,
     EvolutionConfig,
     FixedRK4,
     NonFiniteError,
     PerturbationSpec,
-    SineSquared,
+    StepSizeUnderflowError,
     Trajectory,
-    conserved_quantities,
     evolve,
     perturbed_initial,
     random_band_limited,
@@ -20,11 +21,14 @@ from nlgp.evolution import (
 )
 from nlgp.kernels import KernelSpec, ScaledKernel
 from nlgp.spectral import PeriodicGrid, WaveField
-from nlgp.waves import build_solution
+from nlgp.waves import SineSquared, build_solution
 
 
 def _local():
     return ScaledKernel(KernelSpec.gaussian_normalized(), 0.0)
+
+
+NO_POTENTIAL = SineSquared(0.0, 1.0)
 
 
 def _state(grid, B=1.0, V0=-1.0, kern=None):
@@ -36,9 +40,9 @@ def test_local_plane_wave_phase_rotation():
     # psi = a e^{i kappa x} rotates at kappa^2/2 + alpha a^2 with no potential
     grid = PeriodicGrid(2 * np.pi, 64)
     a, j = 0.7, 2
-    psi0 = WaveField.from_samples(grid, a * np.exp(1j * j * grid.points))
-    cfg = EvolutionConfig(grid=grid, kernel=None, potential=None, alpha=1,
-                          time_horizon=1.0, record_every=0.5,
+    psi0 = WaveField(grid, a * np.exp(1j * j * grid.points))
+    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+                          alpha=1, time_horizon=1.0, record_every=0.5,
                           stepper=AdaptiveRK45(rtol=1e-11, atol=1e-11))
     traj = evolve(psi0, cfg)
     freq = j**2 / 2.0 + a**2
@@ -52,9 +56,9 @@ def test_nonlocal_plane_wave_sees_kernel_mass():
     grid = PeriodicGrid(2 * np.pi, 64)
     a, j = 0.5, 1
     kern = ScaledKernel(KernelSpec.gaussian_raw(), 0.3)
-    psi0 = WaveField.from_samples(grid, a * np.exp(1j * j * grid.points))
-    cfg = EvolutionConfig(grid=grid, kernel=kern, potential=None, alpha=1,
-                          time_horizon=1.0, record_every=1.0,
+    psi0 = WaveField(grid, a * np.exp(1j * j * grid.points))
+    cfg = EvolutionConfig(grid=grid, kernel=kern, potential=NO_POTENTIAL,
+                          alpha=1, time_horizon=1.0, record_every=1.0,
                           stepper=AdaptiveRK45(rtol=1e-11, atol=1e-11))
     traj = evolve(psi0, cfg)
     freq = j**2 / 2.0 + a**2 * np.sqrt(np.pi)
@@ -77,17 +81,6 @@ def test_stationary_state_is_fixed_up_to_phase():
     assert np.max(np.abs(traj.states[-1].samples - expect)) < 1e-6
 
 
-def test_epsilon_zero_nonlocal_trajectory_identical_to_local():
-    grid = PeriodicGrid(2 * np.pi, 64)
-    state = _state(grid)
-    base = dict(grid=grid, potential=SineSquared(-1.0, 1.0), alpha=1,
-                time_horizon=2.0, record_every=0.5)
-    t_local = evolve(state.field, EvolutionConfig(kernel=None, **base))
-    t_eps0 = evolve(state.field, EvolutionConfig(kernel=_local(), **base))
-    for a, b in zip(t_local.states, t_eps0.states):
-        assert np.array_equal(a.samples, b.samples)
-
-
 def test_mass_and_energy_conserved():
     grid = PeriodicGrid(8 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), 0.01)
@@ -103,10 +96,11 @@ def test_mass_and_energy_conserved():
 def test_conserved_quantities_match_closed_forms():
     grid = PeriodicGrid(2 * np.pi, 64)
     a = 0.6
-    psi = WaveField.from_samples(grid, a * np.ones(64, complex))
-    cfg = EvolutionConfig(grid=grid, kernel=None, potential=None, alpha=1,
-                          time_horizon=1.0, record_every=1.0)
-    mass, energy = conserved_quantities(psi, cfg)
+    psi = WaveField(grid, a * np.ones(64, complex))
+    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+                          alpha=1, time_horizon=1.0, record_every=1.0)
+    traj = evolve(psi, cfg)
+    mass, energy = traj.mass[0], traj.energy[0]
     # constant field: mass = a^2 T, energy = (alpha/2) a^4 T
     assert mass == pytest.approx(a**2 * grid.period, rel=1e-12)
     assert energy == pytest.approx(0.5 * a**4 * grid.period, rel=1e-12)
@@ -124,7 +118,7 @@ def test_time_reversal_round_trip():
                           alpha=1, time_horizon=2.0, record_every=2.0,
                           stepper=AdaptiveRK45(rtol=1e-12, atol=1e-12))
     fwd = evolve(psi0, cfg)
-    flipped = WaveField.from_samples(grid, np.conj(fwd.states[-1].samples))
+    flipped = WaveField(grid, np.conj(fwd.states[-1].samples))
     back = evolve(flipped, cfg)
     recovered = np.conj(back.states[-1].samples)
     assert np.max(np.abs(recovered - psi0.samples)) < 1e-9
@@ -133,7 +127,7 @@ def test_time_reversal_round_trip():
 def test_fixed_step_matches_adaptive():
     grid = PeriodicGrid(2 * np.pi, 32)
     state = _state(grid)
-    common = dict(grid=grid, kernel=None, potential=SineSquared(-1.0, 1.0),
+    common = dict(grid=grid, kernel=_local(), potential=SineSquared(-1.0, 1.0),
                   alpha=1, time_horizon=1.0, record_every=0.25)
     ref = evolve(state.field, EvolutionConfig(
         stepper=AdaptiveRK45(rtol=1e-12, atol=1e-12), **common))
@@ -146,8 +140,9 @@ def test_fixed_step_matches_adaptive():
 def test_record_times_cover_horizon():
     grid = PeriodicGrid(2 * np.pi, 32)
     state = _state(grid)
-    cfg = EvolutionConfig(grid=grid, kernel=None, potential=SineSquared(-1.0, 1.0),
-                          alpha=1, time_horizon=1.0, record_every=0.3)
+    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=1.0, record_every=0.3)
     traj = evolve(state.field, cfg)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
@@ -195,8 +190,9 @@ def test_blow_up_raises_with_partial_trajectory():
     # dt = 2 lies outside IF-RK4's stability region for the nonlinear term
     grid = PeriodicGrid(2 * np.pi, 128)
     state = _state(grid)
-    cfg = EvolutionConfig(grid=grid, kernel=None, potential=SineSquared(-1.0, 1.0),
-                          alpha=1, time_horizon=20.0, record_every=2.0,
+    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=20.0, record_every=2.0,
                           stepper=FixedRK4(dt=2.0))
     with pytest.raises(NonFiniteError) as info:
         with np.errstate(all="ignore"):
@@ -208,12 +204,40 @@ def test_blow_up_raises_with_partial_trajectory():
         assert np.all(np.isfinite(s.samples))
 
 
+def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):
+    # the stepper integrates two record intervals, then gives up on a finite
+    # state: a stall, not a blow-up
+    real = evolution.solve_ivp
+    calls = []
+
+    def stalls_third(fun, t_span, y0, **kwargs):
+        calls.append(t_span)
+        if len(calls) <= 2:
+            return real(fun, t_span, y0, **kwargs)
+        return SimpleNamespace(success=False, y=np.asarray(y0)[:, None],
+                               message="Required step size is less than "
+                                       "spacing between numbers.")
+
+    monkeypatch.setattr(evolution, "solve_ivp", stalls_third)
+    grid = PeriodicGrid(2 * np.pi, 32)
+    state = _state(grid)
+    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=1.0, record_every=0.25)
+    with pytest.raises(StepSizeUnderflowError, match="stalled") as info:
+        evolve(state.field, cfg)
+    partial = info.value.trajectory
+    assert isinstance(partial, Trajectory)
+    assert np.array_equal(partial.times, [0.0, 0.25, 0.5])
+    assert len(partial.states) == len(partial.mass) == 3
+
+
 def test_grid_mismatch_rejected():
     grid = PeriodicGrid(2 * np.pi, 32)
     other = PeriodicGrid(2 * np.pi, 64)
     state = _state(grid)
-    cfg = EvolutionConfig(grid=other, kernel=None, potential=None, alpha=1,
-                          time_horizon=1.0, record_every=1.0)
+    cfg = EvolutionConfig(grid=other, kernel=_local(), potential=NO_POTENTIAL,
+                          alpha=1, time_horizon=1.0, record_every=1.0)
     with pytest.raises(ValueError):
         evolve(state.field, cfg)
 
@@ -229,8 +253,9 @@ def test_sine_squared_period_validation():
 def test_csv_writers_round_trip(tmp_path):
     grid = PeriodicGrid(2 * np.pi, 16)
     state = _state(grid)
-    cfg = EvolutionConfig(grid=grid, kernel=None, potential=SineSquared(-1.0, 1.0),
-                          alpha=1, time_horizon=0.5, record_every=0.25)
+    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=0.5, record_every=0.25)
     traj = evolve(state.field, cfg)
     tpath = tmp_path / "traj.csv"
     spath = tmp_path / "summary.csv"

@@ -10,7 +10,6 @@ from nlgp.experiments import (
     run_figure_regime,
     stability_map,
 )
-from nlgp.kernels import KernelSpec
 
 
 def test_figure_regime_table_is_complete():

@@ -7,8 +7,8 @@ from nlgp.waves import (
     BetaZeroError,
     OffsetTooSmallError,
     PeriodMismatchError,
+    SineSquared,
     build_solution,
-    sine_squared_potential,
     solution_params,
     stationary_residual,
 )
@@ -160,8 +160,7 @@ def test_solution_converges_pointwise_as_epsilon_vanishes():
 
 def test_sine_squared_potential_matches_formula():
     grid = PeriodicGrid(2 * np.pi, 64)
-    p = solution_params(1.0, -0.9, 1.0, 1, _local_kernel())
-    v = sine_squared_potential(p, grid)
+    v = SineSquared(-0.9, 1.0).values(grid)
     assert np.max(np.abs(v - (-0.9) * np.sin(grid.points) ** 2)) < 1e-14
 
 
