@@ -5,7 +5,10 @@ After scaling x -> kx, the linearized operator at each mu acts on pairs of
 (real, imaginary) perturbation components expanded in e^{-ijx}/sqrt(2*pi),
 j = -M..M.  The building blocks are the kinetic symbol k^2((j-mu)^2-1)/2,
 the cos/sin multiply stencils, and the convolution multiplier diagonal
-r_j = zeta_hat(k*eps*(j-mu)).
+r_j = zeta_hat(k*eps*(j-mu)).  Every block couples mode j only to j and
+j +- 2 (cos^2, sin^2 and sin cos have period pi/k), so the problem splits
+exactly by the parity of j: the 2 pi-periodic problem at mu is the union of
+the pi-periodic problems at mu/2 and (mu + 1)/2.
 
 Eigenvalues of JL with positive real part signal spectral instability;
 purely imaginary eigenvalues carry a Krein signature sgn(<L v, v>) whose
@@ -140,14 +143,26 @@ def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
     JL = T (i P L') T* with P the block swap, so the real matrix P L' is
     solved and lambda = i nu: a real nu lies exactly on the imaginary axis,
     and complex nu come in conjugate pairs, i.e. the pairs lambda,
-    -conj(lambda).  The Krein form v^H L v of v = T w is w^H L' w.
+    -conj(lambda).  The Krein form v^H L v of v = T w is w^H L' w.  L' and
+    P L' split exactly into an even-j and an odd-j block, and each block is
+    solved on its own.
     """
     n = op.size // 2
-    Lr = op.L_real
-    try:
-        nu, W = scipy.linalg.eig(np.concatenate([Lr[n:], Lr[:n]]))
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolveError(f"eigensolve failed at mu={op.mu}: {exc}") from None
+    blocks = []
+    for first in (0, 1):
+        half = np.arange(first, n, 2)
+        h = half.size
+        idx = np.concatenate([half, half + n])
+        Lb = op.L_real[np.ix_(idx, idx)]
+        try:
+            nu, W = scipy.linalg.eig(np.concatenate([Lb[h:], Lb[:h]]))
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise EigensolveError(f"eigensolve failed at mu={op.mu}: {exc}") from None
+        # L' w = nu P w on an eigenpair, so w^H L' w = 2 Re(nu) Re(w1^H w2)
+        form = 2.0 * nu.real * np.real(np.sum(W[:h].conj() * W[h:], axis=0))
+        blocks.append((nu, form, np.sum(np.abs(W) ** 2, axis=0),
+                       scipy.linalg.eigvalsh(Lb)))
+    nu, form, nrm2, ev_L = map(np.concatenate, zip(*blocks))
     w = 1j * nu
     w.real += 0.0  # 1j * nu gives Re = -0.0 for real nu < 0
     order = np.lexsort((w.real, w.imag))
@@ -159,11 +174,9 @@ def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
     on_axis = ~origin & (np.abs(w.real) < scale)
     right = ~origin & (w.real > scale)
 
-    # L' w = nu P w on an eigenpair, so w^H L' w = 2 Re(nu) Re(w1^H w2)
-    X = W[:, order[on_axis]]
-    form = 2.0 * w.imag[on_axis] * np.real(np.sum(X[:n].conj() * X[n:], axis=0))
-    nrm2 = np.sum(np.abs(X) ** 2, axis=0)
-    sig = np.where(np.abs(form) < _FORM_TOL * nrm2, 0.0, np.sign(form))
+    keep = order[on_axis]
+    sig = np.where(np.abs(form[keep]) < _FORM_TOL * nrm2[keep], 0.0,
+                   np.sign(form[keep]))
     krein = np.full(w.size, None, dtype=object)
     krein[origin] = 0.0
     krein[on_axis] = sig
@@ -171,7 +184,6 @@ def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
     k_c = int(np.sum(right)) - k_r
     k_im = int(np.sum(sig < 0))
 
-    ev_L = scipy.linalg.eigvalsh(Lr)
     neg_tol = 1e-8 * max(1.0, float(np.max(np.abs(ev_L))))
     n_L = int(np.sum(ev_L < -neg_tol))
 

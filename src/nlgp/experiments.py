@@ -78,11 +78,16 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
     The initial state is the exact local-equation profile; for each eps the
     nonlocal flow is compared against the local one in sup norm over both
     time and space (and in H1).  The local flow is the unit-mass Gaussian at
-    eps = 0, whose multiplier is exactly 1.  The table is sorted by
-    decreasing eps.
+    eps = 0, whose multiplier is exactly 1, so ``base`` must have unit mass
+    (zeta_hat(0) = 1): any other mass is a different local limit.  The
+    table is sorted by decreasing eps.
     """
     if base is None:
         base = kernels.KernelSpec.gaussian_normalized()
+    mass = float(base.zeta_hat(0.0))
+    if abs(mass - 1.0) > 1e-12:
+        raise ValueError(f"the AES sweep needs a unit-mass kernel (zeta_hat(0) = 1), "
+                         f"{base.family} has zeta_hat(0) = {mass:.6g}")
     eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
     if any(e < 0 for e in eps_sorted):
         raise ValueError("epsilons must be nonnegative")

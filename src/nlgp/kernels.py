@@ -97,10 +97,16 @@ class KernelSpec:
         zh = lambda s: np.interp(np.abs(np.asarray(s, float)), s_tab, zh_tab)
 
         def zeta(x):
-            # zeta(x) = (1/pi) * integral_0^inf zeta_hat(s) cos(s x) ds
+            # zeta(x) = (1/pi) * integral_0^inf zeta_hat(s) cos(s x) ds, in
+            # chunks of x so no (points x rows) temporary exceeds ~2 MB
             x = np.asarray(x, float)
-            integ = zh_tab * np.cos(np.multiply.outer(x, s_tab))
-            return np.trapezoid(integ, s_tab, axis=-1) / np.pi
+            flat = x.ravel()
+            out = np.empty(flat.size)
+            step = max(1, (1 << 18) // s_tab.size)
+            for i in range(0, flat.size, step):
+                cos = np.cos(np.multiply.outer(flat[i:i + step], s_tab))
+                out[i:i + step] = np.trapezoid(zh_tab * cos, s_tab, axis=-1)
+            return out.reshape(x.shape)[()] / np.pi
 
         return cls(
             family=f"custom:{path}",

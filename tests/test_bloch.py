@@ -493,3 +493,86 @@ def test_near_origin_eigenvalues_are_labelled_zero_modes():
                 if abs(lam) < rep.origin_tol]
         assert len(near) == rep.near_origin >= 2
         assert all(kr == 0.0 for kr in near)
+
+
+# ---------------------------------------------------------------------------
+# Parity split: L' couples mode j only to j and j +- 2
+
+
+def _parity_cases():
+    kernels = (
+        _params(B=0.5, V0=-0.4, eps=0.2),  # below B*: negative signatures
+        _params(B=1.0, V0=-1.0, eps=0.01, base=KernelSpec.gaussian_raw()),
+        _params(B=1.0, V0=-1.0, eps=0.5, base=KernelSpec.algebraic_decay(3.0)),
+    )
+    return [(p, mu, M) for p in kernels for mu in (0.0, 0.25, 0.5, 0.75)
+            for M in (16, 64)]
+
+
+def test_real_form_never_couples_even_and_odd_modes():
+    for p, mu, M in _parity_cases():
+        Lp = assemble(mu, M, p).L_real
+        odd = np.tile(np.arange(-M, M + 1) % 2 == 1, 2)
+        assert np.all(Lp[np.ix_(odd, ~odd)] == 0.0), (mu, M)
+        assert np.all(Lp[np.ix_(~odd, odd)] == 0.0), (mu, M)
+
+
+def _full_solve_oracle(op, origin_tol):
+    """Counts and on-axis Krein labels from one solve of the whole P L'."""
+    n = op.size // 2
+    Lr = op.L_real
+    nu, W = scipy.linalg.eig(np.concatenate([Lr[n:], Lr[:n]]))
+    w = 1j * nu
+    mag = np.abs(w)
+    scale = bloch._IM_AXIS_TOL * (1.0 + mag)
+    origin = mag < origin_tol
+    on_axis = ~origin & (np.abs(w.real) < scale)
+    right = ~origin & (w.real > scale)
+    X = W[:, on_axis]
+    form = 2.0 * nu.real[on_axis] * np.real(np.sum(X[:n].conj() * X[n:], axis=0))
+    nrm2 = np.sum(np.abs(X) ** 2, axis=0)
+    sig = np.where(np.abs(form) < bloch._FORM_TOL * nrm2, 0.0, np.sign(form))
+    ev_L = scipy.linalg.eigvalsh(Lr)
+    n_L = int(np.sum(ev_L < -1e-8 * max(1.0, float(np.max(np.abs(ev_L))))))
+    k_r = int(np.sum(right & (np.abs(w.imag) < scale)))
+    counts = (k_r, int(np.sum(right)) - k_r, int(np.sum(sig < 0)), n_L)
+    return counts, int(np.sum(origin)), w[on_axis], sig
+
+
+def test_split_spectrum_matches_full_solve_oracle():
+    negative = 0
+    for p, mu, M in _parity_cases():
+        op = assemble(mu, M, p)
+        rep = spectrum(op)
+        counts, near_origin, on_axis, sig = _full_solve_oracle(op, rep.origin_tol)
+        assert rep.counts == counts, (mu, M)
+        assert rep.near_origin == near_origin, (mu, M)
+        labels = np.array([np.nan if kr is None else kr for kr in rep.krein])
+        for lam, s in zip(on_axis, sig):
+            near = np.abs(rep.eigenvalues - lam) <= 1e-9 * max(1.0, abs(lam))
+            assert s in labels[near], (mu, M, lam)
+        negative += counts[2]
+    assert negative > 0
+
+
+def test_spectrum_solves_two_parity_blocks(monkeypatch):
+    shapes = {"eig": [], "eigvalsh": []}
+    for name in shapes:
+        solver = getattr(scipy.linalg, name)
+
+        def record(a, *args, _solver=solver, _name=name, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, record)
+    p = _params(B=1.0, V0=-1.0, eps=0.5, base=KernelSpec.algebraic_decay(3.0))
+    for M in (16, 64):
+        for mu in (0.0, 0.25):
+            for name in shapes:
+                shapes[name].clear()
+            rep = spectrum(assemble(mu, M, p))
+            assert rep.eigenvalues.size == 2 * (2 * M + 1)
+            for name, seen in shapes.items():
+                assert len(seen) == 2, (name, seen)
+                assert all(max(s) <= 2 * (M + 1) for s in seen), (name, seen)
+                assert sum(s[0] for s in seen) == 2 * (2 * M + 1), (name, seen)

@@ -138,16 +138,27 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
 def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
     import scipy.linalg
 
-    def no_convergence(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
-
-    monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+    # spectrum solves two parity blocks per mu: fail the first block, the
+    # second block, and the second block of the second mu
+    solve = scipy.linalg.eig
     cfg = _write(tmp_path, "s.cfg",
-                 "spectrum.truncation = 8\nspectrum.n_periods = 1\n")
-    assert cli.main(["spectrum", "--config", cfg]) == 4
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("internal error: ")
-    assert "did not converge" in err[0]
+                 "spectrum.truncation = 8\nspectrum.n_periods = 2\n")
+    for fail_on, mu in ((1, 0.0), (2, 0.0), (4, 0.5)):
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_on:
+                raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+        assert cli.main(["spectrum", "--config", cfg]) == 4
+        assert len(calls) == fail_on
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error: ")
+        assert "did not converge" in err[0]
+        assert f"mu={mu}" in err[0]
 
 
 def _replay_echo(tmp_path, command, cfg_text, csv_name):
@@ -234,6 +245,20 @@ def test_aes_sweep_command(tmp_path, capsys):
     assert (out / "aes.csv").exists()
     printed = capsys.readouterr().out
     assert "epsilon" in printed and "empirical orders" in printed
+
+
+def test_aes_sweep_refuses_non_unit_mass_kernel(tmp_path, capsys):
+    # the reference is the unit-mass eps = 0 flow: gaussian-raw (mass
+    # sqrt(pi)) converges to another equation and is a config error
+    cfg = _write(tmp_path, "aes.cfg",
+                 "aes.kernel = gaussian-raw\naes.horizon = 1\n"
+                 "aes.num_modes = 32\n")
+    out = tmp_path / "aes"
+    assert cli.main(["aes-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "unit-mass" in err
+    assert "gaussian-raw" in err
+    assert not (out / "aes.csv").exists()
 
 
 def test_figures_command_with_config_regime(tmp_path):

@@ -303,3 +303,19 @@ def test_validation_report_lines_are_informative():
     assert any("FAIL" in ln for ln in lines)
     assert any("pass" in ln for ln in lines)
     assert len(lines) == len(report.checks)
+
+
+def test_from_table_profile_matches_one_shot_transform(tmp_path):
+    # zeta is evaluated in chunks of x; each value must equal the one-shot
+    # trapezoid over the whole (points x rows) cosine table
+    s_grid = np.linspace(0, 20, 2001)
+    vals = np.exp(-(s_grid**2) / 16) * np.cos(1.5 * s_grid)
+    base = KernelSpec.from_table(_write_table(tmp_path, list(zip(s_grid, vals))))
+    x = np.linspace(-30, 30, 707)
+    one_shot = np.trapezoid(vals * np.cos(np.multiply.outer(x, s_grid)),
+                            s_grid, axis=-1) / np.pi
+    assert np.max(np.abs(base.zeta(x) - one_shot)) <= 1e-15
+    assert np.max(np.abs(base.zeta(x.reshape(7, 101)) - one_shot.reshape(7, 101))) <= 1e-15
+    assert abs(base.zeta(x[3]) - one_shot[3]) <= 1e-15
+    assert np.ndim(base.zeta(x[3])) == 0
+    assert base.zeta(np.array([])).shape == (0,)
