@@ -9,8 +9,9 @@ resolved config next to its outputs, and exits with:
     1  scientific check failed (kernel hypothesis violated, unstable verdict,
        non-decreasing convergence table)
     2  configuration error
-    3  runtime blow-up (partial outputs are kept)
-    4  internal error (the eigensolver failed)
+    3  runtime blow-up or stepper stall, from any command (simulate keeps
+       its partial outputs)
+    4  internal error (any other exception, reported on one line)
 """
 
 from __future__ import annotations
@@ -98,18 +99,11 @@ SCHEMAS = {
     },
 }
 
-# Exceptions that indicate a bad configuration rather than a code defect.
-_CONFIG_ERRORS = (
-    ConfigError,
-    waves.BetaZeroError,
-    waves.OffsetTooSmallError,
-    waves.PeriodMismatchError,
-    bloch.InvalidMuError,
-    bloch.TruncationTooSmallError,
-    kernels.NonpositiveMultiplierError,
-    ValueError,
-    FileNotFoundError,
-)
+# Exceptions that indicate a bad configuration rather than a code defect;
+# ConfigError and the domain errors of waves, bloch and kernels subclass
+# ValueError.
+_CONFIG_ERRORS = (ValueError, FileNotFoundError)
+_BLOW_UP_ERRORS = (evolution.NonFiniteError, evolution.StepSizeUnderflowError)
 
 
 def resolve_config(command: str, config_path, overrides: dict) -> dict:
@@ -204,12 +198,9 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
 
     try:
         traj = evolution.evolve(psi0, econf)
-    except (evolution.NonFiniteError, evolution.StepSizeUnderflowError) as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        if exc.trajectory is not None and len(exc.trajectory.times) > 0:
-            dump(exc.trajectory, tag=".partial")
-            print("partial trajectory written", file=sys.stderr)
-        return 3
+    except _BLOW_UP_ERRORS as exc:
+        dump(exc.trajectory, tag=".partial")
+        raise
     dump(traj)
     dev = traj.deviation_from(state.field)
     print(f"evolved to t = {traj.times[-1]:g} in {len(traj.times)} snapshots")
@@ -243,13 +234,13 @@ def cmd_spectrum(cfg: dict, out_dir) -> int:
 def cmd_aes_sweep(cfg: dict, out_dir) -> int:
     eps = _parse_float_list(cfg["aes.epsilons"], "aes.epsilons")
     base = kernels.kernel_from_name(cfg["aes.kernel"])
-    _write_echo(cfg, out_dir)
     table = experiments.run_aes_sweep(
         eps, B=cfg["aes.B"], V0=cfg["aes.V0"], k=cfg["aes.k"],
         alpha=cfg["aes.alpha"], base=base, horizon=cfg["aes.horizon"],
         num_modes=cfg["aes.num_modes"], rtol=cfg["evolution.rtol"],
         atol=cfg["evolution.atol"], record_every=cfg["aes.record_every"],
         out_dir=out_dir)
+    _write_echo(cfg, out_dir)
     print(f"{'epsilon':>10}  {'sup-t Linf':>12}  {'sup-t H1':>12}")
     for row in table.rows:
         print(f"{row.epsilon:>10.4g}  {row.err_linf:>12.4e}  {row.err_h1:>12.4e}")
@@ -271,7 +262,6 @@ def cmd_figures(cfg: dict, out_dir) -> int:
                           f"one of {sorted(experiments.FIGURE_REGIMES)}, "
                           f"got {regime!r}")
     base = kernels.kernel_from_name(cfg["figures.kernel"])
-    _write_echo(cfg, out_dir)
     result = experiments.run_figure_regime(
         regime, kernel_base=base, seed=cfg["run.seed"],
         horizon=cfg["figures.horizon"], num_modes=cfg["figures.num_modes"],
@@ -279,6 +269,7 @@ def cmd_figures(cfg: dict, out_dir) -> int:
         rtol=cfg["evolution.rtol"], atol=cfg["evolution.atol"],
         record_every=cfg["figures.record_every"],
         mode_cutoff=cfg["figures.mode_cutoff"], out_dir=out_dir)
+    _write_echo(cfg, out_dir)
     print(f"regime {regime}: abscissa {result.abscissa:.6g}, "
           f"max deviation {np.max(result.deviations):.6g}")
     if result.growth_rate is not None:
@@ -297,7 +288,6 @@ def cmd_validate_kernel(cfg: dict, out_dir) -> int:
         raise ConfigError("validate.which must be 'H', 'Hprime' or 'both', "
                           f"got {which!r}")
     sets = ("H", "Hprime") if which == "both" else (which,)
-    _write_echo(cfg, out_dir)
     ok = True
     report_lines = []
     for s in sets:
@@ -307,6 +297,7 @@ def cmd_validate_kernel(cfg: dict, out_dir) -> int:
         ok = ok and report.all_passed
     text = "\n".join(report_lines)
     print(text)
+    _write_echo(cfg, out_dir)
     if out_dir is not None:
         (Path(out_dir) / "validation.txt").write_text(text + "\n")
     return 0 if ok else 1
@@ -316,11 +307,11 @@ def cmd_stability_map(cfg: dict, out_dir) -> int:
     B_vals = _parse_float_list(cfg["map.B_values"], "map.B_values")
     V0_vals = _parse_float_list(cfg["map.V0_values"], "map.V0_values")
     base = kernels.kernel_from_name(cfg["map.kernel"])
-    _write_echo(cfg, out_dir)
     result = experiments.stability_map(
         B_vals, V0_vals, k=cfg["map.k"], eps=cfg["map.eps"],
         alpha=cfg["map.alpha"], base=base, n_periods=cfg["map.n_periods"],
         truncation=cfg["map.truncation"], out_dir=out_dir)
+    _write_echo(cfg, out_dir)
     n_pts = result.abscissa.size
     n_bad = int(np.sum(np.isnan(result.abscissa)))
     n_unst = int(np.sum(result.abscissa > 1e-8))
@@ -406,8 +397,11 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except bloch.EigensolveError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except _BLOW_UP_ERRORS as exc:
+        print(f"blow-up: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -8,7 +8,9 @@ is the kernel at eps = 0: the unit-mass kernel's multiplier is then exactly 1.
 The flow is always stepped in integrating-factor form: the stiff Laplacian
 symbol is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
 stepper (adaptive RK45 or fixed RK4) integrates only the filtered nonlinear
-and potential terms.
+and potential terms.  Each run is one pass over the record grid: the adaptive
+stepper is a single solver call whose snapshots are the Dormand-Prince dense
+output at the record times, with steps capped at record_every.
 """
 
 from __future__ import annotations
@@ -147,25 +149,33 @@ def _record_times(cfg: EvolutionConfig) -> np.ndarray:
     return t
 
 
-def _rk4_span(f, t0, t1, y, dt):
-    nsteps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-    h = (t1 - t0) / nsteps
-    t = t0
-    for _ in range(nsteps):
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y
+def _rk4_pass(f, rec, u, dt):
+    """Fixed-step RK4 across the record grid: the state at each record time
+    reached, stopping after the first non-finite one."""
+    reached = [u]
+    for t0, t1 in zip(rec[:-1], rec[1:]):
+        nsteps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+        h = (t1 - t0) / nsteps
+        t = t0
+        for _ in range(nsteps):
+            k1 = f(t, u)
+            k2 = f(t + h / 2, u + h / 2 * k1)
+            k3 = f(t + h / 2, u + h / 2 * k2)
+            k4 = f(t + h, u + h * k3)
+            u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        reached.append(u)
+        if not np.all(np.isfinite(u)):
+            break
+    return reached
 
 
 def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
-    """Integrate to cfg.time_horizon, recording snapshots every record_every.
+    """Integrate to cfg.time_horizon in one pass, recording snapshots every
+    record_every.
 
     Raises NonFiniteError on blow-up and StepSizeUnderflowError on stepper
-    stall; both carry the partial trajectory in their ``trajectory`` attribute.
+    stall; both carry the finite prefix in their ``trajectory`` attribute.
     """
     if psi0.grid != cfg.grid:
         raise ValueError("initial state grid does not match config grid")
@@ -174,50 +184,37 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
 
     # psi_hat' = -i*half_ksq*psi_hat + N(psi) becomes u' = e(t)*N(psi) for
     # u = e(t)*psi_hat, e(t) = exp(i*half_ksq*t): the stiff part is exact.
-    def to_state(t, u):
-        return np.fft.ifft(u / np.exp(1j * ws.half_ksq * t))
-
     def f(t, u):
         e = np.exp(1j * ws.half_ksq * t)
         return e * ws.nonlinear_rhs_hat(t, np.fft.ifft(u / e))
 
-    y = np.fft.fft(psi0.samples.astype(complex))
-    times, states, masses, energies = [], [], [], []
+    u0 = np.fft.fft(psi0.samples.astype(complex))
+    if isinstance(cfg.stepper, FixedRK4):
+        reached, message = _rk4_pass(f, rec, u0, cfg.stepper.dt), ""
+    else:
+        sol = solve_ivp(f, (rec[0], rec[-1]), u0, method="RK45",
+                        rtol=cfg.stepper.rtol, atol=cfg.stepper.atol,
+                        t_eval=rec, max_step=cfg.record_every)
+        # t = 0 is u0 itself: a solver that fails before its first record
+        # returns sol.t and sol.y as empty lists
+        reached = [u0] + [sol.y[:, i] for i in range(1, len(sol.t))]
+        message = sol.message
 
-    def snapshot(t, u):
-        state = WaveField(cfg.grid, to_state(t, u))
-        m, e = ws.mass_energy(state.samples)
-        times.append(t)
-        states.append(state)
-        masses.append(m)
-        energies.append(e)
+    states = []
 
     def partial():
-        return Trajectory(np.array(times), states, np.array(masses), np.array(energies))
+        m_e = np.array([ws.mass_energy(st.samples) for st in states]).reshape(-1, 2)
+        return Trajectory(rec[:len(states)], states, m_e[:, 0], m_e[:, 1])
 
-    snapshot(rec[0], y)
-    for t0, t1 in zip(rec[:-1], rec[1:]):
-        if isinstance(cfg.stepper, FixedRK4):
-            y = _rk4_span(f, t0, t1, y, cfg.stepper.dt)
-        else:
-            sol = solve_ivp(f, (t0, t1), y, method="RK45",
-                            rtol=cfg.stepper.rtol, atol=cfg.stepper.atol,
-                            t_eval=(t1,), dense_output=False)
-            if not sol.success:
-                state_bad = not np.all(np.isfinite(sol.y[:, -1])) if sol.y.size else True
-                if state_bad:
-                    raise NonFiniteError(
-                        f"non-finite state while integrating [{t0:.4g}, {t1:.4g}]: "
-                        f"{sol.message}", trajectory=partial())
-                raise StepSizeUnderflowError(
-                    f"stepper stalled in [{t0:.4g}, {t1:.4g}]: {sol.message}",
-                    trajectory=partial())
-            y = sol.y[:, -1]
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteError(
-                f"non-finite state detected at t = {t1:.6g} (blow-up)",
-                trajectory=partial())
-        snapshot(t1, y)
+    for t, u in zip(rec, reached):
+        if not np.all(np.isfinite(u)):
+            raise NonFiniteError(f"non-finite state at t = {t:.6g} (blow-up)",
+                                 trajectory=partial())
+        states.append(WaveField(cfg.grid, np.fft.ifft(u / np.exp(1j * ws.half_ksq * t))))
+    if len(reached) < len(rec):
+        raise StepSizeUnderflowError(
+            f"stepper stalled after t = {rec[len(states) - 1]:.6g}: {message}",
+            trajectory=partial())
     return partial()
 
 

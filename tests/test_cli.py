@@ -201,14 +201,16 @@ def test_simulate_blow_up_is_exit_3_with_partial(tmp_path):
     assert (out / "summary.partial.csv").exists()
 
 
+def _stalls_before_first_record(fun, t_span, y0, **kwargs):
+    # what scipy returns when the solver fails before reaching any t_eval point
+    return SimpleNamespace(success=False, t=[], y=[],
+                           message="Required step size is less than "
+                                   "spacing between numbers.")
+
+
 def test_simulate_stall_is_exit_3_with_partial(tmp_path, monkeypatch):
     # the adaptive stepper gives up on a finite state: a stall, not a blow-up
-    def stalled(fun, t_span, y0, **kwargs):
-        return SimpleNamespace(success=False, y=np.asarray(y0)[:, None],
-                               message="Required step size is less than "
-                                       "spacing between numbers.")
-
-    monkeypatch.setattr(evolution, "solve_ivp", stalled)
+    monkeypatch.setattr(evolution, "solve_ivp", _stalls_before_first_record)
     cfg = _write(tmp_path, "stall.cfg",
                  "grid.num_modes = 32\nevolution.horizon = 1.0\n")
     out = tmp_path / "stall"
@@ -217,6 +219,45 @@ def test_simulate_stall_is_exit_3_with_partial(tmp_path, monkeypatch):
     summary = (out / "summary.partial.csv").read_text().splitlines()
     assert len(summary) == 2  # header and the t = 0 snapshot
     assert not (out / "trajectory.csv").exists()
+
+
+def test_simulate_real_stall_is_exit_3_with_partial(tmp_path, capsys):
+    # at tolerances of 1e3 the solver diverges and stalls before t = 0.25
+    cfg = _write(tmp_path, "loose.cfg",
+                 "solution.B = 50\nsolution.V0 = 0\n"
+                 "evolution.rtol = 1e3\nevolution.atol = 1e3\n"
+                 "evolution.horizon = 5\nperturbation.nu = 0.5\n"
+                 "grid.num_modes = 32\nperturbation.mode_cutoff = 8\n")
+    out = tmp_path / "loose"
+    with np.errstate(all="ignore"):
+        code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert (out / "trajectory.partial.csv").exists()
+    assert (out / "summary.partial.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("blow-up: ")
+
+
+def test_figures_stall_is_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evolution, "solve_ivp", _stalls_before_first_record)
+    cfg = _write(tmp_path, "fig.cfg",
+                 "figures.regime = 1b\nfigures.num_modes = 32\n"
+                 "figures.horizon = 0.5\nfigures.truncation = 12\n"
+                 "figures.n_periods = 1\nfigures.mode_cutoff = 8\n")
+    assert cli.main(["figures", "--config", cfg]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("blow-up: ")
+    assert "stalled" in err[0]
+
+
+def test_unexpected_exception_is_exit_4(capsys, monkeypatch):
+    def defect(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.bloch, "full_period_spectrum", defect)
+    assert cli.main(["spectrum"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: RuntimeError: boom"]
 
 
 def test_seed_flag_changes_outputs(tmp_path):
@@ -259,6 +300,7 @@ def test_aes_sweep_refuses_non_unit_mass_kernel(tmp_path, capsys):
     assert err.startswith("config error: ") and "unit-mass" in err
     assert "gaussian-raw" in err
     assert not (out / "aes.csv").exists()
+    assert not (out / "resolved.cfg").exists()
 
 
 def test_figures_command_with_config_regime(tmp_path):

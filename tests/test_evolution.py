@@ -205,20 +205,15 @@ def test_blow_up_raises_with_partial_trajectory():
 
 
 def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):
-    # the stepper integrates two record intervals, then gives up on a finite
-    # state: a stall, not a blow-up
-    real = evolution.solve_ivp
-    calls = []
-
-    def stalls_third(fun, t_span, y0, **kwargs):
-        calls.append(t_span)
-        if len(calls) <= 2:
-            return real(fun, t_span, y0, **kwargs)
-        return SimpleNamespace(success=False, y=np.asarray(y0)[:, None],
+    # the stepper reaches three records, then gives up on a finite state: a
+    # stall, not a blow-up
+    def stalls_after_third(fun, t_span, y0, *, t_eval, **kwargs):
+        return SimpleNamespace(success=False, t=t_eval[:3],
+                               y=np.tile(np.asarray(y0)[:, None], 3),
                                message="Required step size is less than "
                                        "spacing between numbers.")
 
-    monkeypatch.setattr(evolution, "solve_ivp", stalls_third)
+    monkeypatch.setattr(evolution, "solve_ivp", stalls_after_third)
     grid = PeriodicGrid(2 * np.pi, 32)
     state = _state(grid)
     cfg = EvolutionConfig(grid=grid, kernel=_local(),
@@ -230,6 +225,29 @@ def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):
     assert isinstance(partial, Trajectory)
     assert np.array_equal(partial.times, [0.0, 0.25, 0.5])
     assert len(partial.states) == len(partial.mass) == 3
+
+
+def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
+    real = evolution.solve_ivp
+    calls = []
+
+    def recording(fun, t_span, y0, **kwargs):
+        calls.append((t_span, kwargs))
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_ivp", recording)
+    grid = PeriodicGrid(2 * np.pi, 32)
+    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=1.0, record_every=0.25,
+                          stepper=AdaptiveRK45(rtol=1e-8, atol=1e-8))
+    traj = evolve(_state(grid).field, cfg)
+    assert len(calls) == 1
+    t_span, kwargs = calls[0]
+    assert tuple(t_span) == (0.0, 1.0)
+    assert np.array_equal(kwargs["t_eval"], [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert kwargs["max_step"] == cfg.record_every
+    assert np.array_equal(traj.times, kwargs["t_eval"])
 
 
 def test_grid_mismatch_rejected():
