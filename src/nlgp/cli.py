@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, spectrum, aes-sweep, figures, validate-kernel,
-stability-map.  Each reads an optional flat config file (dotted keys, see
-``nlgp <cmd> --help`` for the keys), applies flag overrides, echoes the fully
-resolved config next to its outputs, and exits with:
+stability-map.  Each reads an optional flat config file, applies flag
+overrides, and, once it has computed, writes its outputs and an echo of the
+fully resolved config (``resolved.cfg``) in one go; a simulate run that blows
+up writes the echo next to its partial outputs.  It exits with:
 
     0  success
     1  scientific check failed (kernel hypothesis violated, unstable verdict,
@@ -12,6 +13,9 @@ resolved config next to its outputs, and exits with:
     3  runtime blow-up or stepper stall, from any command (simulate keeps
        its partial outputs)
     4  internal error (any other exception, reported on one line)
+
+Config format: one ``section.key = value`` per line, ``#`` comments, blank
+lines ignored; ``nlgp <cmd> --help`` lists the keys with their defaults.
 """
 
 from __future__ import annotations
@@ -23,8 +27,47 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, evolution, experiments, kernels, waves
-from ._config import ConfigError, coerce, format_flat_config, parse_flat_config
 from .spectral import PeriodicGrid
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def parse_flat_config(text: str) -> dict:
+    """Raw string values by key; the command schemas coerce them."""
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"line {lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def format_flat_config(mapping: dict) -> str:
+    # plain-float repr round-trips exactly (and strips numpy scalar wrappers)
+    lines = [f"{k} = {repr(float(v)) if isinstance(v, float) else v}"
+             for k, v in sorted(mapping.items())]
+    return "\n".join(lines) + "\n"
+
+
+def coerce(value: str, kind: str):
+    """Coerce a raw string per schema kind: int, float or str."""
+    try:
+        return {"int": int, "float": float}.get(kind, str)(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
 
 # Per-subcommand schema: key -> (type-name, default).
 _SOLUTION_KEYS = {
@@ -128,12 +171,9 @@ def resolve_config(command: str, config_path, overrides: dict) -> dict:
     return out
 
 
-def _write_echo(cfg: dict, out_dir):
-    if out_dir is None:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved.cfg").write_text(format_flat_config(cfg))
+def _echo(cfg: dict):
+    """Writer of resolved.cfg, the one record of a run's settings."""
+    return lambda path: path.write_text(format_flat_config(cfg))
 
 
 def _parse_float_list(text: str, key: str):
@@ -152,23 +192,13 @@ def _scaled_kernel(cfg):
     return kernels.ScaledKernel(base, cfg["kernel.epsilon"])
 
 
-def _solution(cfg, grid=None):
-    kern = _scaled_kernel(cfg)
-    if grid is None:
-        return waves.solution_params(cfg["solution.B"], cfg["solution.V0"],
-                                     cfg["solution.k"], cfg["solution.alpha"],
-                                     kern)
-    return waves.build_solution(cfg["solution.B"], cfg["solution.V0"],
-                                cfg["solution.k"], cfg["solution.alpha"],
-                                kern, grid)
-
-
 def cmd_simulate(cfg: dict, out_dir) -> int:
     k = cfg["solution.k"]
     period = cfg["grid.period"] if cfg["grid.period"] > 0 else 2.0 * np.pi / k
     cfg["grid.period"] = period
     grid = PeriodicGrid(period, cfg["grid.num_modes"])
-    state = _solution(cfg, grid)
+    state = waves.build_solution(cfg["solution.B"], cfg["solution.V0"], k,
+                                 cfg["solution.alpha"], _scaled_kernel(cfg), grid)
     psi0 = evolution.perturbed_initial(
         state, evolution.PerturbationSpec(nu=cfg["perturbation.nu"],
                                           seed=cfg["run.seed"],
@@ -182,26 +212,24 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
         raise ConfigError("evolution.stepper must be 'adaptive' or 'fixed', "
                           f"got {cfg['evolution.stepper']!r}")
     econf = evolution.EvolutionConfig(
-        grid=grid, kernel=_scaled_kernel(cfg),
+        grid=grid, kernel=state.params.kernel,
         potential=waves.SineSquared(cfg["solution.V0"], k),
         alpha=cfg["solution.alpha"], time_horizon=cfg["evolution.horizon"],
         stepper=stepper, record_every=cfg["evolution.record_every"])
-    _write_echo(cfg, out_dir)
-
-    def dump(traj, tag=""):
-        if out_dir is None:
-            return
-        out = Path(out_dir)
-        evolution.write_trajectory_csv(traj, out / f"trajectory{tag}.csv")
-        evolution.write_summary_csv(traj, out / f"summary{tag}.csv",
-                                    reference=state.field)
-
+    failure = None
     try:
         traj = evolution.evolve(psi0, econf)
     except _BLOW_UP_ERRORS as exc:
-        dump(exc.trajectory, tag=".partial")
-        raise
-    dump(traj)
+        failure, traj = exc, exc.trajectory
+    tag = "" if failure is None else ".partial"
+    experiments.write_outputs(out_dir, {
+        f"trajectory{tag}.csv": lambda p: evolution.write_trajectory_csv(traj, p),
+        f"summary{tag}.csv": lambda p: evolution.write_summary_csv(
+            traj, p, reference=state.field),
+        "resolved.cfg": _echo(cfg),
+    })
+    if failure is not None:
+        raise failure
     dev = traj.deviation_from(state.field)
     print(f"evolved to t = {traj.times[-1]:g} in {len(traj.times)} snapshots")
     print(f"final orbit deviation {dev[-1]:.6g} (max {np.max(dev):.6g})")
@@ -211,13 +239,16 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
 
 
 def cmd_spectrum(cfg: dict, out_dir) -> int:
-    params = _solution(cfg)
+    params = waves.solution_params(cfg["solution.B"], cfg["solution.V0"],
+                                   cfg["solution.k"], cfg["solution.alpha"],
+                                   _scaled_kernel(cfg))
     reports = bloch.full_period_spectrum(cfg["spectrum.n_periods"], params,
                                          cfg["spectrum.truncation"])
     summary = bloch.eigen_summary(reports, params)
-    _write_echo(cfg, out_dir)
-    if out_dir is not None:
-        bloch.write_eigen_csv(reports, Path(out_dir) / "spectrum.csv")
+    experiments.write_outputs(out_dir, {
+        "spectrum.csv": lambda p: bloch.write_eigen_csv(reports, p),
+        "resolved.cfg": _echo(cfg),
+    })
     print(f"max real part {summary['max_real_part']:.6g} over "
           f"{len(reports)} Bloch parameters -> {summary['verdict']}")
     if summary["b_star"] is not None:
@@ -240,7 +271,7 @@ def cmd_aes_sweep(cfg: dict, out_dir) -> int:
         num_modes=cfg["aes.num_modes"], rtol=cfg["evolution.rtol"],
         atol=cfg["evolution.atol"], record_every=cfg["aes.record_every"],
         out_dir=out_dir)
-    _write_echo(cfg, out_dir)
+    experiments.write_outputs(out_dir, {"resolved.cfg": _echo(cfg)})
     print(f"{'epsilon':>10}  {'sup-t Linf':>12}  {'sup-t H1':>12}")
     for row in table.rows:
         print(f"{row.epsilon:>10.4g}  {row.err_linf:>12.4e}  {row.err_h1:>12.4e}")
@@ -257,10 +288,6 @@ def cmd_aes_sweep(cfg: dict, out_dir) -> int:
 
 def cmd_figures(cfg: dict, out_dir) -> int:
     regime = cfg["figures.regime"]
-    if regime not in experiments.FIGURE_REGIMES:
-        raise ConfigError("figures.regime (or the positional argument) must be "
-                          f"one of {sorted(experiments.FIGURE_REGIMES)}, "
-                          f"got {regime!r}")
     base = kernels.kernel_from_name(cfg["figures.kernel"])
     result = experiments.run_figure_regime(
         regime, kernel_base=base, seed=cfg["run.seed"],
@@ -269,7 +296,7 @@ def cmd_figures(cfg: dict, out_dir) -> int:
         rtol=cfg["evolution.rtol"], atol=cfg["evolution.atol"],
         record_every=cfg["figures.record_every"],
         mode_cutoff=cfg["figures.mode_cutoff"], out_dir=out_dir)
-    _write_echo(cfg, out_dir)
+    experiments.write_outputs(out_dir, {"resolved.cfg": _echo(cfg)})
     print(f"regime {regime}: abscissa {result.abscissa:.6g}, "
           f"max deviation {np.max(result.deviations):.6g}")
     if result.growth_rate is not None:
@@ -297,9 +324,10 @@ def cmd_validate_kernel(cfg: dict, out_dir) -> int:
         ok = ok and report.all_passed
     text = "\n".join(report_lines)
     print(text)
-    _write_echo(cfg, out_dir)
-    if out_dir is not None:
-        (Path(out_dir) / "validation.txt").write_text(text + "\n")
+    experiments.write_outputs(out_dir, {
+        "validation.txt": lambda p: p.write_text(text + "\n"),
+        "resolved.cfg": _echo(cfg),
+    })
     return 0 if ok else 1
 
 
@@ -311,7 +339,7 @@ def cmd_stability_map(cfg: dict, out_dir) -> int:
         B_vals, V0_vals, k=cfg["map.k"], eps=cfg["map.eps"],
         alpha=cfg["map.alpha"], base=base, n_periods=cfg["map.n_periods"],
         truncation=cfg["map.truncation"], out_dir=out_dir)
-    _write_echo(cfg, out_dir)
+    experiments.write_outputs(out_dir, {"resolved.cfg": _echo(cfg)})
     n_pts = result.abscissa.size
     n_bad = int(np.sum(np.isnan(result.abscissa)))
     n_unst = int(np.sum(result.abscissa > 1e-8))
@@ -322,13 +350,20 @@ def cmd_stability_map(cfg: dict, out_dir) -> int:
     return 0
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "spectrum": cmd_spectrum,
-    "aes-sweep": cmd_aes_sweep,
-    "figures": cmd_figures,
-    "validate-kernel": cmd_validate_kernel,
-    "stability-map": cmd_stability_map,
+# subcommand -> (handler, help line, the config key that --kernel sets)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "evolve a perturbed exact solution",
+                 "kernel.name"),
+    "spectrum": (cmd_spectrum, "Bloch stability spectrum of an exact solution",
+                 "kernel.name"),
+    "aes-sweep": (cmd_aes_sweep, "nonlocal-vs-local error table over epsilon",
+                  "aes.kernel"),
+    "figures": (cmd_figures, "reproduce one published stability regime",
+                "figures.kernel"),
+    "validate-kernel": (cmd_validate_kernel,
+                        "audit kernel hypotheses numerically", "kernel.name"),
+    "stability-map": (cmd_stability_map, "spectral abscissa over a (B, V0) grid",
+                      "map.kernel"),
 }
 
 
@@ -346,18 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonlocal Gross-Pitaevskii toolkit: evolution, exact "
                     "traveling waves, and Bloch stability spectra on the torus.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, help_line, _) in _COMMANDS.items():
         p = sub.add_parser(
             name, epilog=_schema_epilog(name),
             formatter_class=argparse.RawDescriptionHelpFormatter,
-            help={
-                "simulate": "evolve a perturbed exact solution",
-                "spectrum": "Bloch stability spectrum of an exact solution",
-                "aes-sweep": "nonlocal-vs-local error table over epsilon",
-                "figures": "reproduce one published stability regime",
-                "validate-kernel": "audit kernel hypotheses numerically",
-                "stability-map": "spectral abscissa over a (B, V0) grid",
-            }[name])
+            help=help_line)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="flat config file (dotted keys, see below)")
         p.add_argument("--out", metavar="DIR", default=None,
@@ -382,18 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
-    overrides = {}
-    if args.seed is not None and "run.seed" in SCHEMAS[command]:
+    handler, _, kernel_key = _COMMANDS[command]
+    overrides = {kernel_key: args.kernel}  # None values do not override
+    if "run.seed" in SCHEMAS[command]:
         overrides["run.seed"] = args.seed
-    if args.kernel is not None:
-        kernel_key = {"aes-sweep": "aes.kernel", "figures": "figures.kernel",
-                      "stability-map": "map.kernel"}.get(command, "kernel.name")
-        overrides[kernel_key] = args.kernel
-    if command == "figures" and args.regime is not None:
+    if command == "figures":
         overrides["figures.regime"] = args.regime
     try:
         cfg = resolve_config(command, args.config, overrides)
-        return _HANDLERS[command](cfg, args.out)
+        return handler(cfg, args.out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -184,21 +184,29 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
 
     # psi_hat' = -i*half_ksq*psi_hat + N(psi) becomes u' = e(t)*N(psi) for
     # u = e(t)*psi_hat, e(t) = exp(i*half_ksq*t): the stiff part is exact.
+    # The last (t, u') evaluated tells a blow-up from a stall when the
+    # adaptive solver gives up.
+    last = None
+
     def f(t, u):
+        nonlocal last
         e = np.exp(1j * ws.half_ksq * t)
-        return e * ws.nonlinear_rhs_hat(t, np.fft.ifft(u / e))
+        last = t, e * ws.nonlinear_rhs_hat(t, np.fft.ifft(u / e))
+        return last[1]
 
     u0 = np.fft.fft(psi0.samples.astype(complex))
-    if isinstance(cfg.stepper, FixedRK4):
-        reached, message = _rk4_pass(f, rec, u0, cfg.stepper.dt), ""
-    else:
-        sol = solve_ivp(f, (rec[0], rec[-1]), u0, method="RK45",
-                        rtol=cfg.stepper.rtol, atol=cfg.stepper.atol,
-                        t_eval=rec, max_step=cfg.record_every)
-        # t = 0 is u0 itself: a solver that fails before its first record
-        # returns sol.t and sol.y as empty lists
-        reached = [u0] + [sol.y[:, i] for i in range(1, len(sol.t))]
-        message = sol.message
+    # overflow is reported below as NonFiniteError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(cfg.stepper, FixedRK4):
+            reached, message = _rk4_pass(f, rec, u0, cfg.stepper.dt), ""
+        else:
+            sol = solve_ivp(f, (rec[0], rec[-1]), u0, method="RK45",
+                            rtol=cfg.stepper.rtol, atol=cfg.stepper.atol,
+                            t_eval=rec, max_step=cfg.record_every)
+            # t = 0 is u0 itself: a solver that fails before its first
+            # record returns sol.t and sol.y as empty lists
+            reached = [u0] + [sol.y[:, i] for i in range(1, len(sol.t))]
+            message = sol.message
 
     states = []
 
@@ -212,6 +220,9 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
                                  trajectory=partial())
         states.append(WaveField(cfg.grid, np.fft.ifft(u / np.exp(1j * ws.half_ksq * t))))
     if len(reached) < len(rec):
+        if last is not None and not np.all(np.isfinite(last[1])):
+            raise NonFiniteError(f"non-finite state at t = {last[0]:.6g} "
+                                 "(blow-up)", trajectory=partial())
         raise StepSizeUnderflowError(
             f"stepper stalled after t = {rec[len(states) - 1]:.6g}: {message}",
             trajectory=partial())

@@ -31,7 +31,9 @@ FIGURE_REGIMES = {
 DEFAULT_SEED = 1234
 
 
-def _write_outputs(out_dir, writers: dict):
+def write_outputs(out_dir, writers: dict):
+    """Create out_dir if needed and call each writer with its file path;
+    no-op when out_dir is None."""
     if out_dir is None:
         return
     out = Path(out_dir)
@@ -116,7 +118,7 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
             err_h1 = max(err_h1, diff.hs_norm(1.0))
         rows.append(AesRow(eps, err_linf, err_h1))
     table = AesTable(tuple(rows))
-    _write_outputs(out_dir, {
+    write_outputs(out_dir, {
         "aes.csv": lambda p: _write_aes_csv(table, p),
         "plot_aes.py": _write_aes_plot_script,
     })
@@ -231,7 +233,7 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
         regime=which, params=state.params, nu=reg["nu"], trajectory=traj,
         reports=reports, deviations=deviations, abscissa=abscissa,
         growth_rate=sigma, warnings=tuple(warnings))
-    _write_outputs(out_dir, {
+    write_outputs(out_dir, {
         "trajectory.csv": lambda p: evolution.write_trajectory_csv(traj, p),
         "summary.csv": lambda p: evolution.write_summary_csv(traj, p,
                                                              reference=state.field),
@@ -331,7 +333,7 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
         bs = None
     result = StabilityMap(B_values, V0_values, grid_vals, A_values, bs,
                           bloch.a_crit(k))
-    _write_outputs(out_dir, {
+    write_outputs(out_dir, {
         "stability_map.csv": lambda p: _write_map_csv(result, p),
         "plot_map.py": _write_map_plot_script,
     })

@@ -25,7 +25,7 @@ class NonpositiveMultiplierError(ValueError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel profile with its transform and L1 norm.
+    """Kernel profile with its transform.
 
     ``zeta_hat`` is a vectorised closed form (or, for tabulated kernels, an
     interpolant): it takes scalars or arrays of s.
@@ -34,7 +34,6 @@ class KernelSpec:
     family: str
     zeta: callable
     zeta_hat: callable
-    l1_norm: float
 
     @classmethod
     def gaussian_normalized(cls) -> "KernelSpec":
@@ -43,7 +42,6 @@ class KernelSpec:
             family="gaussian-normalized",
             zeta=lambda x: np.exp(-np.asarray(x, float) ** 2) / np.sqrt(np.pi),
             zeta_hat=lambda s: np.exp(-np.asarray(s, float) ** 2 / 4.0),
-            l1_norm=1.0,
         )
 
     @classmethod
@@ -53,7 +51,6 @@ class KernelSpec:
             family="gaussian-raw",
             zeta=lambda x: np.exp(-np.asarray(x, float) ** 2),
             zeta_hat=lambda s: np.sqrt(np.pi) * np.exp(-np.asarray(s, float) ** 2 / 4.0),
-            l1_norm=float(np.sqrt(np.pi)),
         )
 
     @classmethod
@@ -83,7 +80,7 @@ class KernelSpec:
             # 1) or the reverse (s -> inf, limit 0)
             return np.where(np.isfinite(val), val, np.where(a < 1.0, 1.0, 0.0))[()]
 
-        return cls(family=f"algebraic:{p:g}", zeta=zeta, zeta_hat=zeta_hat, l1_norm=1.0)
+        return cls(family=f"algebraic:{p:g}", zeta=zeta, zeta_hat=zeta_hat)
 
     @classmethod
     def from_table(cls, path) -> "KernelSpec":
@@ -108,12 +105,7 @@ class KernelSpec:
                 out[i:i + step] = np.trapezoid(zh_tab * cos, s_tab, axis=-1)
             return out.reshape(x.shape)[()] / np.pi
 
-        return cls(
-            family=f"custom:{path}",
-            zeta=zeta,
-            zeta_hat=zh,
-            l1_norm=float(zh(0.0)),
-        )
+        return cls(family=f"custom:{path}", zeta=zeta, zeta_hat=zh)
 
 
 def _read_table(path):

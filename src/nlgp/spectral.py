@@ -88,10 +88,6 @@ class WaveField:
         return f
 
     @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "WaveField":
-        return cls(grid, fn(grid.points))
-
-    @classmethod
     def zero(cls, grid: PeriodicGrid) -> "WaveField":
         return cls(grid, np.zeros(grid.num_modes, dtype=complex))
 

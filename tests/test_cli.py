@@ -1,11 +1,12 @@
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlgp import cli, evolution
-from nlgp._config import ConfigError, coerce, format_flat_config, parse_flat_config
+from nlgp import cli, evolution, kernels
+from nlgp.cli import ConfigError, coerce, format_flat_config, parse_flat_config
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +35,10 @@ def test_parse_flat_config_rejects_malformed_lines():
 
 
 def test_format_parse_round_trip():
-    cfg = {"a.x": 1.5, "a.y": True, "b.z": "per-rhs", "b.n": 42}
+    cfg = {"a.x": 1.5, "b.z": "per-rhs", "b.n": 42}
     text = format_flat_config(cfg)
     parsed = parse_flat_config(text)
     assert coerce(parsed["a.x"], "float") == 1.5
-    assert coerce(parsed["a.y"], "bool") is True
     assert parsed["b.z"] == "per-rhs"
     assert coerce(parsed["b.n"], "int") == 42
     # keys come out sorted, one per line
@@ -50,8 +50,6 @@ def test_coerce_rejects_garbage():
         coerce("abc", "float")
     with pytest.raises(ConfigError):
         coerce("1.5", "int")
-    with pytest.raises(ConfigError):
-        coerce("maybe", "bool")
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +185,22 @@ def test_simulate_writes_artifacts_and_echo(tmp_path):
                  "aes.csv")
 
 
-def test_simulate_blow_up_is_exit_3_with_partial(tmp_path):
+def test_simulate_blow_up_is_exit_3_with_partial(tmp_path, capsys):
     # fixed dt = 2 lies outside IF-RK4's stability region for the nonlinear term
     cfg = _write(tmp_path, "blow.cfg",
                  "grid.num_modes = 128\nevolution.horizon = 20.0\n"
                  "evolution.stepper = fixed\nevolution.dt = 2.0\n"
                  "evolution.record_every = 2.0\n")
     out = tmp_path / "blow"
-    with np.errstate(all="ignore"):
-        code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
-    assert code == 3
+    with warnings.catch_warnings():
+        # numpy's overflow warnings stay out of the one-line report
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert (out / "trajectory.partial.csv").exists()
     assert (out / "summary.partial.csv").exists()
+    assert (out / "resolved.cfg").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("blow-up: non-finite state")
 
 
 def _stalls_before_first_record(fun, t_span, y0, **kwargs):
@@ -222,20 +224,21 @@ def test_simulate_stall_is_exit_3_with_partial(tmp_path, monkeypatch):
 
 
 def test_simulate_real_stall_is_exit_3_with_partial(tmp_path, capsys):
-    # at tolerances of 1e3 the solver diverges and stalls before t = 0.25
+    # at tolerances of 1e3 the state overflows before t = 0.25 and the solver
+    # then gives up: a blow-up, though the solver's own message is a stall
     cfg = _write(tmp_path, "loose.cfg",
                  "solution.B = 50\nsolution.V0 = 0\n"
                  "evolution.rtol = 1e3\nevolution.atol = 1e3\n"
                  "evolution.horizon = 5\nperturbation.nu = 0.5\n"
                  "grid.num_modes = 32\nperturbation.mode_cutoff = 8\n")
     out = tmp_path / "loose"
-    with np.errstate(all="ignore"):
-        code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
-    assert code == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert (out / "trajectory.partial.csv").exists()
     assert (out / "summary.partial.csv").exists()
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("blow-up: ")
+    assert len(err) == 1 and err[0].startswith("blow-up: non-finite state")
 
 
 def test_figures_stall_is_exit_3(tmp_path, capsys, monkeypatch):
@@ -321,8 +324,11 @@ def test_figures_command_with_config_regime(tmp_path):
     assert "figures.regime = 2a" in (out2 / "resolved.cfg").read_text().splitlines()
 
 
-def test_figures_requires_some_regime():
+def test_figures_requires_some_regime(capsys):
     assert cli.main(["figures"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert all(regime in err for regime in ("1a", "1b", "2a", "2b"))
 
 
 def test_threads_and_seed_flags_parse(tmp_path):
@@ -362,3 +368,46 @@ def test_kernel_flag_overrides_config(tmp_path, capsys):
     assert cli.main(["validate-kernel", "--kernel", "gaussian-raw"]) == 1
     # the same command with the config default (normalized) passes
     assert cli.main(["validate-kernel"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the front end describes each subcommand once and writes after computing
+
+
+def test_command_table_matches_schemas():
+    assert set(cli._COMMANDS) == set(cli.SCHEMAS)
+    for command, (_, _, kernel_key) in cli._COMMANDS.items():
+        assert kernel_key in cli.SCHEMAS[command], command
+
+
+def test_simulate_reads_a_custom_table_once(tmp_path, monkeypatch):
+    s = np.linspace(0, 40, 801)
+    table = tmp_path / "gauss.csv"
+    table.write_text("\n".join(f"{a},{b}" for a, b in
+                               zip(s, np.exp(-(s**2) / 4))) + "\n")
+    reads = []
+    read = kernels._read_table
+
+    def counting(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(kernels, "_read_table", counting)
+    cfg = _write(tmp_path, "sim.cfg",
+                 "grid.num_modes = 32\nevolution.horizon = 0.25\n"
+                 "evolution.rtol = 1e-8\nevolution.atol = 1e-8\n")
+    assert cli.main(["simulate", "--config", cfg,
+                     "--kernel", f"custom:{table}"]) == 0
+    assert len(reads) == 1
+
+
+def test_simulate_internal_error_leaves_no_echo(tmp_path, capsys, monkeypatch):
+    def defect(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.evolution, "evolve", defect)
+    cfg = _write(tmp_path, "sim.cfg", "grid.num_modes = 32\n")
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
+    assert not (out / "resolved.cfg").exists()

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,14 +195,34 @@ def test_blow_up_raises_with_partial_trajectory():
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=20.0, record_every=2.0,
                           stepper=FixedRK4(dt=2.0))
-    with pytest.raises(NonFiniteError) as info:
-        with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported once, below
+        with pytest.raises(NonFiniteError) as info:
             evolve(state.field, cfg)
     partial = info.value.trajectory
     assert isinstance(partial, Trajectory)
     assert len(partial.times) >= 1
     for s in partial.states:
         assert np.all(np.isfinite(s.samples))
+
+
+def test_adaptive_blow_up_is_not_reported_as_a_stall():
+    # at tolerances of 1e3 the state overflows between records; the solver
+    # then gives up with a step-size message, but the last right-hand side
+    # it evaluated is non-finite
+    grid = PeriodicGrid(2 * np.pi, 32)
+    state = _state(grid, B=50.0, V0=0.0)
+    psi0 = perturbed_initial(state, PerturbationSpec(nu=0.5, seed=1234,
+                                                     mode_cutoff=8))
+    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+                          alpha=1, time_horizon=5.0, record_every=0.25,
+                          stepper=AdaptiveRK45(rtol=1e3, atol=1e3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="non-finite") as info:
+            evolve(psi0, cfg)
+    partial = info.value.trajectory
+    assert np.array_equal(partial.times, [0.0])
 
 
 def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):

@@ -21,7 +21,6 @@ def test_gaussian_normalized_closed_forms():
     assert abs(base.zeta(0.0) - 1.0 / np.sqrt(np.pi)) < 1e-14
     assert abs(base.zeta_hat(0.0) - 1.0) < 1e-14
     assert abs(base.zeta_hat(2.0) - np.exp(-1.0)) < 1e-14
-    assert base.l1_norm == 1.0
     assert abs(x_weighted_l1(base) - 1.0 / np.sqrt(np.pi)) < 1e-6
 
 
@@ -29,7 +28,6 @@ def test_gaussian_raw_closed_forms():
     base = KernelSpec.gaussian_raw()
     assert abs(base.zeta(0.0) - 1.0) < 1e-14
     assert abs(base.zeta_hat(0.0) - np.sqrt(np.pi)) < 1e-14
-    assert abs(base.l1_norm - np.sqrt(np.pi)) < 1e-14
     assert abs(x_weighted_l1(base) - 1.0) < 1e-6
 
 
@@ -289,7 +287,6 @@ def test_validate_asymmetric_kernel_fails_evenness():
         family="test-skew",
         zeta=lambda x: np.exp(-np.square(x - 0.5)) / np.sqrt(np.pi),
         zeta_hat=lambda s: np.exp(-np.square(s) / 4),
-        l1_norm=1.0,
     )
     report = validate_hypotheses(ScaledKernel(skew, 1.0), which="Hprime")
     by_name = {c.name: c.passed for c in report.checks}
