@@ -113,7 +113,7 @@ class EigenReport:
     ``krein`` aligns with ``eigenvalues``: +1/-1 for purely imaginary
     eigenvalues with definite quadratic form, 0 for zero modes (form below
     tolerance), None for eigenvalues off the imaginary axis.  Eigenvalues
-    within ``origin_tol`` of the origin are symmetry (phase/translation)
+    within ``_ORIGIN_TOL`` of the origin are symmetry (phase/translation)
     modes, all labelled 0: round-off decides on which axis the split phase
     Jordan pair lands.  They stay in the list but are excluded from
     ``max_real_part`` and from the count identity.
@@ -125,7 +125,6 @@ class EigenReport:
     max_real_part: float
     counts: tuple  # (k_r, k_c, k_i_minus, n_L)
     near_origin: int
-    origin_tol: float
 
     @property
     def count_identity_holds(self) -> bool:
@@ -133,11 +132,12 @@ class EigenReport:
         return k_r + k_c + k_im == n_L
 
 
+_ORIGIN_TOL = 1e-6
 _IM_AXIS_TOL = 1e-8
 _FORM_TOL = 1e-8
 
 
-def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
+def spectrum(op: BlochOperator) -> EigenReport:
     """Dense eigensolve of JL with Krein signatures and stability counts.
 
     JL = T (i P L') T* with P the block swap, so the real matrix P L' is
@@ -170,7 +170,7 @@ def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
 
     mag = np.abs(w)
     scale = _IM_AXIS_TOL * (1.0 + mag)
-    origin = mag < origin_tol
+    origin = mag < _ORIGIN_TOL
     on_axis = ~origin & (np.abs(w.real) < scale)
     right = ~origin & (w.real > scale)
 
@@ -191,7 +191,7 @@ def spectrum(op: BlochOperator, origin_tol: float = 1e-6) -> EigenReport:
         mu=op.mu, eigenvalues=w, krein=tuple(krein),
         max_real_part=float(np.max(w.real[~origin], initial=-np.inf)),
         counts=(k_r, k_c, k_im, n_L),
-        near_origin=int(np.sum(origin)), origin_tol=origin_tol,
+        near_origin=int(np.sum(origin)),
     )
 
 
@@ -465,7 +465,7 @@ def write_eigen_csv(reports: list, path):
         w.writerow(["mu", "re_lambda", "im_lambda", "krein", "flag"])
         for rep in reports:
             for lam, kr in zip(rep.eigenvalues, rep.krein):
-                flag = "near-origin" if abs(lam) < rep.origin_tol else ""
+                flag = "near-origin" if abs(lam) < _ORIGIN_TOL else ""
                 w.writerow([repr(float(rep.mu)), repr(float(lam.real)),
                             repr(float(lam.imag)), _krein_label(kr), flag])
 

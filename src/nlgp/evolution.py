@@ -2,8 +2,9 @@
 
 The integrated system is  i psi_t = -psi_xx/2 + alpha*psi*(R*|psi|^2) + V*psi,
 with the convolution acting as a Fourier multiplier on |psi|^2 and the fixed
-exponential filter applied to the nonlinear product.  The local cubic equation
-is the kernel at eps = 0: the unit-mass kernel's multiplier is then exactly 1.
+exponential filter applied to the nonlinear and potential terms.  The local
+cubic equation is the kernel at eps = 0: the unit-mass kernel's multiplier is
+then exactly 1.
 
 The flow is always stepped in integrating-factor form: the stiff Laplacian
 symbol is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
@@ -98,30 +99,31 @@ class _Workspace:
         self.mult = np.asarray(kernels.multiplier(cfg.kernel, kappa), dtype=float)
         self.V = cfg.potential.values(grid)
         self.filt = np.fft.ifftshift(filter_multipliers(grid))
-        self.filt[j == -N // 2] = 0.0  # unmatched Nyquist mode always dropped
+        self.filt[j == -N // 2] = 0.0  # unmatched Nyquist mode gets no RHS
         self.alpha = cfg.alpha
         self.h = grid.spacing
 
     def nonlinear_rhs_hat(self, t, y):
-        """FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi), the product filtered."""
+        """Filtered FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi)."""
         q = y.real**2 + y.imag**2
         conv = np.fft.ifft(np.fft.fft(q) * self.mult)
-        p_hat = np.fft.fft(y * conv) * self.filt
-        return -1j * (self.alpha * p_hat + np.fft.fft(self.V * y))
+        return -1j * self.filt * np.fft.fft(y * (self.alpha * conv + self.V))
 
     def mass_energy(self, y):
+        """Mass and energy of each row of the (records, N) sample array y."""
         q = y.real**2 + y.imag**2
-        mass = float(np.sum(q) * self.h)
         dpsi = np.fft.ifft(np.fft.fft(y) * (-1j * self.kappa))
         conv = np.fft.ifft(np.fft.fft(q) * self.mult).real
         dens = np.abs(dpsi) ** 2 + 2.0 * self.V * q + self.alpha * q * conv
-        return mass, float(0.5 * np.sum(dens) * self.h)
+        return np.sum(q, axis=-1) * self.h, 0.5 * np.sum(dens, axis=-1) * self.h
 
 
 @dataclass(eq=False)
 class Trajectory:
+    """Snapshots at ``times``: row i of ``samples`` is psi(times[i]) on the grid."""
+
     times: np.ndarray
-    states: list = dc_field(repr=False)
+    samples: np.ndarray = dc_field(repr=False)  # (records, N), complex
     mass: np.ndarray = dc_field(repr=False)
     energy: np.ndarray = dc_field(repr=False)
 
@@ -133,10 +135,7 @@ class Trajectory:
 
     def deviation_from(self, reference: WaveField) -> np.ndarray:
         """sup_x | |psi(t)| - |phi| | per snapshot: distance from the phase orbit."""
-        ref = np.abs(reference.samples)
-        return np.array(
-            [np.max(np.abs(np.abs(s.samples) - ref)) for s in self.states]
-        )
+        return np.max(np.abs(np.abs(self.samples) - np.abs(reference.samples)), axis=1)
 
 
 def _record_times(cfg: EvolutionConfig) -> np.ndarray:
@@ -198,35 +197,32 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     # overflow is reported below as NonFiniteError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(cfg.stepper, FixedRK4):
-            reached, message = _rk4_pass(f, rec, u0, cfg.stepper.dt), ""
+            reached, message = np.array(_rk4_pass(f, rec, u0, cfg.stepper.dt)), ""
         else:
             sol = solve_ivp(f, (rec[0], rec[-1]), u0, method="RK45",
                             rtol=cfg.stepper.rtol, atol=cfg.stepper.atol,
                             t_eval=rec, max_step=cfg.record_every)
             # t = 0 is u0 itself: a solver that fails before its first
             # record returns sol.t and sol.y as empty lists
-            reached = [u0] + [sol.y[:, i] for i in range(1, len(sol.t))]
+            reached = np.array([u0, *np.transpose(sol.y)[1:]])
             message = sol.message
 
-    states = []
-
-    def partial():
-        m_e = np.array([ws.mass_energy(st.samples) for st in states]).reshape(-1, 2)
-        return Trajectory(rec[:len(states)], states, m_e[:, 0], m_e[:, 1])
-
-    for t, u in zip(rec, reached):
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteError(f"non-finite state at t = {t:.6g} (blow-up)",
-                                 trajectory=partial())
-        states.append(WaveField(cfg.grid, np.fft.ifft(u / np.exp(1j * ws.half_ksq * t))))
-    if len(reached) < len(rec):
+    # n records, the finite prefix of those reached, make the trajectory
+    finite = np.all(np.isfinite(reached), axis=1)
+    n = len(reached) if finite.all() else int(np.argmin(finite))
+    samples = np.fft.ifft(reached[:n] / np.exp(1j * ws.half_ksq * rec[:n, None]), axis=1)
+    traj = Trajectory(rec[:n], samples, *ws.mass_energy(samples))
+    if n < len(reached):
+        raise NonFiniteError(f"non-finite state at t = {rec[n]:.6g} (blow-up)",
+                             trajectory=traj)
+    if n < len(rec):
         if last is not None and not np.all(np.isfinite(last[1])):
             raise NonFiniteError(f"non-finite state at t = {last[0]:.6g} "
-                                 "(blow-up)", trajectory=partial())
+                                 "(blow-up)", trajectory=traj)
         raise StepSizeUnderflowError(
-            f"stepper stalled after t = {rec[len(states) - 1]:.6g}: {message}",
-            trajectory=partial())
-    return partial()
+            f"stepper stalled after t = {rec[n - 1]:.6g}: {message}",
+            trajectory=traj)
+    return traj
 
 
 @dataclass(frozen=True)
@@ -279,10 +275,10 @@ def write_trajectory_csv(traj: Trajectory, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x_index", "re_psi", "im_psi"])
-        for t, state in zip(traj.times, traj.states):
-            for idx, val in enumerate(state.samples):
-                w.writerow([repr(float(t)), idx, repr(float(val.real)),
-                            repr(float(val.imag))])
+        # per record keeps the lists small; csv writes a float as its repr
+        for t, row in zip(traj.times.tolist(), traj.samples):
+            w.writerows(zip([t] * row.size, range(row.size), row.real.tolist(),
+                            row.imag.tolist()))
 
 
 def write_summary_csv(traj: Trajectory, path, reference: WaveField):
@@ -291,6 +287,5 @@ def write_summary_csv(traj: Trajectory, path, reference: WaveField):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "mass", "energy", "mod_deviation"])
-        for t, m, e, d in zip(traj.times, traj.mass, traj.energy, dev):
-            w.writerow([repr(float(t)), repr(float(m)), repr(float(e)),
-                        repr(float(d))])
+        w.writerows(zip(traj.times.tolist(), traj.mass.tolist(),
+                        traj.energy.tolist(), dev.tolist()))

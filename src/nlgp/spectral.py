@@ -130,23 +130,6 @@ class WaveField:
         sym = (-2j * np.pi * self.grid.modes / self.grid.period) ** order
         return WaveField.from_coeffs(self.grid, self.coeffs * sym)
 
-    def __add__(self, other: "WaveField") -> "WaveField":
-        self._check_same_grid(other)
-        return WaveField(self.grid, self.samples + other.samples)
-
-    def __sub__(self, other: "WaveField") -> "WaveField":
-        self._check_same_grid(other)
-        return WaveField(self.grid, self.samples - other.samples)
-
-    def __mul__(self, scalar) -> "WaveField":
-        return WaveField(self.grid, self.samples * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "WaveField"):
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-
 
 def filter_multipliers(grid: PeriodicGrid) -> np.ndarray:
     """Exponential filter exp(ln(eps_mach) * (|j|/(N/2))^8) on grid.modes.

@@ -446,7 +446,7 @@ def test_spectrum_matches_complex_eigensolve_of_JL():
         ref = scipy.linalg.eigvals(op.JL_matrix)
         assert rep.eigenvalues.size == ref.size
         for mine, other in ((rep.eigenvalues, ref), (ref, rep.eigenvalues)):
-            for lam in mine[np.abs(mine) >= rep.origin_tol]:
+            for lam in mine[np.abs(mine) >= bloch._ORIGIN_TOL]:
                 gap = np.min(np.abs(other - lam))
                 assert gap <= 1e-9 * max(1.0, abs(lam)), (mu, M, lam, gap)
 
@@ -490,7 +490,7 @@ def test_near_origin_eigenvalues_are_labelled_zero_modes():
     for p in (_regime_params("1a"), _regime_params("1b"), alg):
         rep = spectrum(assemble(0.0, 64, p))
         near = [kr for lam, kr in zip(rep.eigenvalues, rep.krein)
-                if abs(lam) < rep.origin_tol]
+                if abs(lam) < bloch._ORIGIN_TOL]
         assert len(near) == rep.near_origin >= 2
         assert all(kr == 0.0 for kr in near)
 
@@ -517,7 +517,7 @@ def test_real_form_never_couples_even_and_odd_modes():
         assert np.all(Lp[np.ix_(~odd, odd)] == 0.0), (mu, M)
 
 
-def _full_solve_oracle(op, origin_tol):
+def _full_solve_oracle(op):
     """Counts and on-axis Krein labels from one solve of the whole P L'."""
     n = op.size // 2
     Lr = op.L_real
@@ -525,7 +525,7 @@ def _full_solve_oracle(op, origin_tol):
     w = 1j * nu
     mag = np.abs(w)
     scale = bloch._IM_AXIS_TOL * (1.0 + mag)
-    origin = mag < origin_tol
+    origin = mag < bloch._ORIGIN_TOL
     on_axis = ~origin & (np.abs(w.real) < scale)
     right = ~origin & (w.real > scale)
     X = W[:, on_axis]
@@ -544,7 +544,7 @@ def test_split_spectrum_matches_full_solve_oracle():
     for p, mu, M in _parity_cases():
         op = assemble(mu, M, p)
         rep = spectrum(op)
-        counts, near_origin, on_axis, sig = _full_solve_oracle(op, rep.origin_tol)
+        counts, near_origin, on_axis, sig = _full_solve_oracle(op)
         assert rep.counts == counts, (mu, M)
         assert rep.near_origin == near_origin, (mu, M)
         labels = np.array([np.nan if kr is None else kr for kr in rep.krein])

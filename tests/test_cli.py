@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 from types import SimpleNamespace
@@ -5,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nlgp import cli, evolution, kernels
+from nlgp import cli, evolution, experiments, kernels
 from nlgp.cli import ConfigError, coerce, format_flat_config, parse_flat_config
 
 
@@ -104,6 +105,47 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     for p in ("nan", "inf", "200"):
         assert cli.main(["spectrum", "--kernel", f"algebraic:{p}"]) == 2
         assert f"p={p}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("aes-sweep", "aes.epsilons = a,b",
+     "aes.epsilons must be a comma-separated list of numbers, got 'a,b'"),
+    ("stability-map", "map.B_values = ,", "map.B_values must list at least one value"),
+    ("simulate", "evolution.stepper = rk2",
+     "evolution.stepper must be 'adaptive' or 'fixed', got 'rk2'"),
+    ("validate-kernel", "validate.which = X",
+     "validate.which must be 'H', 'Hprime' or 'both', got 'X'"),
+])
+def test_malformed_values_are_exit_2(tmp_path, capsys, command, line, message):
+    cfg = _write(tmp_path, "bad.cfg", line + "\n")
+    assert cli.main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_b_star_undefined_for_a_sign_changing_multiplier(tmp_path, capsys):
+    # this table's cosine transform is negative somewhere on the lattice
+    table = _write(tmp_path, "neg.csv", "0,1\n1,-0.5\n10,-0.5\n")
+    cfg = _write(tmp_path, "s.cfg", "kernel.epsilon = 1\nsolution.B = 3\n")
+    assert cli.main(["spectrum", "--config", cfg, "--kernel", f"custom:{table}"]) == 1
+    assert ("B* undefined (kernel multiplier nonpositive on the lattice)"
+            in capsys.readouterr().out.splitlines())
+    cfg = _write(tmp_path, "m.cfg",
+                 "map.eps = 1\nmap.B_values = 3\nmap.V0_values = -1\n")
+    out = tmp_path / "map"
+    assert cli.main(["stability-map", "--config", cfg, "--kernel",
+                     f"custom:{table}", "--out", str(out)]) == 0
+    with open(out / "stability_map.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["above_b_star"] == ""
+
+
+def test_non_decreasing_aes_table_is_exit_1(capsys, monkeypatch):
+    rows = (experiments.AesRow(0.1, 1e-3, 1e-3), experiments.AesRow(0.05, 2e-3, 2e-3))
+    monkeypatch.setattr(experiments, "run_aes_sweep",
+                        lambda *args, **kwargs: experiments.AesTable(rows))
+    assert cli.main(["aes-sweep"]) == 1
+    assert capsys.readouterr().err == ("convergence check FAILED: errors do not "
+                                       "decrease with epsilon\n")
 
 
 def test_spectrum_algebraic_kernel_small_epsilon_b_star(tmp_path, capsys):

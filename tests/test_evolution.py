@@ -47,9 +47,9 @@ def test_local_plane_wave_phase_rotation():
                           stepper=AdaptiveRK45(rtol=1e-11, atol=1e-11))
     traj = evolve(psi0, cfg)
     freq = j**2 / 2.0 + a**2
-    for t, state in zip(traj.times, traj.states):
+    for t, samples in zip(traj.times, traj.samples):
         expect = psi0.samples * np.exp(-1j * freq * t)
-        assert np.max(np.abs(state.samples - expect)) < 1e-7
+        assert np.max(np.abs(samples - expect)) < 1e-7
 
 
 def test_nonlocal_plane_wave_sees_kernel_mass():
@@ -64,7 +64,7 @@ def test_nonlocal_plane_wave_sees_kernel_mass():
     traj = evolve(psi0, cfg)
     freq = j**2 / 2.0 + a**2 * np.sqrt(np.pi)
     expect = psi0.samples * np.exp(-1j * freq * 1.0)
-    assert np.max(np.abs(traj.states[-1].samples - expect)) < 1e-7
+    assert np.max(np.abs(traj.samples[-1] - expect)) < 1e-7
 
 
 def test_stationary_state_is_fixed_up_to_phase():
@@ -79,7 +79,7 @@ def test_stationary_state_is_fixed_up_to_phase():
     # and the phase advances at the dispersion frequency omega
     t_end = traj.times[-1]
     expect = state.field.samples * np.exp(-1j * state.params.omega * t_end)
-    assert np.max(np.abs(traj.states[-1].samples - expect)) < 1e-6
+    assert np.max(np.abs(traj.samples[-1] - expect)) < 1e-6
 
 
 def test_mass_and_energy_conserved():
@@ -119,9 +119,9 @@ def test_time_reversal_round_trip():
                           alpha=1, time_horizon=2.0, record_every=2.0,
                           stepper=AdaptiveRK45(rtol=1e-12, atol=1e-12))
     fwd = evolve(psi0, cfg)
-    flipped = WaveField(grid, np.conj(fwd.states[-1].samples))
+    flipped = WaveField(grid, np.conj(fwd.samples[-1]))
     back = evolve(flipped, cfg)
-    recovered = np.conj(back.states[-1].samples)
+    recovered = np.conj(back.samples[-1])
     assert np.max(np.abs(recovered - psi0.samples)) < 1e-9
 
 
@@ -134,7 +134,7 @@ def test_fixed_step_matches_adaptive():
         stepper=AdaptiveRK45(rtol=1e-12, atol=1e-12), **common))
     fixed = evolve(state.field, EvolutionConfig(stepper=FixedRK4(dt=1e-3),
                                                 **common))
-    gap = np.max(np.abs(ref.states[-1].samples - fixed.states[-1].samples))
+    gap = np.max(np.abs(ref.samples[-1] - fixed.samples[-1]))
     assert gap < 1e-8
 
 
@@ -148,7 +148,7 @@ def test_record_times_cover_horizon():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.times) > 0)
-    assert len(traj.times) == len(traj.states) == len(traj.mass)
+    assert len(traj.times) == len(traj.samples) == len(traj.mass)
 
 
 def test_perturbation_profile_properties():
@@ -202,8 +202,7 @@ def test_blow_up_raises_with_partial_trajectory():
     partial = info.value.trajectory
     assert isinstance(partial, Trajectory)
     assert len(partial.times) >= 1
-    for s in partial.states:
-        assert np.all(np.isfinite(s.samples))
+    assert np.all(np.isfinite(partial.samples))
 
 
 def test_adaptive_blow_up_is_not_reported_as_a_stall():
@@ -245,7 +244,7 @@ def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):
     partial = info.value.trajectory
     assert isinstance(partial, Trajectory)
     assert np.array_equal(partial.times, [0.0, 0.25, 0.5])
-    assert len(partial.states) == len(partial.mass) == 3
+    assert len(partial.samples) == len(partial.mass) == 3
 
 
 def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
@@ -289,6 +288,20 @@ def test_sine_squared_period_validation():
     assert vals.shape == (16,)
 
 
+def test_rhs_never_feeds_the_unmatched_nyquist_mode():
+    # the filter acts on the potential term too, so at V0 != 0 the j = -N/2
+    # entry (index N/2 in FFT order) of the right-hand side is exactly zero
+    grid = PeriodicGrid(8 * np.pi, 128)  # regime 1a's grid
+    state = _state(grid, B=0.01, V0=-2.46)
+    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+                          potential=SineSquared(-2.46, 1.0), alpha=1)
+    rng = np.random.default_rng(7)
+    noise = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    rhs = evolution._Workspace(cfg).nonlinear_rhs_hat(
+        0.0, state.field.samples + 1e-3 * noise)
+    assert rhs[64] == 0.0
+
+
 def test_csv_writers_round_trip(tmp_path):
     grid = PeriodicGrid(2 * np.pi, 16)
     state = _state(grid)
@@ -303,9 +316,14 @@ def test_csv_writers_round_trip(tmp_path):
     with open(tpath) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(traj.times) * grid.num_modes
-    first = rows[0]
-    assert float(first["t"]) == 0.0
-    assert float(first["re_psi"]) == pytest.approx(state.field.samples[0].real)
+    # every value parses back to the stored sample bit for bit
+    column = {key: np.array([float(r[key]) for r in rows])
+              for key in ("t", "x_index", "re_psi", "im_psi")}
+    assert np.array_equal(column["t"], np.repeat(traj.times, grid.num_modes))
+    assert np.array_equal(column["x_index"],
+                          np.tile(np.arange(grid.num_modes), len(traj.times)))
+    assert np.array_equal(column["re_psi"], traj.samples.real.ravel())
+    assert np.array_equal(column["im_psi"], traj.samples.imag.ravel())
     with open(spath) as fh:
         srows = list(csv.DictReader(fh))
     assert set(srows[0]) == {"t", "mass", "energy", "mod_deviation"}

@@ -99,10 +99,8 @@ def test_figure_regime_seed_reproducibility(tmp_path):
     a = run_figure_regime("1b", seed=77, **kwargs)
     b = run_figure_regime("1b", seed=77, **kwargs)
     c = run_figure_regime("1b", seed=78, **kwargs)
-    assert np.array_equal(a.trajectory.states[-1].samples,
-                          b.trajectory.states[-1].samples)
-    assert not np.array_equal(a.trajectory.states[-1].samples,
-                              c.trajectory.states[-1].samples)
+    assert np.array_equal(a.trajectory.samples[-1], b.trajectory.samples[-1])
+    assert not np.array_equal(a.trajectory.samples[-1], c.trajectory.samples[-1])
 
 
 def test_stability_map_grid_and_csv(tmp_path):
