@@ -4,23 +4,25 @@ The integrated system is  i psi_t = -psi_xx/2 + alpha*psi*(R*|psi|^2) + V*psi,
 with the convolution acting as a Fourier multiplier on |psi|^2 and the fixed
 exponential filter applied to the nonlinear and potential terms.  The local
 cubic equation is the kernel at eps = 0: the unit-mass kernel's multiplier is
-then exactly 1.
+then exactly 1, and any constant multiplier is applied pointwise, without the
+convolution's FFT pair.
 
 The flow is always stepped in integrating-factor form: the stiff Laplacian
 symbol is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
 stepper (adaptive RK45 or fixed RK4) integrates only the filtered nonlinear
 and potential terms.  Each run is one pass over the record grid: the adaptive
-stepper is a single solver call whose snapshots are the Dormand-Prince dense
-output at the record times, with steps capped at record_every.
+stepper is a single call of the Dormand-Prince 5(4) solver below, whose
+snapshots are its dense output at the record times, with steps capped at
+record_every.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import kernels
 from .spectral import PeriodicGrid, WaveField, filter_multipliers
@@ -86,6 +88,87 @@ class EvolutionConfig:
             raise ValueError("record_every must lie in (0, time_horizon]")
 
 
+# Dormand-Prince 5(4) as scipy's RK45 writes it: nodes C, stages A, weights
+# B, error weights E (FSAL stage last) and the quartic dense output P
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+               [44/45, -56/15, 32/9, 0, 0],
+               [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+               [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_step):
+    """Dormand-Prince 5(4) with FSAL forward over t_span, sampled at the sorted
+    t_eval by its quartic dense output (Hairer, Norsett & Wanner, II.4).
+
+    Initial step, RMS error norm, controller and interpolant are scipy's
+    RK45, operation for operation, so ``t``, ``y`` (n by len(t)) and ``nfev``
+    equal ``scipy.integrate.solve_ivp(method="RK45")``'s bit for bit.  Name
+    and call shape are scipy's too: the benchmark tracer wraps this
+    attribute, times ``fun`` as the right-hand side and reads ``nfev``, and
+    the stall tests replace it with stubs of that shape.
+    """
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0, dtype=np.result_type(y0, float))
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    f = fun(t, y)
+    scale = atol + np.abs(y) * rtol  # initial step for error order 4
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, t_bound - t, max_step)
+    nfev, K, ys, i = 2, np.empty((7, y.size), dtype=y.dtype), [], 0
+    message = "The solver successfully reached the end of the integration interval."
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_bound)
+            h_abs = h = t_new - t
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:  # accept; grow at most 10x, not at all after a retry
+                factor = min(10, 0.9 * error_norm**-0.2) if error_norm else 10
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm**-0.2), True
+        else:
+            message = "Required step size is less than spacing between numbers."
+            break
+        j = np.searchsorted(t_eval, t_new, side="right")
+        if j > i:  # the records this step covers
+            x = np.cumprod(np.tile((t_eval[i:j] - t) / h, (4, 1)), axis=0)
+            ys.append(h * np.dot(K.T.dot(_P), x) + y[:, None])
+            i = j
+        t, y, f = t_new, y_new, f_new
+    return SimpleNamespace(t=t_eval[:i],
+                           y=np.hstack(ys) if ys else np.empty((y.size, 0)),
+                           nfev=nfev, success=t >= t_bound, message=message)
+
+
 class _Workspace:
     """Precomputed arrays in unshifted FFT order for fast right-hand sides."""
 
@@ -94,26 +177,34 @@ class _Workspace:
         N = grid.num_modes
         j = np.fft.fftfreq(N, d=1.0 / N)  # 0..N/2-1, -N/2..-1
         kappa = 2.0 * np.pi * j / grid.period
-        self.half_ksq = 0.5 * kappa**2
+        self.i_half_ksq = 1j * (0.5 * kappa**2)  # stiff symbol, applied exactly
         self.kappa = kappa
         self.mult = np.asarray(kernels.multiplier(cfg.kernel, kappa), dtype=float)
+        # a constant multiplier (every eps = 0 kernel) makes R*q = c*q
+        self.local = self.mult[0] if np.all(self.mult == self.mult[0]) else None
         self.V = cfg.potential.values(grid)
-        self.filt = np.fft.ifftshift(filter_multipliers(grid))
-        self.filt[j == -N // 2] = 0.0  # unmatched Nyquist mode gets no RHS
+        filt = np.fft.ifftshift(filter_multipliers(grid))
+        filt[j == -N // 2] = 0.0  # unmatched Nyquist mode gets no RHS
+        self.filt_i = -1j * filt
         self.alpha = cfg.alpha
         self.h = grid.spacing
 
     def nonlinear_rhs_hat(self, t, y):
         """Filtered FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi)."""
-        q = y.real**2 + y.imag**2
-        conv = np.fft.ifft(np.fft.fft(q) * self.mult)
-        return -1j * self.filt * np.fft.fft(y * (self.alpha * conv + self.V))
+        conv = self.convolve(y.real**2 + y.imag**2)
+        return self.filt_i * np.fft.fft(y * (self.alpha * conv + self.V))
+
+    def convolve(self, q):
+        """R*q along the last axis; pointwise when the multiplier is constant."""
+        if self.local is not None:
+            return self.local * q
+        return np.fft.ifft(np.fft.fft(q) * self.mult)
 
     def mass_energy(self, y):
         """Mass and energy of each row of the (records, N) sample array y."""
         q = y.real**2 + y.imag**2
         dpsi = np.fft.ifft(np.fft.fft(y) * (-1j * self.kappa))
-        conv = np.fft.ifft(np.fft.fft(q) * self.mult).real
+        conv = self.convolve(q).real
         dens = np.abs(dpsi) ** 2 + 2.0 * self.V * q + self.alpha * q * conv
         return np.sum(q, axis=-1) * self.h, 0.5 * np.sum(dens, axis=-1) * self.h
 
@@ -189,7 +280,7 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
 
     def f(t, u):
         nonlocal last
-        e = np.exp(1j * ws.half_ksq * t)
+        e = np.exp(ws.i_half_ksq * t)
         last = t, e * ws.nonlinear_rhs_hat(t, np.fft.ifft(u / e))
         return last[1]
 
@@ -199,18 +290,18 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
         if isinstance(cfg.stepper, FixedRK4):
             reached, message = np.array(_rk4_pass(f, rec, u0, cfg.stepper.dt)), ""
         else:
-            sol = solve_ivp(f, (rec[0], rec[-1]), u0, method="RK45",
-                            rtol=cfg.stepper.rtol, atol=cfg.stepper.atol,
-                            t_eval=rec, max_step=cfg.record_every)
+            sol = solve_ivp(f, (rec[0], rec[-1]), u0, rtol=cfg.stepper.rtol,
+                            atol=cfg.stepper.atol, t_eval=rec,
+                            max_step=cfg.record_every)
             # t = 0 is u0 itself: a solver that fails before its first
-            # record returns sol.t and sol.y as empty lists
+            # record returns no columns in sol.y
             reached = np.array([u0, *np.transpose(sol.y)[1:]])
             message = sol.message
 
     # n records, the finite prefix of those reached, make the trajectory
     finite = np.all(np.isfinite(reached), axis=1)
     n = len(reached) if finite.all() else int(np.argmin(finite))
-    samples = np.fft.ifft(reached[:n] / np.exp(1j * ws.half_ksq * rec[:n, None]), axis=1)
+    samples = np.fft.ifft(reached[:n] / np.exp(ws.i_half_ksq * rec[:n, None]), axis=1)
     traj = Trajectory(rec[:n], samples, *ws.mass_energy(samples))
     if n < len(reached):
         raise NonFiniteError(f"non-finite state at t = {rec[n]:.6g} (blow-up)",

@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, kv
 
 from .spectral import WaveField
@@ -170,6 +169,12 @@ def beta(kern: ScaledKernel, k: float) -> float:
     if k <= 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
     return float(multiplier(kern, 2.0 * k))
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call: importing nlgp skips it."""
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
 
 
 def x_weighted_l1(base: KernelSpec) -> float:

@@ -10,6 +10,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import nlgp
 from nlgp import bloch
 
@@ -37,3 +39,17 @@ def test_every_traced_hook_resolves():
 
 def test_every_exported_name_resolves():
     assert [name for name in nlgp.__all__ if not hasattr(nlgp, name)] == []
+
+
+def test_solver_result_carries_what_the_tracer_reads():
+    # perfbench/tracing.py times args[0] as the right-hand side and reads
+    # result.nfev; evolve reads t, y and message
+    from nlgp import evolution
+
+    sol = evolution.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
+                              rtol=1e-8, atol=1e-10, t_eval=np.array([0.0, 1.0]),
+                              max_step=np.inf)
+    assert isinstance(sol.nfev, int) and sol.nfev > 0
+    assert sol.success and isinstance(sol.message, str)
+    assert np.array_equal(sol.t, [0.0, 1.0]) and sol.y.shape == (1, 2)
+    assert abs(sol.y[0, -1] - np.exp(-1.0)) < 1e-7

@@ -330,3 +330,75 @@ def test_csv_writers_round_trip(tmp_path):
     assert len(srows) == len(traj.times)
     # repr round trip keeps bit-exact floats
     assert float(srows[0]["mass"]) == traj.mass[0]
+
+
+def _flow(monkeypatch, cfg, psi0):
+    """The right-hand side and initial state evolve hands to the stepper."""
+    real, seen = evolution.solve_ivp, []
+
+    def capture(fun, t_span, y0, **kwargs):
+        seen.append((fun, y0, t_span, kwargs))
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_ivp", capture)
+    evolve(psi0, cfg)
+    monkeypatch.setattr(evolution, "solve_ivp", real)
+    return seen[0]
+
+
+@pytest.mark.parametrize("tol, rejects", [(1e-8, False), (1e-2, True)])
+def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, tol, rejects):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    grid = PeriodicGrid(2 * np.pi, 32)
+    kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.5)
+    psi0 = perturbed_initial(_state(grid, B=4.0, kern=kern),
+                             PerturbationSpec(nu=0.5, seed=3, mode_cutoff=8))
+    cfg = EvolutionConfig(grid=grid, kernel=kern,
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=2.0, record_every=0.5,
+                          stepper=AdaptiveRK45(rtol=tol, atol=tol))
+    fun, y0, t_span, kwargs = _flow(monkeypatch, cfg, psi0)
+    times = []
+
+    def timed(t, y):
+        times.append(t)
+        return fun(t, y)
+
+    ours = evolution.solve_ivp(timed, t_span, y0, **kwargs)
+    ref = scipy_solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    assert ours.nfev == ref.nfev and ours.success and ref.success
+    # an attempt's last stage is at its end time: a retry ends earlier
+    ends = np.array(times[2:][5::6])
+    assert bool(np.any(np.diff(ends) <= 0)) == rejects
+
+
+@pytest.mark.parametrize("kern, ffts", [
+    (ScaledKernel(KernelSpec.gaussian_raw(), 0.0), 2),
+    (ScaledKernel(KernelSpec.gaussian_normalized(), 0.0), 2),
+    (ScaledKernel(KernelSpec.gaussian_normalized(), 0.5), 4),
+])
+def test_constant_multiplier_skips_the_convolution_transforms(monkeypatch, kern,
+                                                             ffts):
+    grid = PeriodicGrid(2 * np.pi, 32)
+    cfg = EvolutionConfig(grid=grid, kernel=kern,
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=0.5, record_every=0.5)
+    ws = evolution._Workspace(cfg)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    q = np.abs(y) ** 2
+    conv = np.fft.ifft(np.fft.fft(q) * ws.mult)
+    explicit = ws.filt_i * np.fft.fft(y * (conv + ws.V))
+    rhs = ws.nonlinear_rhs_hat(0.0, y)
+    assert np.max(np.abs(rhs - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+
+    fun, y0, _, _ = _flow(monkeypatch, cfg, _state(grid, kern=kern).field)
+    calls = []
+    for name in ("fft", "ifft"):
+        orig = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _fn=orig, **kwargs:
+                            calls.append(1) or _fn(*args, **kwargs))
+    fun(0.1, y0)
+    assert len(calls) == ffts

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -316,3 +321,27 @@ def test_from_table_profile_matches_one_shot_transform(tmp_path):
     assert abs(base.zeta(x[3]) - one_shot[3]) <= 1e-15
     assert np.ndim(base.zeta(x[3])) == 0
     assert base.zeta(np.array([])).shape == (0,)
+
+
+def test_quadrature_is_imported_only_when_a_validator_runs():
+    # importing the package and the CLI must not load scipy.integrate; the
+    # first quadrature does, with the verdicts of the eager import
+    script = (
+        "import sys\n"
+        "import nlgp, nlgp.cli\n"
+        "from nlgp.kernels import KernelSpec, ScaledKernel, validate_hypotheses\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.integrate')]\n"
+        "kern = ScaledKernel(KernelSpec.gaussian_normalized(), 1.0)\n"
+        "for which in ('H', 'Hprime'):\n"
+        "    print(*validate_hypotheses(kern, which).lines(), sep='\\n')\n"
+        "assert 'scipy.integrate' in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    kern = ScaledKernel(KernelSpec.gaussian_normalized(), 1.0)
+    expected = [line for which in ("H", "Hprime")
+                for line in validate_hypotheses(kern, which).lines()]
+    assert out.splitlines() == expected
+    assert all(line.split(": ")[1].startswith("pass") for line in expected)
