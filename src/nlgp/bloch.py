@@ -10,6 +10,11 @@ j +- 2 (cos^2, sin^2 and sin cos have period pi/k), so the problem splits
 exactly by the parity of j: the 2 pi-periodic problem at mu is the union of
 the pi-periodic problems at mu/2 and (mu + 1)/2.
 
+The reflection (p, q)(x) -> (p(-x), -q(-x)) maps mu to 1 - mu and sigma(JL)
+to its conjugate, with the same Krein signs and n(L).  The window of j - mu is
+centred (mu > 1/2 taken as mu - 1), so the truncations at mu and 1 - mu mirror
+each other exactly and a sweep solves only mu <= 1/2.
+
 Eigenvalues of JL with positive real part signal spectral instability;
 purely imaginary eigenvalues carry a Krein signature sgn(<L v, v>) whose
 negative values mark the collisions that can trigger instability.
@@ -18,7 +23,7 @@ negative values mark the collisions that can trigger instability.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -78,21 +83,23 @@ def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperato
     real antisymmetric), L' = [[Dg + a_cc CLC, -a_cs CLSt],
     [a_cs StLC, Dg - a_ss StLSt]] with a_* the coefficients above times 2*alpha.
     At B = 0 the off-diagonal blocks vanish and the matrix is the canonical
-    diag(L+_mu, L-_mu) form used by the instability analysis.
+    diag(L+_mu, L-_mu) form used by the instability analysis.  The window of
+    j - mu is centred, mu > 1/2 taken as mu - 1 (index i holds mode i - M + 1),
+    so the truncation at 1 - mu mirrors the one at mu exactly.
     """
     if not 0.0 <= mu < 1.0:
         raise InvalidMuError(f"Bloch parameter must lie in [0, 1), got {mu}")
     if truncation < 8:
         raise TruncationTooSmallError(f"need truncation >= 8, got {truncation}")
     M = int(truncation)
-    modes = np.arange(-M, M + 1)
+    modes = np.arange(-M, M + 1) - (mu - 1.0 if mu > 0.5 else mu)
     k, B, A, alpha = params.k, params.B, params.A, params.alpha
     a_cc = 2.0 * alpha * B
     a_cs = 2.0 * alpha * np.sqrt(B * (B + A))
     a_ss = 2.0 * alpha * (B + A)
 
-    Dg = np.diag(0.5 * k**2 * ((modes - mu) ** 2 - 1.0))
-    lam = np.asarray(params.kernel.base.zeta_hat(k * params.kernel.epsilon * (modes - mu)),
+    Dg = np.diag(0.5 * k**2 * (modes**2 - 1.0))
+    lam = np.asarray(params.kernel.base.zeta_hat(k * params.kernel.epsilon * modes),
                      dtype=float)
     # the stencils couple neighbours, so each product has the diagonals 0
     # and +-2 only; built entry by entry, L' is exactly symmetric
@@ -200,12 +207,25 @@ def full_period_spectrum(n_periods: int, params: SolutionParams,
     """Spectra at mu = r/n_periods, r = 0..n_periods-1, in mu order.
 
     sigma(JL) over perturbations of period 2*pi*n/k is the union of the
-    per-mu spectra, computed one after another.
+    per-mu spectra.  Only r <= n/2 is solved; the report at r > n/2 is the
+    conjugate of the one at n - r (see the module docstring).
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    return [spectrum(assemble(r / n_periods, truncation, params))
+    solved = [spectrum(assemble(r / n_periods, truncation, params))
+              for r in range(n_periods // 2 + 1)]
+    return [solved[r] if 2 * r <= n_periods
+            else _mirror(solved[n_periods - r], r / n_periods)
             for r in range(n_periods)]
+
+
+def _mirror(rep: EigenReport, mu: float) -> EigenReport:
+    """The report at mu = 1 - rep.mu: conjugate eigenvalues, same labels."""
+    w = rep.eigenvalues.conj()
+    w.imag += 0.0  # conjugating a real eigenvalue gives Im = -0.0
+    order = np.lexsort((w.real, w.imag))
+    return replace(rep, mu=mu, eigenvalues=w[order],
+                   krein=tuple(rep.krein[i] for i in order))
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +243,11 @@ class AnalyticEigen:
 
     n: int
     branch: str  # "positive-axis" | "negative-axis"
+    mu: float
     lambda_inf: complex
     lambda_p: complex
     c_n: float
     r_hat: float
-    gamma_n: float
-    delta_n: float
     alpha_n: float
     coupled_n: int
     base_sign: int  # +1 for (1, i) on the base mode, -1 for (1, -i)
@@ -238,22 +257,24 @@ class AnalyticEigen:
         return self.lambda_inf + self.lambda_p
 
     def eigenvector(self, truncation: int) -> np.ndarray:
-        """Coefficient vector on the assemble() basis, modes -M..M per block."""
+        """Coefficient vector on the assemble() basis at this mu, per block."""
         M = int(truncation)
-        if max(abs(self.n), abs(self.coupled_n)) > M - 2:
+        shift = int(self.mu > 0.5)  # the window at mu > 1/2 holds 1-M..M+1
+        reach = max(abs(self.n - shift), abs(self.coupled_n - shift))
+        if reach > M - 2:
             raise TruncationTooSmallError(
-                f"modes {self.n}, {self.coupled_n} need truncation > "
-                f"{max(abs(self.n), abs(self.coupled_n)) + 2}"
+                f"modes {self.n}, {self.coupled_n} need truncation > {reach + 2}"
             )
         size = 2 * M + 1
         wvec = np.zeros(size, dtype=complex)
         zvec = np.zeros(size, dtype=complex)
         s2p = np.sqrt(TWO_PI)  # e^{-inx} = sqrt(2 pi) * basis vector
         sb = 1j * self.base_sign
-        wvec[self.n + M] = s2p
-        zvec[self.n + M] = sb * s2p
-        wvec[self.coupled_n + M] = -self.alpha_n * s2p
-        zvec[self.coupled_n + M] = self.alpha_n * sb * s2p  # -alpha * (-sb)
+        i, ic = self.n - shift + M, self.coupled_n - shift + M
+        wvec[i] = s2p
+        zvec[i] = sb * s2p
+        wvec[ic] = -self.alpha_n * s2p
+        zvec[ic] = self.alpha_n * sb * s2p  # -alpha * (-sb)
         return np.concatenate([wvec, zvec])
 
 
@@ -291,11 +312,10 @@ def _analytic_one(n: int, positive_axis: bool, mu: float,
     lam_p = 0.5j * (c - root) if shrink else 0.5j * (root - c)
     gamma = B * r / c
     delta = (B * r + 0.5 * (root - c)) / c
-    alpha_n = gamma / (1.0 + delta)
     return AnalyticEigen(
         n=n, branch="positive-axis" if positive_axis else "negative-axis",
-        lambda_inf=lam_inf, lambda_p=lam_p, c_n=float(c), r_hat=r,
-        gamma_n=float(gamma), delta_n=float(delta), alpha_n=float(alpha_n),
+        mu=float(mu), lambda_inf=lam_inf, lambda_p=lam_p, c_n=float(c),
+        r_hat=r, alpha_n=float(gamma / (1.0 + delta)),
         coupled_n=coupled, base_sign=base_sign,
     )
 
@@ -363,10 +383,11 @@ def b_star(k: float, kernel: ScaledKernel, samples: int = 10001) -> float:
 
     B* = max(3k^2/(4 r~_2), 3k^2/(4 r~_-1), k^2/r~_0, k^2/r~_1) with
     r~_n = min over mu in [0,1] of zeta_hat(k*eps*(n-mu)), by dense sampling.
+    zeta_hat is even, so r~_-1 = r~_2 and r~_1 = r~_0: two bands are sampled.
     """
     mus = np.linspace(0.0, 1.0, samples)
     r_min = {}
-    for n in (2, -1, 0, 1):
+    for n in (2, 0):
         vals = np.asarray(kernel.base.zeta_hat(k * kernel.epsilon * (n - mus)), float)
         r_min[n] = float(np.min(vals))
         if r_min[n] <= 0.0:
@@ -374,8 +395,7 @@ def b_star(k: float, kernel: ScaledKernel, samples: int = 10001) -> float:
                 f"zeta_hat takes non-positive value {r_min[n]:.3e} near mode {n}; "
                 "B* needs a strictly positive multiplier"
             )
-    return max(0.75 * k**2 / r_min[2], 0.75 * k**2 / r_min[-1],
-               k**2 / r_min[0], k**2 / r_min[1])
+    return max(0.75 * k**2 / r_min[2], k**2 / r_min[0])
 
 
 def a_crit(k: float) -> float:

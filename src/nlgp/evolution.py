@@ -178,6 +178,8 @@ class _Workspace:
         j = np.fft.fftfreq(N, d=1.0 / N)  # 0..N/2-1, -N/2..-1
         kappa = 2.0 * np.pi * j / grid.period
         self.i_half_ksq = 1j * (0.5 * kappa**2)  # stiff symbol, applied exactly
+        self.i_half_ksq_half = self.i_half_ksq[:N // 2 + 1]
+        self.fold = np.abs(j).astype(np.intp)
         self.kappa = kappa
         self.mult = np.asarray(kernels.multiplier(cfg.kernel, kappa), dtype=float)
         # a constant multiplier (every eps = 0 kernel) makes R*q = c*q
@@ -188,6 +190,11 @@ class _Workspace:
         self.filt_i = -1j * filt
         self.alpha = cfg.alpha
         self.h = grid.spacing
+
+    def phase(self, t):
+        """exp(i*half_ksq*t) at one time: the symbol is even in j, so entries
+        0..N/2 (every |j| once) are exponentiated and gathered by |j|."""
+        return np.exp(self.i_half_ksq_half * t)[self.fold]
 
     def nonlinear_rhs_hat(self, t, y):
         """Filtered FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi)."""
@@ -280,7 +287,7 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
 
     def f(t, u):
         nonlocal last
-        e = np.exp(ws.i_half_ksq * t)
+        e = ws.phase(t)
         last = t, e * ws.nonlinear_rhs_hat(t, np.fft.ifft(u / e))
         return last[1]
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import k1
 
 from nlgp import bloch
@@ -165,17 +167,16 @@ def test_spectrum_closed_under_negative_conjugation():
 
 
 def test_mu_reflection_conjugates_interior_spectrum():
-    # index reflection j -> 1 - j maps the two truncations onto each other
-    # except at one edge mode, so only interior eigenvalues can be compared
+    # the centred window makes the truncation at 1 - mu the exact mirror of
+    # the one at mu, so every eigenvalue off the origin has its conjugate
     p = _params(B=0.9, V0=-0.4, eps=0.1)
     M = 20
-    cutoff = 0.5 * p.k**2 * (M / 2) ** 2
     for mu in (0.2, 0.45):
         e1 = np.array(spectrum(assemble(mu, M, p)).eigenvalues)
         e2 = np.conj(np.array(spectrum(assemble(1.0 - mu, M, p)).eigenvalues))
-        interior = e1[np.abs(e1) < cutoff]
-        assert interior.size > 10
-        gap = max(np.min(np.abs(e2 - lam)) for lam in interior)
+        far = e1[np.abs(e1) >= bloch._ORIGIN_TOL]
+        assert far.size >= e1.size - 2
+        gap = max(np.min(np.abs(e2 - lam)) for lam in far)
         assert gap < 1e-9
 
 
@@ -293,6 +294,32 @@ def test_b_star_grows_with_epsilon():
     assert vals[2] > 1e6
 
 
+def _four_band_b_star(k, kern, samples=10001):
+    mus = np.linspace(0.0, 1.0, samples)
+    r = {n: float(np.min(kern.base.zeta_hat(k * kern.epsilon * (n - mus))))
+         for n in (2, -1, 0, 1)}
+    return max(0.75 * k**2 / r[2], 0.75 * k**2 / r[-1], k**2 / r[0], k**2 / r[1])
+
+
+def test_b_star_two_bands_equal_the_four_band_maximum(tmp_path):
+    # zeta_hat is even: the n = -1 and n = 1 bands repeat n = 2 and n = 0
+    bases = [KernelSpec.gaussian_normalized(), KernelSpec.gaussian_raw(),
+             *(KernelSpec.algebraic_decay(q) for q in (1.5, 3.0, 7.0))]
+    for base in bases:
+        for eps in (0.0, 0.1, 0.5, 1.0, 3.0):
+            for k in (0.5, 1.0, 2.0):
+                kern = ScaledKernel(base, eps)
+                assert b_star(k, kern) == _four_band_b_star(k, kern), (base.family, eps, k)
+    path = tmp_path / "bump.csv"
+    s = np.linspace(0, 30, 601)
+    vals = 1.0 / (1.0 + s**2) + 0.3 * np.exp(-(s - 2.0) ** 2)  # not monotone
+    path.write_text("\n".join(f"{a},{b}" for a, b in zip(s, vals)) + "\n")
+    for eps in (0.5, 1.3, 2.0):
+        kern = ScaledKernel(KernelSpec.from_table(path), eps)
+        assert b_star(1.0, kern) == pytest.approx(_four_band_b_star(1.0, kern),
+                                                  rel=1e-15, abs=0.0)
+
+
 def test_b_star_rejects_sign_changing_transform(tmp_path):
     path = tmp_path / "osc.csv"
     s = np.linspace(0, 30, 601)
@@ -386,6 +413,49 @@ def test_full_period_spectrum_merges_in_mu_order():
     p = _params(B=1.0, V0=-0.5, eps=0.05)
     reports = full_period_spectrum(4, p, 16)
     assert [r.mu for r in reports] == [0.0, 0.25, 0.5, 0.75]
+
+
+def test_sweep_solves_mu_up_to_one_half(monkeypatch):
+    solved, eigs = [], []
+    spectrum_fn, eig_fn = bloch.spectrum, scipy.linalg.eig
+    monkeypatch.setattr(bloch, "spectrum",
+                        lambda op: solved.append(op.mu) or spectrum_fn(op))
+    monkeypatch.setattr(scipy.linalg, "eig",
+                        lambda a, *args, **kw: eigs.append(1) or eig_fn(a, *args, **kw))
+    reports = full_period_spectrum(4, _params(B=1.0, V0=-0.5, eps=0.05), 16)
+    assert solved == [0.0, 0.25, 0.5]
+    assert len(eigs) == 6  # two parity blocks per solved mu
+    assert [r.mu for r in reports] == [0.0, 0.25, 0.5, 0.75]
+    assert all(r.eigenvalues.size == 2 * (2 * 16 + 1) for r in reports)
+
+
+_MIRROR_BASES = {"gaussian-normalized": KernelSpec.gaussian_normalized(),
+                 "algebraic:3": KernelSpec.algebraic_decay(3.0)}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(kernel=st.sampled_from(sorted(_MIRROR_BASES)),
+       B=st.floats(0.0, 2.0), V0=st.floats(-3.0, 0.0), eps=st.floats(0.0, 1.0),
+       n=st.sampled_from([3, 4, 5, 8]), M=st.integers(8, 24))
+def test_mirrored_reports_match_independent_solves(kernel, B, V0, eps, n, M):
+    try:
+        p = _params(B=B, V0=V0, eps=eps, base=_MIRROR_BASES[kernel])
+    except ValueError:  # B below max(-A, 0): no solution to linearise about
+        assume(False)
+    reports = full_period_spectrum(n, p, M)
+    for r in range(n // 2 + 1, n):
+        mirrored, solved = reports[r], spectrum(assemble(r / n, M, p))
+        assert mirrored.mu == r / n
+        assert mirrored.counts == solved.counts
+        assert mirrored.near_origin == solved.near_origin
+        labels = np.array([np.nan if kr is None else kr for kr in solved.krein])
+        far = np.abs(mirrored.eigenvalues) >= bloch._ORIGIN_TOL
+        for lam, kr in zip(mirrored.eigenvalues[far], np.array(mirrored.krein)[far]):
+            near = (np.abs(solved.eigenvalues - lam)
+                    <= 1e-9 * max(1.0, abs(lam)))
+            assert near.any(), (r, lam)
+            assert (np.isnan(labels[near]).any() if kr is None
+                    else kr in labels[near]), (r, lam, kr)
 
 
 def test_eigen_summary_fields():

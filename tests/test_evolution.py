@@ -402,3 +402,13 @@ def test_constant_multiplier_skips_the_convolution_transforms(monkeypatch, kern,
                             calls.append(1) or _fn(*args, **kwargs))
     fun(0.1, y0)
     assert len(calls) == ffts
+
+
+@pytest.mark.parametrize("N", [4, 32, 128, 256])
+def test_half_spectrum_phase_equals_full_exponential(N):
+    grid = PeriodicGrid(8 * np.pi, N)
+    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+                          alpha=1, time_horizon=1.0, record_every=1.0)
+    ws = evolution._Workspace(cfg)
+    for t in (0.0, 1e-7, 0.3, 2.5, 17.0, 29.999, 1234.5):
+        assert np.array_equal(ws.phase(t), np.exp(ws.i_half_ksq * t)), t
