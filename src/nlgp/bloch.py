@@ -26,7 +26,6 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import NonpositiveMultiplierError, ScaledKernel
 from .waves import SolutionParams
@@ -152,7 +151,7 @@ def spectrum(op: BlochOperator) -> EigenReport:
     and complex nu come in conjugate pairs, i.e. the pairs lambda,
     -conj(lambda).  The Krein form v^H L v of v = T w is w^H L' w.  L' and
     P L' split exactly into an even-j and an odd-j block, and each block is
-    solved on its own.
+    solved on its own with numpy.linalg (LAPACK dgeev and dsyevd).
     """
     n = op.size // 2
     blocks = []
@@ -162,13 +161,14 @@ def spectrum(op: BlochOperator) -> EigenReport:
         idx = np.concatenate([half, half + n])
         Lb = op.L_real[np.ix_(idx, idx)]
         try:
-            nu, W = scipy.linalg.eig(np.concatenate([Lb[h:], Lb[:h]]))
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            nu, W = np.linalg.eig(np.concatenate([Lb[h:], Lb[:h]]))
+        except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"eigensolve failed at mu={op.mu}: {exc}") from None
-        # L' w = nu P w on an eigenpair, so w^H L' w = 2 Re(nu) Re(w1^H w2)
+        # L' w = nu P w on an eigenpair, so w^H L' w = 2 Re(nu) Re(w1^H w2);
+        # nu and W are real arrays when every nu is real
         form = 2.0 * nu.real * np.real(np.sum(W[:h].conj() * W[h:], axis=0))
         blocks.append((nu, form, np.sum(np.abs(W) ** 2, axis=0),
-                       scipy.linalg.eigvalsh(Lb)))
+                       np.linalg.eigvalsh(Lb)))
     nu, form, nrm2, ev_L = map(np.concatenate, zip(*blocks))
     w = 1j * nu
     w.real += 0.0  # 1j * nu gives Re = -0.0 for real nu < 0

@@ -190,11 +190,16 @@ class _Workspace:
         self.filt_i = -1j * filt
         self.alpha = cfg.alpha
         self.h = grid.spacing
+        self._phase = None, None
 
     def phase(self, t):
         """exp(i*half_ksq*t) at one time: the symbol is even in j, so entries
-        0..N/2 (every |j| once) are exponentiated and gathered by |j|."""
-        return np.exp(self.i_half_ksq_half * t)[self.fold]
+        0..N/2 (every |j| once) are exponentiated and gathered by |j|.  The
+        last (t, phase) is kept: a Dormand-Prince step evaluates its sixth
+        and FSAL stages at the same t + h (RK4 its two midpoint stages)."""
+        if t != self._phase[0]:
+            self._phase = t, np.exp(self.i_half_ksq_half * t)[self.fold]
+        return self._phase[1]
 
     def nonlinear_rhs_hat(self, t, y):
         """Filtered FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi)."""

@@ -5,15 +5,19 @@ R(x; eps) = zeta(x/eps)/eps concentrates to a delta function as eps -> 0.
 Convolution of a T-periodic field against R acts mode-wise through the
 multiplier R_hat(s; eps) = zeta_hat(eps*s), with zeta_hat the transform
 zeta_hat(s) = integral exp(-i*s*x) zeta(x) dx.
+
+The algebraic kernel's a^nu K_nu(a) uses Temme's series (J. Comput. Phys. 19
+(1975) 324-337) and a trapezoid rule (Trefethen & Weideman, SIAM Review 56
+(2014) 385-458); scipy is imported only by the first quadrature.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, kv
 
 from .spectral import WaveField
 
@@ -60,24 +64,24 @@ class KernelSpec:
         bound).  The transform is Basset's integral (DLMF 10.32.11): with
         nu = (p-1)/2,
         zeta_hat(s) = 2^(1-nu)/Gamma(nu) * |s|^nu * K_nu(|s|), which tends
-        to 1 as s -> 0.
+        to 1 as s -> 0.  ``_power_kv`` gives |s|^nu K_nu(|s|) by Temme's
+        series (1975) and a trapezoid rule (Trefethen & Weideman 2014).
         """
         if not 1 < p <= 80:
-            # beyond p = 80, K_nu overflows near s = 0 while zeta_hat is
-            # still more than ~1e-14 below its limit 1 there
+            # the transform is checked against quadrature up to p = 80
             raise ValueError(f"algebraic decay needs 1 < p <= 80, got p={p}")
         nu = (p - 1.0) / 2.0
-        c = gamma(p / 2.0) / (np.sqrt(np.pi) * gamma(nu))
-        c_hat = 2.0 ** (1.0 - nu) / gamma(nu)
+        c = math.gamma(p / 2.0) / (math.sqrt(math.pi) * math.gamma(nu))
+        c_hat = 2.0 ** (1.0 - nu) / math.gamma(nu)
+        power_kv = _power_kv(nu)
         zeta = lambda x: c * (1.0 + np.asarray(x, float) ** 2) ** (-p / 2.0)
 
         def zeta_hat(s):
             a = np.abs(np.asarray(s, float))
-            with np.errstate(invalid="ignore", over="ignore"):
-                val = c_hat * (a**nu * kv(nu, a))
-            # 0 * inf where a^nu underflows and K_nu overflows (s -> 0, limit
-            # 1) or the reverse (s -> inf, limit 0)
-            return np.where(np.isfinite(val), val, np.where(a < 1.0, 1.0, 0.0))[()]
+            zero = a == 0.0
+            # the limit 1 at s = 0; past a = 750, e^-a and so zeta_hat are 0
+            val = c_hat * power_kv(np.where(zero, 1.0, np.minimum(a, 750.0)))
+            return np.where(zero, 1.0, val)[()]
 
         return cls(family=f"algebraic:{p:g}", zeta=zeta, zeta_hat=zeta_hat)
 
@@ -105,6 +109,79 @@ class KernelSpec:
             return out.reshape(x.shape)[()] / np.pi
 
         return cls(family=f"custom:{path}", zeta=zeta, zeta_hat=zh)
+
+
+# Gamma1(mu) = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu) by its even Taylor series
+# (odd coefficients of 1/Gamma(1+z)), free of the difference's cancellation
+# as mu -> 0; the terms left out are below 1e-18 at |mu| = 1/2
+_GAMMA1 = (-0.5772156649015329, 0.04200263503409524, 0.04219773455554433,
+           -0.0072189432466631, 0.00021524167411495098, 2.013485478078824e-05,
+           -1.133027231981696e-06, -6.116095104481416e-09, 1.18127457048702e-09,
+           -7.782263439905071e-12)
+_TERMS = 13  # Temme's terms fall like (x/2)^(2i)/i!^2, x <= 2
+# e^a K_mu(a) = int_0^inf e^(-v^2) 2 cosh(mu t)/sqrt(2a + v^2) dv, t = 2 asinh(v/sqrt(2a)):
+# the integrand is analytic for |Im v| < sqrt(2a), and 21 trapezoid nodes on
+# [0, 6.2] reach rounding for a > 2
+_NODES = np.linspace(0.0, 6.2, 21)
+_MOMENTS = (np.where(_NODES > 0, 1.0, 0.5) * _NODES[1] * np.exp(-_NODES**2)
+            * _NODES ** np.arange(3)[:, None])  # weights times 1, v, v^2
+
+
+def _power_kv(nu: float):
+    """The function a -> a^nu K_nu(a) on arrays of a > 0, for one nu > 0.
+
+    With nu = n + mu, |mu| <= 1/2, K_mu and K_(mu+1) come from Temme's series
+    for a <= 2 and from the trapezoid rule above for a > 2; F_m = a^m K_m then
+    steps up by F_(m+1) = a^2 F_(m-1) + 2m F_m, which never divides by a, over
+    the common factor a^mu (or a^mu e^-a).
+    """
+    n = math.floor(nu + 0.5)
+    mu = nu - n
+    rp, rm = 1.0 / math.gamma(1.0 + mu), 1.0 / math.gamma(1.0 - mu)
+    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    # Temme's recurrences (Numerical Recipes' bessik) run on the coefficients
+    # of f_i, p_i, q_i in the basis (x/2)^-mu, (x/2)^mu, sinh(mu d)/mu with
+    # d = -log(x/2); coef holds the (x/2)^(2i) terms of K_mu and x K_(mu+1)
+    g1 = 0.5 * fact * sum(g * mu ** (2 * i) for i, g in enumerate(_GAMMA1))
+    f, p, q = np.array([[g1, g1, 0.5 * fact * (rm + rp)], [0.5 / rp, 0, 0], [0, 0.5 / rm, 0]])
+    coef, c = np.empty((_TERMS, 2, 3)), 1.0
+    for i in range(_TERMS):
+        if i:
+            f = (i * f + p + q) / (i * i - mu * mu)
+            p, q, c = p / (i - mu), q / (i + mu), c / i
+        coef[i] = c * f, 2.0 * c * (p - i * f)
+    horner = list(coef.reshape(_TERMS, 6, 1)[::-1])
+
+    def power_kv(a):
+        shape = np.shape(a)
+        a = np.asarray(a, float).ravel()
+        small = a <= 2.0
+        f0, f1, scale = np.empty((3, a.size))  # F_mu, F_(mu+1) over scale
+
+        hx = 0.5 * a[small]
+        up, d = hx**-mu, -np.log(hx)  # e^(mu d) without the |mu d| ulps of exp
+        sh = np.where(np.abs(mu * d) < 1, np.sinh(mu * d), 0.5 * (up - 1 / up)) / mu if mu else d
+        x2, series = hx * hx, np.zeros((6, hx.size))
+        for row in horner:  # Horner, not BLAS: no value depends on its place in a
+            series *= x2
+            series += row
+        f0[small], f1[small] = np.sum(series.reshape(2, 3, -1) * (up, 1 / up, sh), axis=1)
+        scale[small] = (2.0 * hx)**mu
+
+        # E = e^(mu t), cosh t = 1 + v^2/a and sinh t = v root/a give
+        # a e^a K_(mu+1) = a e^a K_mu + sum w (v^2 (E + 1/E)/root + v (E - 1/E))
+        y = a[~small]
+        root = np.sqrt(2.0 * y[:, None] + _NODES**2)
+        up = ((_NODES + root) / np.sqrt(2.0 * y[:, None])) ** (2.0 * mu)
+        k0, k2 = np.sum(((up + 1 / up) / root)[:, None] * _MOMENTS[::2], axis=2).T
+        f0[~small], f1[~small] = k0, y * k0 + k2 + np.sum((up - 1 / up) * _MOMENTS[1], axis=1)
+        scale[~small] = y**mu * np.exp(-y)
+
+        for m in mu + np.arange(1, n):
+            f0, f1 = f1, a * a * f0 + 2.0 * m * f1
+        return ((f1 if n else f0) * scale).reshape(shape)
+
+    return power_kv
 
 
 def _read_table(path):

@@ -417,10 +417,10 @@ def test_full_period_spectrum_merges_in_mu_order():
 
 def test_sweep_solves_mu_up_to_one_half(monkeypatch):
     solved, eigs = [], []
-    spectrum_fn, eig_fn = bloch.spectrum, scipy.linalg.eig
+    spectrum_fn, eig_fn = bloch.spectrum, np.linalg.eig
     monkeypatch.setattr(bloch, "spectrum",
                         lambda op: solved.append(op.mu) or spectrum_fn(op))
-    monkeypatch.setattr(scipy.linalg, "eig",
+    monkeypatch.setattr(np.linalg, "eig",
                         lambda a, *args, **kw: eigs.append(1) or eig_fn(a, *args, **kw))
     reports = full_period_spectrum(4, _params(B=1.0, V0=-0.5, eps=0.05), 16)
     assert solved == [0.0, 0.25, 0.5]
@@ -628,13 +628,13 @@ def test_split_spectrum_matches_full_solve_oracle():
 def test_spectrum_solves_two_parity_blocks(monkeypatch):
     shapes = {"eig": [], "eigvalsh": []}
     for name in shapes:
-        solver = getattr(scipy.linalg, name)
+        solver = getattr(np.linalg, name)
 
         def record(a, *args, _solver=solver, _name=name, **kwargs):
             shapes[_name].append(np.shape(a))
             return _solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, record)
+        monkeypatch.setattr(np.linalg, name, record)
     p = _params(B=1.0, V0=-1.0, eps=0.5, base=KernelSpec.algebraic_decay(3.0))
     for M in (16, 64):
         for mu in (0.0, 0.25):

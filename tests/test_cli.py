@@ -176,11 +176,9 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
 
 
 def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
-    import scipy.linalg
-
     # spectrum solves two parity blocks per mu: fail the first block, the
     # second block, and the second block of the second mu
-    solve = scipy.linalg.eig
+    solve = np.linalg.eig
     cfg = _write(tmp_path, "s.cfg",
                  "spectrum.truncation = 8\nspectrum.n_periods = 2\n")
     for fail_on, mu in ((1, 0.0), (2, 0.0), (4, 0.5)):
@@ -189,10 +187,10 @@ def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             calls.append(None)
             if len(calls) == fail_on:
-                raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
         assert cli.main(["spectrum", "--config", cfg]) == 4
         assert len(calls) == fail_on
         err = capsys.readouterr().err.strip().splitlines()

@@ -20,6 +20,7 @@ from nlgp.evolution import (
     write_summary_csv,
     write_trajectory_csv,
 )
+from nlgp.experiments import FIGURE_REGIMES
 from nlgp.kernels import KernelSpec, ScaledKernel
 from nlgp.spectral import PeriodicGrid, WaveField
 from nlgp.waves import SineSquared, build_solution
@@ -412,3 +413,31 @@ def test_half_spectrum_phase_equals_full_exponential(N):
     ws = evolution._Workspace(cfg)
     for t in (0.0, 1e-7, 0.3, 2.5, 17.0, 29.999, 1234.5):
         assert np.array_equal(ws.phase(t), np.exp(ws.i_half_ksq * t)), t
+
+
+def test_cached_phase_leaves_regime_1a_bitwise_unchanged(monkeypatch):
+    # the sixth and FSAL stages share one exponential; the trajectory must
+    # equal the one that exponentiates on every right-hand side
+    reg = FIGURE_REGIMES["1a"]
+    grid = PeriodicGrid(8.0 * np.pi, 128)
+    kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
+    state = build_solution(reg["B"], reg["V0"], 1.0, 1, kern, grid)
+    psi0 = perturbed_initial(state, PerturbationSpec(nu=reg["nu"], seed=1234,
+                                                     mode_cutoff=16))
+    cfg = EvolutionConfig(grid=grid, kernel=kern,
+                          potential=SineSquared(reg["V0"], 1.0), alpha=1,
+                          time_horizon=2.0, record_every=0.25,
+                          stepper=AdaptiveRK45(rtol=1e-10, atol=1e-10))
+    exps = []
+    cached = evolution._Workspace.phase
+    monkeypatch.setattr(evolution._Workspace, "phase", lambda ws, t: (
+        exps.append(t != ws._phase[0]) or cached(ws, t)))
+    traj = evolve(psi0, cfg)
+    monkeypatch.setattr(evolution._Workspace, "phase", lambda ws, t: (
+        np.exp(ws.i_half_ksq_half * t)[ws.fold]))
+    ref = evolve(psi0, cfg)
+    for name in ("times", "samples", "mass", "energy"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    # after the two initial-step calls, each step's six calls make five
+    # exponentials
+    assert (len(exps) - 2) % 6 == 0 and exps.count(False) == (len(exps) - 2) // 6

@@ -17,6 +17,7 @@ from nlgp.kernels import (
     multiplier,
     validate_hypotheses,
     x_weighted_l1,
+    _power_kv,
 )
 from nlgp.spectral import PeriodicGrid, WaveField
 
@@ -73,6 +74,29 @@ def test_algebraic_decay_large_power(p):
                    epsabs=1e-14, epsrel=1e-13, limit=2000)[0]
         for si in s])
     assert np.max(np.abs(base.zeta_hat(s) - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("nu", [0.025, 0.25, 0.5, 0.75, 1.0, 1 + 1e-9, 1 - 1e-9, 1.05,
+                                1.5, 2 + 1e-4, 3.0, 5.65, 14.5, 39.5])
+def test_power_kv_matches_scipy(nu):
+    # a^nu K_nu(a) across both branches (Temme's series up to a = 2, the
+    # trapezoid rule beyond) and the recurrence in nu; the reference is
+    # taken in extended precision from kv, and from kve past a = 2
+    from scipy.special import kv, kve
+
+    a = np.concatenate([np.geomspace(1e-300, 700.0, 1500), np.linspace(1.9, 2.1, 801)])
+    al = a.astype(np.longdouble)
+    with np.errstate(all="ignore"):
+        ref = np.where(a <= 2.0, al**nu * kv(nu, a), al**nu * kve(nu, a) * np.exp(-al))
+    keep = np.isfinite(ref) & (ref > 1e-290)
+    power_kv = _power_kv(nu)
+    got = power_kv(a)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    assert np.max(np.abs(got[keep] / ref[keep] - 1.0)) <= 1e-13
+    # a value does not depend on its place in the array, nor on the array
+    assert np.array_equal(power_kv(a[::-1]), got[::-1])
+    assert np.array_equal([power_kv(x) for x in a[::97]], got[::97])
+    assert np.ndim(power_kv(a[5])) == 0
 
 
 def _small_s_deficit(nu, s):
@@ -323,14 +347,21 @@ def test_from_table_profile_matches_one_shot_transform(tmp_path):
     assert base.zeta(np.array([])).shape == (0,)
 
 
-def test_quadrature_is_imported_only_when_a_validator_runs():
-    # importing the package and the CLI must not load scipy.integrate; the
-    # first quadrature does, with the verdicts of the eager import
+def test_quadrature_is_imported_only_when_a_validator_runs(tmp_path):
+    # importing the package and the CLI, and a spectrum of the algebraic
+    # kernel, load no scipy module; the first quadrature loads
+    # scipy.integrate, with the verdicts of the eager import
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("kernel.epsilon = 0.5\nspectrum.truncation = 16\n")
     script = (
         "import sys\n"
         "import nlgp, nlgp.cli\n"
         "from nlgp.kernels import KernelSpec, ScaledKernel, validate_hypotheses\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy.integrate')]\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        f"nlgp.cli.main(['spectrum', '--kernel', 'algebraic:3', '--config', {str(cfg)!r}])\n"
+        "assert not scipy_modules(), scipy_modules()\n"
         "kern = ScaledKernel(KernelSpec.gaussian_normalized(), 1.0)\n"
         "for which in ('H', 'Hprime'):\n"
         "    print(*validate_hypotheses(kern, which).lines(), sep='\\n')\n"
@@ -339,9 +370,10 @@ def test_quadrature_is_imported_only_when_a_validator_runs():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], env=env, text=True,
-                         capture_output=True, check=True).stdout
+                         capture_output=True, check=True).stdout.splitlines()
+    assert out[0].startswith("max real part ")
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 1.0)
     expected = [line for which in ("H", "Hprime")
                 for line in validate_hypotheses(kern, which).lines()]
-    assert out.splitlines() == expected
+    assert out[3:] == expected
     assert all(line.split(": ")[1].startswith("pass") for line in expected)
