@@ -107,6 +107,19 @@ _P = np.array([
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
 
+# np.fft.fft/ifft along the last axis: the pocketfft gufuncs numpy calls for
+# them, with the same arguments, so bit for bit the same without numpy's
+# per-call argument handling; looked up per call so that importing nlgp does
+# not import numpy.fft
+def _fft(a):
+    return np.fft._pocketfft_umath.fft(a, 1.0, out=np.empty(a.shape, complex))
+
+
+def _ifft(a):
+    return np.fft._pocketfft_umath.ifft(a, 1.0 / a.shape[-1],
+                                        out=np.empty(a.shape, complex))
+
+
 def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
@@ -181,14 +194,15 @@ class _Workspace:
         self.i_half_ksq_half = self.i_half_ksq[:N // 2 + 1]
         self.fold = np.abs(j).astype(np.intp)
         self.kappa = kappa
-        self.mult = np.asarray(kernels.multiplier(cfg.kernel, kappa), dtype=float)
+        # alpha (+-1, an exact factor) rides on the multiplier
+        self.mult = cfg.alpha * np.asarray(kernels.multiplier(cfg.kernel, kappa),
+                                           dtype=float)
         # a constant multiplier (every eps = 0 kernel) makes R*q = c*q
         self.local = self.mult[0] if np.all(self.mult == self.mult[0]) else None
         self.V = cfg.potential.values(grid)
         filt = np.fft.ifftshift(filter_multipliers(grid))
         filt[j == -N // 2] = 0.0  # unmatched Nyquist mode gets no RHS
         self.filt_i = -1j * filt
-        self.alpha = cfg.alpha
         self.h = grid.spacing
         self._phase = None, None
 
@@ -204,20 +218,21 @@ class _Workspace:
     def nonlinear_rhs_hat(self, t, y):
         """Filtered FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi)."""
         conv = self.convolve(y.real**2 + y.imag**2)
-        return self.filt_i * np.fft.fft(y * (self.alpha * conv + self.V))
+        return self.filt_i * _fft(y * (conv + self.V))
 
     def convolve(self, q):
-        """R*q along the last axis; pointwise when the multiplier is constant."""
+        """alpha*(R*q) along the last axis; pointwise when the multiplier is
+        constant."""
         if self.local is not None:
             return self.local * q
-        return np.fft.ifft(np.fft.fft(q) * self.mult)
+        return _ifft(_fft(q) * self.mult)
 
     def mass_energy(self, y):
         """Mass and energy of each row of the (records, N) sample array y."""
         q = y.real**2 + y.imag**2
-        dpsi = np.fft.ifft(np.fft.fft(y) * (-1j * self.kappa))
+        dpsi = _ifft(_fft(y) * (-1j * self.kappa))
         conv = self.convolve(q).real
-        dens = np.abs(dpsi) ** 2 + 2.0 * self.V * q + self.alpha * q * conv
+        dens = np.abs(dpsi) ** 2 + 2.0 * self.V * q + q * conv
         return np.sum(q, axis=-1) * self.h, 0.5 * np.sum(dens, axis=-1) * self.h
 
 
@@ -293,10 +308,10 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     def f(t, u):
         nonlocal last
         e = ws.phase(t)
-        last = t, e * ws.nonlinear_rhs_hat(t, np.fft.ifft(u / e))
+        last = t, e * ws.nonlinear_rhs_hat(t, _ifft(u / e))
         return last[1]
 
-    u0 = np.fft.fft(psi0.samples.astype(complex))
+    u0 = _fft(psi0.samples.astype(complex))
     # overflow is reported below as NonFiniteError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(cfg.stepper, FixedRK4):
@@ -313,7 +328,7 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     # n records, the finite prefix of those reached, make the trajectory
     finite = np.all(np.isfinite(reached), axis=1)
     n = len(reached) if finite.all() else int(np.argmin(finite))
-    samples = np.fft.ifft(reached[:n] / np.exp(ws.i_half_ksq * rec[:n, None]), axis=1)
+    samples = _ifft(reached[:n] / np.exp(ws.i_half_ksq * rec[:n, None]))
     traj = Trajectory(rec[:n], samples, *ws.mass_energy(samples))
     if n < len(reached):
         raise NonFiniteError(f"non-finite state at t = {rec[n]:.6g} (blow-up)",
@@ -330,7 +345,12 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Random perturbation nu*m(x)*exp(i*theta(x)) with ||m||_2 = 1."""
+    """Random perturbation nu*m(x)*exp(i*theta(x)) with ||m||_2 = 1.
+
+    m holds the modes |j| <= mode_cutoff, which the evolution's fixed filter
+    damps: its right-hand side at j = N/4 is multiplied by 0.87, at j = N/8
+    by 0.99945, so mode_cutoff <= N/8 keeps the damping below 0.06%.
+    """
 
     nu: float
     seed: int

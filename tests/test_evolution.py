@@ -397,12 +397,23 @@ def test_constant_multiplier_skips_the_convolution_transforms(monkeypatch, kern,
 
     fun, y0, _, _ = _flow(monkeypatch, cfg, _state(grid, kern=kern).field)
     calls = []
-    for name in ("fft", "ifft"):
-        orig = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *args, _fn=orig, **kwargs:
-                            calls.append(1) or _fn(*args, **kwargs))
+    for name in ("_fft", "_ifft"):
+        orig = getattr(evolution, name)
+        monkeypatch.setattr(evolution, name, lambda a, _fn=orig:
+                            calls.append(1) or _fn(a))
     fun(0.1, y0)
     assert len(calls) == ffts
+
+
+@pytest.mark.parametrize("N", [4, 30, 128, 256])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_direct_transforms_equal_numpy_fft_bitwise(N, shape):
+    # at N = 30 the ifft scale 1/N is inexact
+    rng = np.random.default_rng(N)
+    a = rng.standard_normal((*shape, N)) + 1j * rng.standard_normal((*shape, N))
+    for x in (a, a.real):
+        assert np.array_equal(evolution._fft(x), np.fft.fft(x))
+        assert np.array_equal(evolution._ifft(x), np.fft.ifft(x))
 
 
 @pytest.mark.parametrize("N", [4, 32, 128, 256])
@@ -415,9 +426,8 @@ def test_half_spectrum_phase_equals_full_exponential(N):
         assert np.array_equal(ws.phase(t), np.exp(ws.i_half_ksq * t)), t
 
 
-def test_cached_phase_leaves_regime_1a_bitwise_unchanged(monkeypatch):
-    # the sixth and FSAL stages share one exponential; the trajectory must
-    # equal the one that exponentiates on every right-hand side
+def _regime_1a_to_t2():
+    """Perturbed regime-1a state and its first two time units at N = 128."""
     reg = FIGURE_REGIMES["1a"]
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
@@ -428,6 +438,13 @@ def test_cached_phase_leaves_regime_1a_bitwise_unchanged(monkeypatch):
                           potential=SineSquared(reg["V0"], 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.25,
                           stepper=AdaptiveRK45(rtol=1e-10, atol=1e-10))
+    return psi0, cfg
+
+
+def test_cached_phase_leaves_regime_1a_bitwise_unchanged(monkeypatch):
+    # the sixth and FSAL stages share one exponential; the trajectory must
+    # equal the one that exponentiates on every right-hand side
+    psi0, cfg = _regime_1a_to_t2()
     exps = []
     cached = evolution._Workspace.phase
     monkeypatch.setattr(evolution._Workspace, "phase", lambda ws, t: (
@@ -441,3 +458,14 @@ def test_cached_phase_leaves_regime_1a_bitwise_unchanged(monkeypatch):
     # after the two initial-step calls, each step's six calls make five
     # exponentials
     assert (len(exps) - 2) % 6 == 0 and exps.count(False) == (len(exps) - 2) // 6
+
+
+def test_direct_transforms_leave_regime_1a_bitwise_unchanged(monkeypatch):
+    # the trajectory must equal the one that transforms through np.fft
+    psi0, cfg = _regime_1a_to_t2()
+    traj = evolve(psi0, cfg)
+    monkeypatch.setattr(evolution, "_fft", np.fft.fft)
+    monkeypatch.setattr(evolution, "_ifft", np.fft.ifft)
+    ref = evolve(psi0, cfg)
+    for name in ("times", "samples", "mass", "energy"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
