@@ -17,12 +17,16 @@ each other exactly and a sweep solves only mu <= 1/2.
 
 Eigenvalues of JL with positive real part signal spectral instability;
 purely imaginary eigenvalues carry a Krein signature sgn(<L v, v>) whose
-negative values mark the collisions that can trigger instability.
+negative values mark the collisions that can trigger instability.  The
+signatures and n(L) are read off inertia counts, not eigenvectors: the
+graphical Krein signature of Kollar & Miller (SIAM Review 56, 2014) is the
+direction in which an eigenvalue curve of the pencil L' - nu P crosses zero,
+and one block-LDL^T sweep counts the negative eigenvalues of L' - nu P at
+shifts between the purely imaginary eigenvalues.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +46,7 @@ class TruncationTooSmallError(ValueError):
 
 
 class EigensolveError(RuntimeError):
-    """The dense eigensolver failed to converge."""
+    """The dense eigensolver or the inertia sweep of ``spectrum`` failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +121,13 @@ class EigenReport:
     """Spectrum of one Bloch operator with Krein bookkeeping.
 
     ``krein`` aligns with ``eigenvalues``: +1/-1 for purely imaginary
-    eigenvalues with definite quadratic form, 0 for zero modes (form below
-    tolerance), None for eigenvalues off the imaginary axis.  Eigenvalues
-    within ``_ORIGIN_TOL`` of the origin are symmetry (phase/translation)
-    modes, all labelled 0: round-off decides on which axis the split phase
-    Jordan pair lands.  They stay in the list but are excluded from
+    eigenvalues in a cluster of one Krein sign, None for eigenvalues off the
+    imaginary axis, and 0 for the origin modes and for every member of an
+    indefinite cluster (purely imaginary eigenvalues within 1e-9 max(1, |lambda|)
+    of each other whose signs differ, so no member has a sign of its own).
+    Eigenvalues within ``_ORIGIN_TOL`` of the origin are symmetry
+    (phase/translation) modes: round-off decides on which axis the split
+    phase Jordan pair lands.  They stay in the list but are excluded from
     ``max_real_part`` and from the count identity.
     """
 
@@ -140,7 +146,7 @@ class EigenReport:
 
 _ORIGIN_TOL = 1e-6
 _IM_AXIS_TOL = 1e-8
-_FORM_TOL = 1e-8
+_CLUSTER_TOL = 1e-9
 
 
 def spectrum(op: BlochOperator) -> EigenReport:
@@ -149,9 +155,21 @@ def spectrum(op: BlochOperator) -> EigenReport:
     JL = T (i P L') T* with P the block swap, so the real matrix P L' is
     solved and lambda = i nu: a real nu lies exactly on the imaginary axis,
     and complex nu come in conjugate pairs, i.e. the pairs lambda,
-    -conj(lambda).  The Krein form v^H L v of v = T w is w^H L' w.  L' and
-    P L' split exactly into an even-j and an odd-j block, and each block is
-    solved on its own with numpy.linalg (LAPACK dgeev and dsyevd).
+    -conj(lambda).  L' and P L' split exactly into an even-j and an odd-j
+    block, and each block is solved on its own for its eigenvalues only
+    (numpy.linalg.eigvals, LAPACK dgeev without vectors).
+
+    The Krein signs and n(L) come from inertia counts instead of
+    eigenvectors: the graphical Krein signature (Kollar & Miller, SIAM
+    Review 56, 2014).  A real nu is where an eigenvalue curve of the
+    symmetric pencil L' - s P crosses zero, with slope -w^T P w, and
+    w^T L' w = nu w^T P w; so the sign of <L v, v> is sign(nu) times the
+    jump of the negative count of L' - s P as s crosses nu.  Real nu within
+    1e-9 max(1, |nu|) of each other share one jump; a cluster whose jump is
+    smaller than its size is indefinite and still adds its exact number of
+    negative signs to k_i^-.  n(L) is the negative count of L' + tau I,
+    tau = 1e-8 max(1, max |L'_jj|), which leaves out the near-zero
+    symmetry eigenvalues of L'.
     """
     n = op.size // 2
     blocks = []
@@ -161,19 +179,13 @@ def spectrum(op: BlochOperator) -> EigenReport:
         idx = np.concatenate([half, half + n])
         Lb = op.L_real[np.ix_(idx, idx)]
         try:
-            nu, W = np.linalg.eig(np.concatenate([Lb[h:], Lb[:h]]))
+            blocks.append(np.linalg.eigvals(np.concatenate([Lb[h:], Lb[:h]])))
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"eigensolve failed at mu={op.mu}: {exc}") from None
-        # L' w = nu P w on an eigenpair, so w^H L' w = 2 Re(nu) Re(w1^H w2);
-        # nu and W are real arrays when every nu is real
-        form = 2.0 * nu.real * np.real(np.sum(W[:h].conj() * W[h:], axis=0))
-        blocks.append((nu, form, np.sum(np.abs(W) ** 2, axis=0),
-                       np.linalg.eigvalsh(Lb)))
-    nu, form, nrm2, ev_L = map(np.concatenate, zip(*blocks))
+    block = np.repeat([0, 1], [b.size for b in blocks])
+    nu = np.concatenate(blocks)
     w = 1j * nu
     w.real += 0.0  # 1j * nu gives Re = -0.0 for real nu < 0
-    order = np.lexsort((w.real, w.imag))
-    w = w[order]
 
     mag = np.abs(w)
     scale = _IM_AXIS_TOL * (1.0 + mag)
@@ -181,25 +193,111 @@ def spectrum(op: BlochOperator) -> EigenReport:
     on_axis = ~origin & (np.abs(w.real) < scale)
     right = ~origin & (w.real > scale)
 
-    keep = order[on_axis]
-    sig = np.where(np.abs(form[keep]) < _FORM_TOL * nrm2[keep], 0.0,
-                   np.sign(form[keep]))
+    # clusters of real nu per block, in (block, nu) order; the origin modes
+    # form one cluster, so no shift falls where L' is singular
+    real = np.flatnonzero(origin | on_axis)
+    real = real[np.lexsort((nu.real[real], block[real]))]
+    x, xb, xo = nu.real[real], block[real], origin[real]
+    joined = (xb[1:] == xb[:-1]) & (
+        (np.diff(x) <= _CLUSTER_TOL * np.maximum(1.0, np.abs(x[1:])))
+        | (xo[1:] & xo[:-1]))
+    first = np.flatnonzero(np.concatenate([[True], ~joined]))
+    last = np.append(first[1:], real.size) - 1
+    size = last - first + 1
+
+    # shifts below, between and above each block's clusters, then the n(L)
+    # column (s, t) = (0, tau), which also pads the shorter row
+    shifts = []
+    for b in (0, 1):
+        lo, hi = x[first[xb[first] == b]], x[last[xb[first] == b]]
+        shifts.append(np.concatenate([lo[:1] - 1.0, 0.5 * (hi[:-1] + lo[1:]),
+                                      hi[-1:] + 1.0]) if lo.size else np.zeros(1))
+    tau = 1e-8 * max(1.0, float(np.max(np.abs(np.diagonal(op.L_real)))))
+    cols = max(sh.size for sh in shifts) + 1
+    s, t = np.zeros((2, cols)), np.full((2, cols), tau)
+    for b, sh in enumerate(shifts):
+        s[b, :sh.size], t[b, :sh.size] = sh, 0.0
+    neg = _negative_counts(op, s, t)
+    n_L = int(neg[0, -1] + neg[1, -1])
+    jumps = []
+    for b, sh in enumerate(shifts):
+        nb, h = neg[b, :sh.size], blocks[b].size // 2
+        if nb[0] != h or nb[-1] != h:  # -s P has h negative eigenvalues
+            raise EigensolveError(
+                f"inertia sweep failed at mu={op.mu}: the Krein jumps of block "
+                f"{b} do not sum to zero (end counts {nb[0]}, {nb[-1]}, "
+                f"expected {h})")
+        jumps.append(np.diff(nb))
+    jump = np.concatenate(jumps)
+    if np.any((np.abs(jump) > size) | ((size - jump) % 2 != 0)):
+        raise EigensolveError(
+            f"inertia sweep failed at mu={op.mu}: a cluster's negative-count "
+            "jump exceeds its size or differs from it in parity")
+
+    at_origin = np.logical_or.reduceat(xo, first) if real.size else xo
+    sgn = np.sign(x[first])
+    definite = ~at_origin & (np.abs(jump) == size)
     krein = np.full(w.size, None, dtype=object)
-    krein[origin] = 0.0
-    krein[on_axis] = sig
+    krein[real] = np.repeat(np.where(definite, sgn * np.sign(jump), 0.0), size)
+    k_im = int(np.sum(np.where(at_origin, 0.0, (size - sgn * jump) / 2)))
     k_r = int(np.sum(right & (np.abs(w.imag) < scale)))
     k_c = int(np.sum(right)) - k_r
-    k_im = int(np.sum(sig < 0))
 
-    neg_tol = 1e-8 * max(1.0, float(np.max(np.abs(ev_L))))
-    n_L = int(np.sum(ev_L < -neg_tol))
-
+    order = np.lexsort((w.real, w.imag))
+    w = w[order]
     return EigenReport(
-        mu=op.mu, eigenvalues=w, krein=tuple(krein),
-        max_real_part=float(np.max(w.real[~origin], initial=-np.inf)),
+        mu=op.mu, eigenvalues=w, krein=tuple(krein[order]),
+        max_real_part=float(np.max(w.real[~origin[order]], initial=-np.inf)),
         counts=(k_r, k_c, k_im, n_L),
         near_origin=int(np.sum(origin)),
     )
+
+
+def _negative_counts(op: BlochOperator, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Negative count of L'_b - s[b, c] P_b + t[b, c] I for parity block b.
+
+    In the interleaved order (p_j, q_j), j = b, b + 2, ..., a parity block
+    of L' - s P is block tridiagonal with 2x2 blocks, since L' couples mode
+    j only to j and j +- 2.  A block-LDL^T (Sturm) sweep gives the pivots
+    S_i = D_i - E_i^T adj(S_(i-1)) E_i / det(S_(i-1)), and by Sylvester's
+    law of inertia the block's negative count is the sum of theirs.  Both
+    blocks and every column run in one sweep; the odd block is padded with
+    an identity row to the even block's length.
+    """
+    n = op.size // 2
+    rows = n // 2 + 1
+    L = op.L_real
+    P, Q = slice(0, n), slice(n, 2 * n)
+    # the bands of L' by mode index 2i + b (row i of block b), padded to
+    # 2 * rows; E holds the coupling of mode index - 2 into mode index
+    diag = np.zeros((3, 2 * rows))
+    diag[::2, n:] = 1.0  # the padding row is the identity
+    E = np.zeros((4, 2 * rows))
+    diag[:, :n] = [np.diagonal(L[P, P]), np.diagonal(L[P, Q]), np.diagonal(L[Q, Q])]
+    E[:, 2:n] = [np.diagonal(L[r, c], 2) for r, c in ((P, P), (P, Q), (Q, P), (Q, Q))]
+    e00, e01, e10, e11 = E
+    # E^T adj(S) E = Ka a + Kb b + Kc c for S = [[a, b], [b, c]]
+    K = np.array([e10 * e10, e10 * e11, e11 * e11,
+                  -2.0 * e00 * e10, -(e00 * e11 + e10 * e01), -2.0 * e01 * e11,
+                  e00 * e00, e00 * e01, e01 * e01])
+    K = K.reshape(3, 3, rows, 2, 1).transpose(2, 0, 1, 3, 4).copy()
+    D = np.empty((rows, 3) + s.shape)  # row, (a, b, c), block, column
+    D[:] = diag.reshape(3, rows, 2, 1).transpose(1, 0, 2, 3)
+    D[:, ::2] += t
+    D[:, 1] -= s * (np.arange(2 * rows).reshape(rows, 2, 1) < n)
+
+    pivot_a, pivot_det = np.empty((2, rows) + s.shape)
+    S, det = D[0], 1.0  # row 0 has no coupling: K[0] = 0
+    with np.errstate(all="ignore"):  # a zero pivot is reported below
+        for i in range(rows):
+            Ka, Kb, Kc = K[i]
+            S = D[i] - (Ka * S[0] + Kb * S[1] + Kc * S[2]) / det
+            det = S[0] * S[2] - S[1] * S[1]
+            pivot_a[i], pivot_det[i] = S[0], det
+    if not np.all(np.isfinite(pivot_det) & (pivot_det != 0.0)):
+        raise EigensolveError(f"inertia sweep failed at mu={op.mu}: a singular "
+                              "or non-finite pivot")
+    return np.sum((pivot_det < 0) + 2 * ((pivot_det > 0) & (pivot_a < 0)), axis=0)
 
 
 def full_period_spectrum(n_periods: int, params: SolutionParams,
@@ -470,24 +568,29 @@ def _pair_vector(M: int, D: float, kind: str) -> np.ndarray:
 # Export
 
 
-def _krein_label(value) -> str:
+def _krein_label(value, near_origin: bool) -> str:
     if value is None:
         return ""
     if value == 0.0:
-        return "zero-mode"
+        return "zero-mode" if near_origin else "indefinite"
     return "+1" if value > 0 else "-1"
 
 
 def write_eigen_csv(reports: list, path):
-    """One row per eigenvalue: mu, Re, Im, krein label, near-origin flag."""
+    """One row per eigenvalue: mu, Re, Im, krein label, near-origin flag.
+
+    The bytes of csv.writer (floats as their repr, rows ended by CR LF),
+    written as one string per report.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mu", "re_lambda", "im_lambda", "krein", "flag"])
+        fh.write("mu,re_lambda,im_lambda,krein,flag\r\n")
         for rep in reports:
-            for lam, kr in zip(rep.eigenvalues, rep.krein):
-                flag = "near-origin" if abs(lam) < _ORIGIN_TOL else ""
-                w.writerow([repr(float(rep.mu)), repr(float(lam.real)),
-                            repr(float(lam.imag)), _krein_label(kr), flag])
+            mu, w = float(rep.mu), rep.eigenvalues
+            near = (np.abs(w) < _ORIGIN_TOL).tolist()
+            fh.write("".join([
+                f"{mu!r},{re!r},{im!r},{_krein_label(kr, nr)},"
+                f"{'near-origin' if nr else ''}\r\n"
+                for re, im, kr, nr in zip(w.real.tolist(), w.imag.tolist(), rep.krein, near)]))
 
 
 def eigen_summary(reports: list, params: SolutionParams) -> dict:

@@ -396,12 +396,12 @@ def perturbed_initial(state: StationaryState, spec: PerturbationSpec) -> WaveFie
 def write_trajectory_csv(traj: Trajectory, path):
     """Long format: one row per (t, grid index) with Re/Im of the state."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x_index", "re_psi", "im_psi"])
-        # per record keeps the lists small; csv writes a float as its repr
+        fh.write("t,x_index,re_psi,im_psi\r\n")
+        # the bytes of csv.writer, which writes a float as its repr and ends
+        # rows with \r\n; one string per record keeps the lists small
         for t, row in zip(traj.times.tolist(), traj.samples):
-            w.writerows(zip([t] * row.size, range(row.size), row.real.tolist(),
-                            row.imag.tolist()))
+            fh.write("".join([f"{t!r},{i},{re!r},{im!r}\r\n" for i, re, im in
+                              zip(range(row.size), row.real.tolist(), row.imag.tolist())]))
 
 
 def write_summary_csv(traj: Trajectory, path, reference: WaveField):

@@ -78,10 +78,12 @@ class KernelSpec:
 
         def zeta_hat(s):
             a = np.abs(np.asarray(s, float))
-            zero = a == 0.0
-            # the limit 1 at s = 0; past a = 750, e^-a and so zeta_hat are 0
-            val = c_hat * power_kv(np.where(zero, 1.0, np.minimum(a, 750.0)))
-            return np.where(zero, 1.0, val)[()]
+            out = np.ones(a.shape)  # the limit 1 at s = 0
+            nonzero = a != 0.0
+            if nonzero.any():
+                # past a = 750, e^-a and so zeta_hat are 0
+                out[nonzero] = c_hat * power_kv(np.minimum(a[nonzero], 750.0))
+            return out[()]
 
         return cls(family=f"algebraic:{p:g}", zeta=zeta, zeta_hat=zeta_hat)
 
@@ -158,7 +160,7 @@ def _power_kv(nu: float):
         small = a <= 2.0
         f0, f1, scale = np.empty((3, a.size))  # F_mu, F_(mu+1) over scale
 
-        hx = 0.5 * a[small]
+        hx = np.maximum(0.5 * a[small], 5e-324)  # half the least subnormal is 0
         up, d = hx**-mu, -np.log(hx)  # e^(mu d) without the |mu d| ulps of exp
         sh = np.where(np.abs(mu * d) < 1, np.sinh(mu * d), 0.5 * (up - 1 / up)) / mu if mu else d
         x2, series = hx * hx, np.zeros((6, hx.size))

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import k1
 
@@ -417,10 +418,10 @@ def test_full_period_spectrum_merges_in_mu_order():
 
 def test_sweep_solves_mu_up_to_one_half(monkeypatch):
     solved, eigs = [], []
-    spectrum_fn, eig_fn = bloch.spectrum, np.linalg.eig
+    spectrum_fn, eig_fn = bloch.spectrum, np.linalg.eigvals
     monkeypatch.setattr(bloch, "spectrum",
                         lambda op: solved.append(op.mu) or spectrum_fn(op))
-    monkeypatch.setattr(np.linalg, "eig",
+    monkeypatch.setattr(np.linalg, "eigvals",
                         lambda a, *args, **kw: eigs.append(1) or eig_fn(a, *args, **kw))
     reports = full_period_spectrum(4, _params(B=1.0, V0=-0.5, eps=0.05), 16)
     assert solved == [0.0, 0.25, 0.5]
@@ -483,6 +484,32 @@ def test_eigen_csv_export(tmp_path):
     assert len(rows) == expected
     assert set(rows[0]) == {"mu", "re_lambda", "im_lambda", "krein", "flag"}
     assert any(r["flag"] == "near-origin" for r in rows)  # mu = 0 pair
+
+
+def test_eigen_csv_bytes_match_csv_writer(tmp_path):
+    # every label kind, signed zeros and a mu that is a numpy float; label 0
+    # reads "zero-mode" at the origin and "indefinite" away from it
+    import csv as csvmod
+
+    w = np.array([-0.0 - 3.5j, 2e-7 + 0.0j, 0.0 + 1e-9j, 0.25 - 0.0j, -0.0 + 4.0j,
+                  0.0 + 4.0j, 1.5 + 2.5j])
+    krein = (1.0, 0.0, 0.0, None, 0.0, 0.0, None)
+    reports = [bloch.EigenReport(mu=mu, eigenvalues=w, krein=krein, max_real_part=1.5,
+                                 counts=(1, 1, 1, 3), near_origin=2)
+               for mu in (0.0, np.float64(0.1) + 0.2)]
+    path = tmp_path / "eig.csv"
+    bloch.write_eigen_csv(reports, path)
+    ref = tmp_path / "ref.csv"
+    labels = ["+1", "zero-mode", "zero-mode", "", "indefinite", "indefinite", ""]
+    with open(ref, "w", newline="") as fh:
+        out = csvmod.writer(fh)
+        out.writerow(["mu", "re_lambda", "im_lambda", "krein", "flag"])
+        for rep in reports:
+            for lam, label in zip(rep.eigenvalues, labels):
+                flag = "near-origin" if abs(lam) < bloch._ORIGIN_TOL else ""
+                out.writerow([repr(float(rep.mu)), repr(float(lam.real)),
+                              repr(float(lam.imag)), label, flag])
+    assert path.read_bytes() == ref.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +614,9 @@ def test_real_form_never_couples_even_and_odd_modes():
         assert np.all(Lp[np.ix_(~odd, odd)] == 0.0), (mu, M)
 
 
+_FORM_TOL = 1e-8  # a Krein form below this times |w|^2 is labelled 0
+
+
 def _full_solve_oracle(op):
     """Counts and on-axis Krein labels from one solve of the whole P L'."""
     n = op.size // 2
@@ -601,7 +631,7 @@ def _full_solve_oracle(op):
     X = W[:, on_axis]
     form = 2.0 * nu.real[on_axis] * np.real(np.sum(X[:n].conj() * X[n:], axis=0))
     nrm2 = np.sum(np.abs(X) ** 2, axis=0)
-    sig = np.where(np.abs(form) < bloch._FORM_TOL * nrm2, 0.0, np.sign(form))
+    sig = np.where(np.abs(form) < _FORM_TOL * nrm2, 0.0, np.sign(form))
     ev_L = scipy.linalg.eigvalsh(Lr)
     n_L = int(np.sum(ev_L < -1e-8 * max(1.0, float(np.max(np.abs(ev_L))))))
     k_r = int(np.sum(right & (np.abs(w.imag) < scale)))
@@ -626,23 +656,96 @@ def test_split_spectrum_matches_full_solve_oracle():
 
 
 def test_spectrum_solves_two_parity_blocks(monkeypatch):
-    shapes = {"eig": [], "eigvalsh": []}
-    for name in shapes:
-        solver = getattr(np.linalg, name)
+    # one vector-free eigensolve per parity block, and no other: the Krein
+    # signs and n(L) come from inertia counts
+    seen, solver = [], np.linalg.eigvals
 
-        def record(a, *args, _solver=solver, _name=name, **kwargs):
-            shapes[_name].append(np.shape(a))
-            return _solver(a, *args, **kwargs)
+    def record(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, record)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum needs eigenvalues only")
+
+    monkeypatch.setattr(np.linalg, "eigvals", record)
+    for name in ("eig", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     p = _params(B=1.0, V0=-1.0, eps=0.5, base=KernelSpec.algebraic_decay(3.0))
     for M in (16, 64):
         for mu in (0.0, 0.25):
-            for name in shapes:
-                shapes[name].clear()
+            seen.clear()
             rep = spectrum(assemble(mu, M, p))
             assert rep.eigenvalues.size == 2 * (2 * M + 1)
-            for name, seen in shapes.items():
-                assert len(seen) == 2, (name, seen)
-                assert all(max(s) <= 2 * (M + 1) for s in seen), (name, seen)
-                assert sum(s[0] for s in seen) == 2 * (2 * M + 1), (name, seen)
+            assert len(seen) == 2, seen
+            assert all(max(s) <= 2 * (M + 1) for s in seen), seen
+            assert sum(s[0] for s in seen) == 2 * (2 * M + 1), seen
+
+
+# ---------------------------------------------------------------------------
+# Krein signs and n(L) from inertia counts
+
+
+_ORACLE_BASES = {"gaussian-normalized": KernelSpec.gaussian_normalized(),
+                 "gaussian-raw": KernelSpec.gaussian_raw(),
+                 "algebraic:3": KernelSpec.algebraic_decay(3.0),
+                 "algebraic:2.5": KernelSpec.algebraic_decay(2.5)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel=st.sampled_from(sorted(_ORACLE_BASES)),
+       B=st.floats(0.0, 2.0), V0=st.floats(-3.0, 0.0), eps=st.floats(0.0, 1.0),
+       mu=st.one_of(st.sampled_from([0.0, 0.25, 0.5]),
+                    st.floats(0.0, 1.0, exclude_max=True)),
+       M=st.integers(8, 48))
+# mu = 0 at M = 64: the +-j modes decouple near the edge, so on-axis
+# eigenvalues come in exact and one-ulp ties that must share one jump
+@example(kernel="gaussian-raw", B=0.5, V0=-0.4, eps=0.2, mu=0.0, M=64)
+def test_inertia_counts_match_eigenvector_oracle(kernel, B, V0, eps, mu, M):
+    try:
+        p = _params(B=B, V0=V0, eps=eps, base=_ORACLE_BASES[kernel])
+    except ValueError:  # B below max(-A, 0): no solution to linearise about
+        assume(False)
+    op = assemble(mu, M, p)
+    rep = spectrum(op)
+    counts, near_origin, on_axis, sig = _full_solve_oracle(op)
+    assert rep.near_origin == near_origin
+    k_r, k_c, k_im, n_L = rep.counts
+    assert (k_r, k_c, n_L) == (counts[0], counts[1], counts[3])
+    # the oracle leaves a sign out where its form is below tolerance (as for
+    # the split phase pair at tiny mu); the inertia count still signs it
+    unsigned = int(np.sum(sig == 0.0))
+    assert counts[2] <= k_im <= counts[2] + unsigned
+    labels = np.array([np.nan if kr is None else kr for kr in rep.krein])
+    for lam, s in zip(on_axis[sig != 0.0], sig[sig != 0.0]):
+        near = np.abs(rep.eigenvalues - lam) <= 1e-9 * max(1.0, abs(lam))
+        if s not in labels[near]:
+            # an indefinite cluster: labelled 0, and the oracle sees both signs
+            assert 0.0 in labels[near], (lam, s, labels[near])
+            close = np.abs(on_axis - lam) <= 1e-9 * max(1.0, abs(lam))
+            assert -s in sig[close], (lam, s, sig[close])
+
+
+def test_indefinite_cluster_is_labelled_zero_and_counted():
+    # at B = V0 = 0, L' is the kinetic diagonal: mode j gives nu = +-d_j with
+    # Krein sign sign(d_j).  At mu = 1e-5 the modes j = 1 (d < 0) and j = -1
+    # (d > 0) put nu 1e-10 apart at +-1e-5: two clusters of opposite signs
+    op = assemble(1e-5, 8, _params(B=0.0, V0=0.0))
+    rep = spectrum(op)
+    small = np.abs(rep.eigenvalues) < 1e-4
+    assert np.sum(small) == 4 and rep.near_origin == 0
+    assert [kr for kr, sm in zip(rep.krein, small) if sm] == [0.0] * 4
+    # each cluster still adds its one negative sign: j = 0 and j = 1 give
+    # the four negative directions of L'
+    assert rep.counts == _full_solve_oracle(op)[0] == (0, 0, 4, 4)
+    assert rep.count_identity_holds
+
+
+def test_inertia_sweep_rejects_singular_and_non_finite_pivots():
+    op = assemble(0.25, 8, _params(B=1.0, V0=-0.5, eps=0.2))
+    s = t = np.zeros((2, 3))
+    assert bloch._negative_counts(op, s, t).shape == (2, 3)
+    broken = op.L_real.copy()
+    broken[3, 3] = np.nan
+    for L_real in (np.zeros_like(broken), broken):
+        with pytest.raises(bloch.EigensolveError, match="singular or non-finite pivot"):
+            bloch._negative_counts(replace(op, L_real=L_real), s, t)

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nlgp import cli, evolution, experiments, kernels
+from nlgp import bloch, cli, evolution, experiments, kernels
 from nlgp.cli import ConfigError, coerce, format_flat_config, parse_flat_config
 
 
@@ -178,7 +182,7 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
 def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
     # spectrum solves two parity blocks per mu: fail the first block, the
     # second block, and the second block of the second mu
-    solve = np.linalg.eig
+    solve = np.linalg.eigvals
     cfg = _write(tmp_path, "s.cfg",
                  "spectrum.truncation = 8\nspectrum.n_periods = 2\n")
     for fail_on, mu in ((1, 0.0), (2, 0.0), (4, 0.5)):
@@ -190,13 +194,53 @@ def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
                 raise np.linalg.LinAlgError("eigenvalues did not converge")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         assert cli.main(["spectrum", "--config", cfg]) == 4
         assert len(calls) == fail_on
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("internal error: ")
         assert "did not converge" in err[0]
         assert f"mu={mu}" in err[0]
+
+
+@pytest.mark.parametrize("where, message", [("interior", "exceeds its size"),
+                                            ("top", "do not sum to zero")])
+def test_inertia_sweep_failure_is_exit_4(tmp_path, capsys, monkeypatch, where, message):
+    # inconsistent negative counts are a numerical defect, not a config
+    # error: the spectrum command exits 4 and names the failed check
+    counts = bloch._negative_counts
+
+    def corrupted(op, s, t):
+        neg = counts(op, s, t)
+        krein = np.flatnonzero(t[0] == 0.0)  # the even block's Krein shifts
+        assert krein.size >= 3
+        neg[0, krein[1] if where == "interior" else krein[-1]] += 100
+        return neg
+
+    monkeypatch.setattr(bloch, "_negative_counts", corrupted)
+    cfg = _write(tmp_path, "s.cfg", "spectrum.truncation = 8\nspectrum.n_periods = 2\n")
+    assert cli.main(["spectrum", "--config", cfg]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: ")
+    assert "inertia sweep failed at mu=0.0" in err[0] and message in err[0]
+
+
+def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
+    # eigenvalues from dgeev without vectors and Krein signs and n(L) from
+    # inertia counts: at M = 128 (blocks of 258 and 256 rows, large enough
+    # for OpenBLAS to thread) spectrum.csv is the same at 1 and 2 threads
+    cfg = _write(tmp_path, "s.cfg", "spectrum.truncation = 128\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "nlgp.cli", "spectrum", "--config", cfg,
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        written.append((out / "spectrum.csv").read_bytes())
+    assert written[0] == written[1]
+    assert len(written[0].splitlines()) == 1 + 4 * 2 * (2 * 128 + 1)
 
 
 def _replay_echo(tmp_path, command, cfg_text, csv_name):

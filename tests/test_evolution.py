@@ -333,6 +333,27 @@ def test_csv_writers_round_trip(tmp_path):
     assert float(srows[0]["mass"]) == traj.mass[0]
 
 
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    # the joined lines must be the bytes csv.writer writes, special floats
+    # (-0.0, nan, +-inf, subnormals) and the \r\n row ends included
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1.5]
+    samples = np.empty((3, 8), complex)
+    samples.real, samples.imag = [special] * 3, [special[::-1]] * 3
+    times = np.array([0.0, -0.0, 0.1 + 0.2])
+    traj = Trajectory(times=times, samples=samples, mass=np.ones(3), energy=np.ones(3))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x_index", "re_psi", "im_psi"])
+        for t, row in zip(times.tolist(), samples):
+            w.writerows(zip([t] * row.size, range(row.size), row.real.tolist(),
+                            row.imag.tolist()))
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"-0.0,0,-0.0,-1.5\r\n" in path.read_bytes()
+
+
 def _flow(monkeypatch, cfg, psi0):
     """The right-hand side and initial state evolve hands to the stepper."""
     real, seen = evolution.solve_ivp, []

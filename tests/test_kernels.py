@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma, k1
 
+from nlgp import kernels
 from nlgp.kernels import (
     KernelSpec,
     ScaledKernel,
@@ -106,7 +107,7 @@ def _small_s_deficit(nu, s):
     if nu < 1:
         return gamma(1 - nu) / gamma(1 + nu) * (s / 2) ** (2 * nu)
     if nu == 1:
-        return (s / 2) ** 2 * (2 * np.log(2 / s) + 1 - 2 * np.euler_gamma)
+        return (s / 2) ** 2 * (2 * (np.log(2) - np.log(s)) + 1 - 2 * np.euler_gamma)
     return (s / 2) ** 2 / (nu - 1)
 
 
@@ -117,7 +118,7 @@ def test_algebraic_decay_transform_at_extreme_s(p):
     # For p = 1.5 the approach is slow (1 - zeta_hat ~ 1e-6 at s = 1e-12),
     # so the deficit is checked against its leading term, not against 0.
     base = KernelSpec.algebraic_decay(p)
-    for s in (0.0, 1e-300, 1e-12, 1e-8, 1e-5):
+    for s in (0.0, 5e-324, 1e-300, 1e-12, 1e-8, 1e-5):  # s/2 rounds to 0 at 5e-324
         val = float(base.zeta_hat(s))
         assert np.isfinite(val) and 0.0 < val <= 1.0 + 1e-12, (s, val)
         lead = _small_s_deficit((p - 1) / 2, s)
@@ -172,6 +173,28 @@ def test_epsilon_zero_unit_mass_multiplier_is_exactly_one():
     for period, n in ((2 * np.pi, 64), (8 * np.pi, 128), (1.0, 256)):
         kappa = 2 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / period
         assert np.all(multiplier(kern, kappa) == 1.0)
+
+
+def test_algebraic_transform_evaluates_only_nonzero_arguments(monkeypatch):
+    # s = 0 is the limit 1 and needs no Bessel function: an eps = 0
+    # multiplier does no power_kv work, and a mixed array passes only its
+    # nonzero entries, with the values of a one-element evaluation
+    seen = []
+
+    def recording(nu):
+        power_kv = _power_kv(nu)
+        return lambda a: seen.append(np.array(a)) or power_kv(a)
+
+    monkeypatch.setattr(kernels, "_power_kv", recording)
+    kern = ScaledKernel(KernelSpec.algebraic_decay(3.0), 0.0)
+    kappa = np.arange(-64, 65, dtype=float)
+    assert np.all(multiplier(kern, kappa) == 1.0) and multiplier(kern, 0.0) == 1.0
+    assert seen == []
+    s = np.array([0.0, 1.5, -0.0, -4.0])
+    got = kern.base.zeta_hat(s)
+    assert [a.tolist() for a in seen] == [[1.5, 4.0]]
+    assert got[0] == got[2] == 1.0
+    assert got[1] == kern.base.zeta_hat(1.5) and got[3] == kern.base.zeta_hat(4.0)
 
 
 def test_convolution_acts_as_multiplier_on_basis_modes():
