@@ -12,17 +12,17 @@ the pi-periodic problems at mu/2 and (mu + 1)/2.
 
 The reflection (p, q)(x) -> (p(-x), -q(-x)) maps mu to 1 - mu and sigma(JL)
 to its conjugate, with the same Krein signs and n(L).  The window of j - mu is
-centred (mu > 1/2 taken as mu - 1), so the truncations at mu and 1 - mu mirror
-each other exactly and a sweep solves only mu <= 1/2.
+centred (mu > 1/2 taken as mu - 1, so index i holds mode i - M + 1 there): the
+truncations at mu and 1 - mu mirror each other exactly and a sweep solves
+only mu <= 1/2.
 
 Eigenvalues of JL with positive real part signal spectral instability;
 purely imaginary eigenvalues carry a Krein signature sgn(<L v, v>) whose
 negative values mark the collisions that can trigger instability.  The
-signatures and n(L) are read off inertia counts, not eigenvectors: the
-graphical Krein signature of Kollar & Miller (SIAM Review 56, 2014) is the
-direction in which an eigenvalue curve of the pencil L' - nu P crosses zero,
-and one block-LDL^T sweep counts the negative eigenvalues of L' - nu P at
-shifts between the purely imaginary eigenvalues.
+signatures and n(L) are read off inertia counts, not eigenvectors (the
+graphical Krein signature of Kollar & Miller, SIAM Review 56, 2014).  A sweep
+over mu is one stacked solve on the bands of L': one eigvals call per parity
+and one block-LDL^T sweep of L' - nu P for every mu at once.
 """
 
 from __future__ import annotations
@@ -51,19 +51,26 @@ class EigensolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BlochOperator:
-    """Truncated L_mu as the real-symmetric L' = T* L T, T = diag(I, iI).
+    """Truncated L_mu as bands of the real-symmetric L' = T* L T, T = diag(I, iI).
 
-    ``L_matrix`` = T L' T* and ``JL_matrix`` = J L are built on access.
-    """
+    ``bands[c]`` is block c = 0..3 of L' = [[PP, PQ], [QP, QQ]] as four rows:
+    its off-band value (a signed zero, which dgeev's rounding depends on), and
+    its diagonals 0, +2 and -2, these two at the higher mode (column j holds
+    X[j-2, j] and X[j, j-2]).  ``L_real``, ``L_matrix`` = T L' T* and
+    ``JL_matrix`` = J L are built on access, for the oracles."""
 
     mu: float
     truncation: int
     D: float | None
-    L_real: np.ndarray
+    bands: np.ndarray
 
     @property
     def size(self) -> int:
         return 2 * (2 * self.truncation + 1)
+
+    @property
+    def L_real(self) -> np.ndarray:
+        return _dense(self.bands.reshape(2, 2, 4, -1), 0, 1)
 
     @property
     def L_matrix(self) -> np.ndarray:
@@ -72,13 +79,24 @@ class BlochOperator:
 
     @property
     def JL_matrix(self) -> np.ndarray:
-        n = self.size // 2
-        L = self.L_matrix
+        L, n = self.L_matrix, self.size // 2
         return np.concatenate([L[n:], -L[:n]])
 
 
+def _dense(X: np.ndarray, first: int, step: int) -> np.ndarray:
+    """Dense (..., 2m, 2m) grid of bands X (..., 2, 2, 4, n) on modes first::step."""
+    m = X[..., 1, first::step].shape[-1]
+    out = np.empty(X.shape[:-4] + (2, m, 2, m))
+    quad, k = out.swapaxes(-3, -2), 2 // step  # (..., 2, 2, m, m); j +- 2 at +-k
+    quad[...] = X[..., 0, :1, None]
+    for row, part in (1, quad), (2, quad[..., :-k, k:]), (3, quad[..., k:, :-k]):
+        # einsum gives the diagonals as writeable views
+        np.einsum("...ii->...i", part)[...] = X[..., row, first + 2 * (row > 1)::step]
+    return out.reshape(X.shape[:-4] + (2 * m, 2 * m))
+
+
 def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperator:
-    """Build the truncated L_mu in its real-symmetric form L'.
+    """Build the truncated L_mu in its real-symmetric form L', as bands.
 
     The nonlocal coupling enters L as 2*alpha times the block matrix
     [[B CLC, sqrt(B(B+A)) CLS], [sqrt(B(B+A)) SLC, (B+A) SLS]] where C and S
@@ -86,34 +104,37 @@ def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperato
     real antisymmetric), L' = [[Dg + a_cc CLC, -a_cs CLSt],
     [a_cs StLC, Dg - a_ss StLSt]] with a_* the coefficients above times 2*alpha.
     At B = 0 the off-diagonal blocks vanish and the matrix is the canonical
-    diag(L+_mu, L-_mu) form used by the instability analysis.  The window of
-    j - mu is centred, mu > 1/2 taken as mu - 1 (index i holds mode i - M + 1),
-    so the truncation at 1 - mu mirrors the one at mu exactly.
+    diag(L+_mu, L-_mu) form used by the instability analysis.
     """
     if not 0.0 <= mu < 1.0:
         raise InvalidMuError(f"Bloch parameter must lie in [0, 1), got {mu}")
+    return BlochOperator(mu=float(mu), truncation=int(truncation), D=params.D,
+                         bands=_bands([mu], truncation, params)[0])
+
+
+def _bands(mus, truncation: int, params: SolutionParams) -> np.ndarray:
+    """``BlochOperator.bands`` at each mu, from one zeta_hat call: band arrays
+    combined by the square form's operations hold its entries and signed zeros."""
     if truncation < 8:
         raise TruncationTooSmallError(f"need truncation >= 8, got {truncation}")
-    M = int(truncation)
-    modes = np.arange(-M, M + 1) - (mu - 1.0 if mu > 0.5 else mu)
+    centre = np.array([[mu - 1.0 if mu > 0.5 else mu] for mu in mus])
+    modes = np.arange(-truncation, truncation + 1) - centre
     k, B, A, alpha = params.k, params.B, params.A, params.alpha
     a_cc = 2.0 * alpha * B
     a_cs = 2.0 * alpha * np.sqrt(B * (B + A))
     a_ss = 2.0 * alpha * (B + A)
 
-    Dg = np.diag(0.5 * k**2 * (modes**2 - 1.0))
-    lam = np.asarray(params.kernel.base.zeta_hat(k * params.kernel.epsilon * modes),
-                     dtype=float)
-    # the stencils couple neighbours, so each product has the diagonals 0
-    # and +-2 only; built entry by entry, L' is exactly symmetric
-    lo = np.concatenate([[0.0], lam[:-1]])  # r_{j-1}, zero past the edge
-    hi = np.concatenate([lam[1:], [0.0]])   # r_{j+1}
-    F = np.diag(0.25 * lam[1:-1], 2)
-    side = np.diag(0.25 * (lo + hi))
-    L12 = -a_cs * (np.diag(0.25 * (hi - lo)) + F.T - F)  # -a_cs C Lam St
-    L_real = np.block([[Dg + a_cc * (side + F + F.T), L12],
-                       [L12.T, Dg - a_ss * (F + F.T - side)]])
-    return BlochOperator(mu=float(mu), truncation=M, D=params.D, L_real=L_real)
+    lam = params.kernel.base.zeta_hat(k * params.kernel.epsilon * modes)
+    z = np.zeros_like(lam)
+    lo = np.concatenate([z[:, :1], lam[:, :-1]], axis=1)  # r_{j-1}, zero past the edge
+    hi = np.concatenate([lam[:, 1:], z[:, :1]], axis=1)   # r_{j+1}
+    f = np.concatenate([z[:, :2], 0.25 * lam[:, 1:-1]], axis=1)  # F[j-2, j] = r_{j-1}/4
+    band = lambda diag=z, up=z, down=z: np.stack([z, diag, up, down], axis=1)
+    Dg = band(0.5 * k**2 * (modes**2 - 1.0))
+    side, F, FT = band(0.25 * (lo + hi)), band(up=f), band(down=f)
+    L12 = -a_cs * (band(0.25 * (hi - lo)) + FT - F)  # -a_cs C Lam St
+    return np.stack([Dg + a_cc * (side + F + FT), L12, L12[:, [0, 1, 3, 2]],
+                     Dg - a_ss * (F + FT - side)], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,151 +174,132 @@ def spectrum(op: BlochOperator) -> EigenReport:
     """Dense eigensolve of JL with Krein signatures and stability counts.
 
     JL = T (i P L') T* with P the block swap, so the real matrix P L' is
-    solved and lambda = i nu: a real nu lies exactly on the imaginary axis,
-    and complex nu come in conjugate pairs, i.e. the pairs lambda,
-    -conj(lambda).  L' and P L' split exactly into an even-j and an odd-j
-    block, and each block is solved on its own for its eigenvalues only
-    (numpy.linalg.eigvals, LAPACK dgeev without vectors).
-
-    The Krein signs and n(L) come from inertia counts instead of
-    eigenvectors: the graphical Krein signature (Kollar & Miller, SIAM
-    Review 56, 2014).  A real nu is where an eigenvalue curve of the
-    symmetric pencil L' - s P crosses zero, with slope -w^T P w, and
-    w^T L' w = nu w^T P w; so the sign of <L v, v> is sign(nu) times the
-    jump of the negative count of L' - s P as s crosses nu.  Real nu within
-    1e-9 max(1, |nu|) of each other share one jump; a cluster whose jump is
-    smaller than its size is indefinite and still adds its exact number of
-    negative signs to k_i^-.  n(L) is the negative count of L' + tau I,
-    tau = 1e-8 max(1, max |L'_jj|), which leaves out the near-zero
-    symmetry eigenvalues of L'.
+    solved, in its even-j and odd-j blocks, for its eigenvalues only (dgeev
+    without vectors) and lambda = i nu: real nu lie exactly on the imaginary
+    axis, complex nu come in the pairs lambda, -conj(lambda).  A real nu is
+    where an eigenvalue curve of the pencil L' - s P crosses zero, with slope
+    -w^T P w, and w^T L' w = nu w^T P w; so the sign of <L v, v> is sign(nu)
+    times the jump of the negative count of L' - s P as s crosses nu.  Real
+    nu within 1e-9 max(1, |nu|) of each other share one jump; a cluster whose
+    jump is smaller than its size is indefinite and still adds its exact
+    number of negative signs to k_i^-.  n(L) is the negative count of
+    L' + tau I, tau = 1e-8 max(1, max |L'_jj|), leaving out the near-zero
+    symmetry eigenvalues of L'.  A sweep makes this solve for all mu at once.
     """
-    n = op.size // 2
-    blocks = []
-    for first in (0, 1):
-        half = np.arange(first, n, 2)
-        h = half.size
-        idx = np.concatenate([half, half + n])
-        Lb = op.L_real[np.ix_(idx, idx)]
+    return _spectra([op.mu], op.bands[None])[0]
+
+
+def _spectra(mus, bands: np.ndarray) -> list:
+    """``spectrum`` at every mu of a stack of bands, in one stacked solve."""
+    X = bands.reshape(len(mus), 2, 2, 4, -1)[:, ::-1]  # P L' = [[QP, QQ], [PP, PQ]]
+    nus = []
+    for blocks in (_dense(X, b, 2) for b in (0, 1)):
         try:
-            blocks.append(np.linalg.eigvals(np.concatenate([Lb[h:], Lb[:h]])))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolveError(f"eigensolve failed at mu={op.mu}: {exc}") from None
-    block = np.repeat([0, 1], [b.size for b in blocks])
-    nu = np.concatenate(blocks)
+            nus.append(np.linalg.eigvals(blocks))
+        except np.linalg.LinAlgError:
+            for a, mu in zip(blocks, mus):  # on failure only: name the failing mu
+                try:
+                    np.linalg.eigvals(a)
+                except np.linalg.LinAlgError as exc:
+                    raise EigensolveError(f"eigensolve failed at mu={mu}: {exc}") from None
+            raise
+    # group g = 2 o + b holds the nu of parity block b of operator o
+    half = np.tile([nus[0].shape[1] // 2, nus[1].shape[1] // 2], len(mus))
+    nu = np.concatenate(nus, axis=1)
+    group = np.repeat(np.arange(half.size), 2 * half)
     w = 1j * nu
     w.real += 0.0  # 1j * nu gives Re = -0.0 for real nu < 0
-
-    mag = np.abs(w)
-    scale = _IM_AXIS_TOL * (1.0 + mag)
-    origin = mag < _ORIGIN_TOL
-    on_axis = ~origin & (np.abs(w.real) < scale)
+    scale, origin = _IM_AXIS_TOL * (1.0 + np.abs(w)), np.abs(w) < _ORIGIN_TOL
     right = ~origin & (w.real > scale)
 
-    # clusters of real nu per block, in (block, nu) order; the origin modes
+    # clusters of real nu per group, in (group, nu) order; the origin modes
     # form one cluster, so no shift falls where L' is singular
-    real = np.flatnonzero(origin | on_axis)
-    real = real[np.lexsort((nu.real[real], block[real]))]
-    x, xb, xo = nu.real[real], block[real], origin[real]
-    joined = (xb[1:] == xb[:-1]) & (
+    real = np.flatnonzero(origin | (np.abs(w.real) < scale))
+    real = real[np.lexsort((nu.real.flat[real], group[real]))]
+    x, xg, xo = nu.real.flat[real], group[real], origin.flat[real]
+    joined = (xg[1:] == xg[:-1]) & (
         (np.diff(x) <= _CLUSTER_TOL * np.maximum(1.0, np.abs(x[1:])))
         | (xo[1:] & xo[:-1]))
     first = np.flatnonzero(np.concatenate([[True], ~joined]))
     last = np.append(first[1:], real.size) - 1
-    size = last - first + 1
+    size, cg = last - first + 1, xg[first]
+    # shifts below, between and above a group's k clusters in columns 0..k (the
+    # second write keeps "above" for the top one only), then (0, tau) for n(L)
+    k = np.bincount(cg, minlength=half.size)
+    rank = np.arange(cg.size) - np.searchsorted(cg, cg)
+    s = np.zeros((half.size, k.max() + 2))
+    s[cg, rank + 1] = x[last] + 1.0
+    s[cg, rank] = np.where(rank > 0, 0.5 * (x[first - 1] + x[first]), x[first] - 1.0)
+    tau = 1e-8 * np.maximum(1.0, np.max(np.abs(bands[:, ::3, 1]), axis=(1, 2)))
+    t = np.where(np.arange(s.shape[1]) <= k[:, None], 0.0, np.repeat(tau, 2)[:, None])
+    neg = _negative_counts(bands, s, t, mus)
 
-    # shifts below, between and above each block's clusters, then the n(L)
-    # column (s, t) = (0, tau), which also pads the shorter row
-    shifts = []
-    for b in (0, 1):
-        lo, hi = x[first[xb[first] == b]], x[last[xb[first] == b]]
-        shifts.append(np.concatenate([lo[:1] - 1.0, 0.5 * (hi[:-1] + lo[1:]),
-                                      hi[-1:] + 1.0]) if lo.size else np.zeros(1))
-    tau = 1e-8 * max(1.0, float(np.max(np.abs(np.diagonal(op.L_real)))))
-    cols = max(sh.size for sh in shifts) + 1
-    s, t = np.zeros((2, cols)), np.full((2, cols), tau)
-    for b, sh in enumerate(shifts):
-        s[b, :sh.size], t[b, :sh.size] = sh, 0.0
-    neg = _negative_counts(op, s, t)
-    n_L = int(neg[0, -1] + neg[1, -1])
-    jumps = []
-    for b, sh in enumerate(shifts):
-        nb, h = neg[b, :sh.size], blocks[b].size // 2
-        if nb[0] != h or nb[-1] != h:  # -s P has h negative eigenvalues
-            raise EigensolveError(
-                f"inertia sweep failed at mu={op.mu}: the Krein jumps of block "
-                f"{b} do not sum to zero (end counts {nb[0]}, {nb[-1]}, "
-                f"expected {h})")
-        jumps.append(np.diff(nb))
-    jump = np.concatenate(jumps)
-    if np.any((np.abs(jump) > size) | ((size - jump) % 2 != 0)):
+    ends = neg[np.arange(half.size), k]
+    for g in np.flatnonzero((neg[:, 0] != half) | (ends != half)):  # -s P: h negative
         raise EigensolveError(
-            f"inertia sweep failed at mu={op.mu}: a cluster's negative-count "
-            "jump exceeds its size or differs from it in parity")
+            f"inertia sweep failed at mu={mus[g // 2]}: the Krein jumps of block "
+            f"{g % 2} do not sum to zero (end counts {neg[g, 0]}, {ends[g]}, "
+            f"expected {half[g]})")
+    jump = neg[cg, rank + 1] - neg[cg, rank]
+    for c in np.flatnonzero((np.abs(jump) > size) | ((size - jump) % 2 != 0)):
+        raise EigensolveError(
+            f"inertia sweep failed at mu={mus[cg[c] // 2]}: a cluster's "
+            "negative-count jump exceeds its size or differs from it in parity")
 
     at_origin = np.logical_or.reduceat(xo, first) if real.size else xo
     sgn = np.sign(x[first])
     definite = ~at_origin & (np.abs(jump) == size)
-    krein = np.full(w.size, None, dtype=object)
+    krein = np.full(nu.size, None, dtype=object)
     krein[real] = np.repeat(np.where(definite, sgn * np.sign(jump), 0.0), size)
-    k_im = int(np.sum(np.where(at_origin, 0.0, (size - sgn * jump) / 2)))
-    k_r = int(np.sum(right & (np.abs(w.imag) < scale)))
-    k_c = int(np.sum(right)) - k_r
-
+    k_im = np.bincount(cg // 2, np.where(at_origin, 0, (size - sgn * jump) / 2), len(mus))
+    k_r = np.sum(right & (np.abs(w.imag) < scale), axis=1)
+    counts = np.stack([k_r, np.sum(right, axis=1) - k_r, k_im,
+                       neg[::2, -1] + neg[1::2, -1]], axis=1).astype(int).tolist()
+    abscissa = np.max(w.real, axis=1, where=~origin, initial=-np.inf).tolist()
     order = np.lexsort((w.real, w.imag))
-    w = w[order]
-    return EigenReport(
-        mu=op.mu, eigenvalues=w, krein=tuple(krein[order]),
-        max_real_part=float(np.max(w.real[~origin[order]], initial=-np.inf)),
-        counts=(k_r, k_c, k_im, n_L),
-        near_origin=int(np.sum(origin)),
-    )
+    w, krein = (np.take_along_axis(a, order, 1) for a in (w, krein.reshape(w.shape)))
+    return [EigenReport(mu, w[o], tuple(krein[o]), abscissa[o], tuple(counts[o]),
+                        int(np.sum(origin[o]))) for o, mu in enumerate(mus)]
 
 
-def _negative_counts(op: BlochOperator, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Negative count of L'_b - s[b, c] P_b + t[b, c] I for parity block b.
+def _negative_counts(bands: np.ndarray, s: np.ndarray, t: np.ndarray, mus) -> np.ndarray:
+    """Negative count of L'_b - s[g, c] P_b + t[g, c] I, group g = 2 o + b.
 
-    In the interleaved order (p_j, q_j), j = b, b + 2, ..., a parity block
+    In the interleaved order (p_j, q_j), j = b, b + 2, ..., parity block b
     of L' - s P is block tridiagonal with 2x2 blocks, since L' couples mode
-    j only to j and j +- 2.  A block-LDL^T (Sturm) sweep gives the pivots
-    S_i = D_i - E_i^T adj(S_(i-1)) E_i / det(S_(i-1)), and by Sylvester's
-    law of inertia the block's negative count is the sum of theirs.  Both
-    blocks and every column run in one sweep; the odd block is padded with
-    an identity row to the even block's length.
-    """
-    n = op.size // 2
-    rows = n // 2 + 1
-    L = op.L_real
-    P, Q = slice(0, n), slice(n, 2 * n)
-    # the bands of L' by mode index 2i + b (row i of block b), padded to
-    # 2 * rows; E holds the coupling of mode index - 2 into mode index
-    diag = np.zeros((3, 2 * rows))
-    diag[::2, n:] = 1.0  # the padding row is the identity
-    E = np.zeros((4, 2 * rows))
-    diag[:, :n] = [np.diagonal(L[P, P]), np.diagonal(L[P, Q]), np.diagonal(L[Q, Q])]
-    E[:, 2:n] = [np.diagonal(L[r, c], 2) for r, c in ((P, P), (P, Q), (Q, P), (Q, Q))]
-    e00, e01, e10, e11 = E
+    j only to j and j +- 2.  A block-LDL^T (Sturm) sweep of every operator
+    o, block and column at once gives the pivots S_i = [[a, b], [b, c]] =
+    D_i - E_i^T adj(S_(i-1)) E_i / det(S_(i-1)); by Sylvester's law of
+    inertia each adds 1 - (sign(a) + sign(a det)) / 2 to the negative count."""
+    n = bands.shape[-1]
+    rows = n // 2 + 1  # the even block's length
+    # each block's diagonal and coupling of mode index - 2 into mode index by
+    # mode index 2i + b (row i of block b), the odd block padded by an
+    # identity row that takes no shift s: row, group
+    V = np.zeros((len(bands), 4, 2, 2 * rows))
+    V[..., :n], V[:, ::3, 0, n] = bands[:, :, 1:3], 1.0
+    (pp, e00), (pq, e01), (_, e10), (qq, e11) = V.reshape(
+        -1, 4, 2, rows, 2).transpose(1, 2, 3, 0, 4).reshape(4, 2, rows, -1, 1)
     # E^T adj(S) E = Ka a + Kb b + Kc c for S = [[a, b], [b, c]]
-    K = np.array([e10 * e10, e10 * e11, e11 * e11,
+    K = np.stack([e10 * e10, e10 * e11, e11 * e11,
                   -2.0 * e00 * e10, -(e00 * e11 + e10 * e01), -2.0 * e01 * e11,
-                  e00 * e00, e00 * e01, e01 * e01])
-    K = K.reshape(3, 3, rows, 2, 1).transpose(2, 0, 1, 3, 4).copy()
-    D = np.empty((rows, 3) + s.shape)  # row, (a, b, c), block, column
-    D[:] = diag.reshape(3, rows, 2, 1).transpose(1, 0, 2, 3)
-    D[:, ::2] += t
-    D[:, 1] -= s * (np.arange(2 * rows).reshape(rows, 2, 1) < n)
-
-    pivot_a, pivot_det = np.empty((2, rows) + s.shape)
-    S, det = D[0], 1.0  # row 0 has no coupling: K[0] = 0
+                  e00 * e00, e00 * e01, e01 * e01], axis=1).reshape(rows, 3, 3, -1, 1)
+    live = 2 * np.arange(rows)[:, None, None] + np.arange(len(s))[:, None] % 2 < n
+    a, b, c, det = pp[0] + t, pq[0] - s, qq[0] + t, 1.0
+    count, least, most = np.zeros(s.shape), np.full(s.shape, np.inf), np.zeros(s.shape)
     with np.errstate(all="ignore"):  # a zero pivot is reported below
-        for i in range(rows):
-            Ka, Kb, Kc = K[i]
-            S = D[i] - (Ka * S[0] + Kb * S[1] + Kc * S[2]) / det
-            det = S[0] * S[2] - S[1] * S[1]
-            pivot_a[i], pivot_det[i] = S[0], det
-    if not np.all(np.isfinite(pivot_det) & (pivot_det != 0.0)):
-        raise EigensolveError(f"inertia sweep failed at mu={op.mu}: a singular "
-                              "or non-finite pivot")
-    return np.sum((pivot_det < 0) + 2 * ((pivot_det > 0) & (pivot_a < 0)), axis=0)
+        for i, (Ka, Kb, Kc) in enumerate(K):
+            u = (Ka * a + Kb * b + Kc * c) / det
+            a = pp[i] + t - u[0]
+            b = pq[i] - s * live[i] - u[1]
+            c = qq[i] + t - u[2]
+            det = a * c - b * b
+            least, most = np.minimum(least, abs(det)), np.maximum(most, abs(det))
+            count += np.sign(a) + np.sign(a * det)
+    for g in np.flatnonzero(~np.all((least > 0.0) & (most < np.inf), axis=1)):
+        raise EigensolveError(f"inertia sweep failed at mu={mus[g // 2]}: a singular "
+                              "or non-finite pivot")  # NaN fails both tests
+    return (rows - count / 2).astype(int)
 
 
 def full_period_spectrum(n_periods: int, params: SolutionParams,
@@ -309,9 +311,9 @@ def full_period_spectrum(n_periods: int, params: SolutionParams,
     conjugate of the one at n - r (see the module docstring).
     """
     if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    solved = [spectrum(assemble(r / n_periods, truncation, params))
-              for r in range(n_periods // 2 + 1)]
+        raise InvalidMuError(f"n_periods must be >= 1 (mu = r/n_periods), got {n_periods}")
+    mus = [r / n_periods for r in range(n_periods // 2 + 1)]
+    solved = _spectra(mus, _bands(mus, truncation, params))
     return [solved[r] if 2 * r <= n_periods
             else _mirror(solved[n_periods - r], r / n_periods)
             for r in range(n_periods)]
@@ -483,17 +485,15 @@ def b_star(k: float, kernel: ScaledKernel, samples: int = 10001) -> float:
     r~_n = min over mu in [0,1] of zeta_hat(k*eps*(n-mu)), by dense sampling.
     zeta_hat is even, so r~_-1 = r~_2 and r~_1 = r~_0: two bands are sampled.
     """
-    mus = np.linspace(0.0, 1.0, samples)
-    r_min = {}
-    for n in (2, 0):
-        vals = np.asarray(kernel.base.zeta_hat(k * kernel.epsilon * (n - mus)), float)
-        r_min[n] = float(np.min(vals))
-        if r_min[n] <= 0.0:
+    modes = np.array([[2.0], [0.0]]) - np.linspace(0.0, 1.0, samples)  # n - mu
+    r_min = np.min(kernel.base.zeta_hat(k * kernel.epsilon * modes), axis=1).tolist()
+    for n, r in zip((2, 0), r_min):
+        if r <= 0.0:
             raise NonpositiveMultiplierError(
-                f"zeta_hat takes non-positive value {r_min[n]:.3e} near mode {n}; "
+                f"zeta_hat takes non-positive value {r:.3e} near mode {n}; "
                 "B* needs a strictly positive multiplier"
             )
-    return max(0.75 * k**2 / r_min[2], k**2 / r_min[0])
+    return max(0.75 * k**2 / r_min[0], k**2 / r_min[1])
 
 
 def a_crit(k: float) -> float:

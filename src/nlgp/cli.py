@@ -27,11 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, evolution, experiments, kernels, waves
+from .experiments import ConfigError, from_settings
 from .spectral import PeriodicGrid
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def parse_flat_config(text: str) -> dict:
@@ -142,10 +139,13 @@ SCHEMAS = {
     },
 }
 
-# Exceptions that indicate a bad configuration rather than a code defect;
-# ConfigError and the domain errors of waves, bloch and kernels subclass
-# ValueError.
-_CONFIG_ERRORS = (ValueError, FileNotFoundError)
+# Exceptions that indicate a bad configuration rather than a code defect.  A
+# plain ValueError is a config error only where objects are built from the
+# config (``from_settings``, here and in the runners): elsewhere it is a
+# defect and exits 4.
+_CONFIG_ERRORS = (ConfigError, FileNotFoundError, waves.OffsetTooSmallError,
+                  waves.BetaZeroError, waves.PeriodMismatchError,
+                  bloch.InvalidMuError, bloch.TruncationTooSmallError)
 _BLOW_UP_ERRORS = (evolution.NonFiniteError, evolution.StepSizeUnderflowError)
 
 
@@ -187,35 +187,41 @@ def _parse_float_list(text: str, key: str):
     return vals
 
 
+def _kernel_base(name: str) -> kernels.KernelSpec:
+    with from_settings():
+        return kernels.kernel_from_name(name)
+
+
 def _scaled_kernel(cfg):
-    base = kernels.kernel_from_name(cfg["kernel.name"])
-    return kernels.ScaledKernel(base, cfg["kernel.epsilon"])
+    with from_settings():
+        return kernels.ScaledKernel(_kernel_base(cfg["kernel.name"]), cfg["kernel.epsilon"])
 
 
 def cmd_simulate(cfg: dict, out_dir) -> int:
     k = cfg["solution.k"]
     period = cfg["grid.period"] if cfg["grid.period"] > 0 else 2.0 * np.pi / k
     cfg["grid.period"] = period
-    grid = PeriodicGrid(period, cfg["grid.num_modes"])
-    state = waves.build_solution(cfg["solution.B"], cfg["solution.V0"], k,
-                                 cfg["solution.alpha"], _scaled_kernel(cfg), grid)
-    psi0 = evolution.perturbed_initial(
-        state, evolution.PerturbationSpec(nu=cfg["perturbation.nu"],
-                                          seed=cfg["run.seed"],
-                                          mode_cutoff=cfg["perturbation.mode_cutoff"]))
-    if cfg["evolution.stepper"] == "adaptive":
-        stepper = evolution.AdaptiveRK45(rtol=cfg["evolution.rtol"],
-                                         atol=cfg["evolution.atol"])
-    elif cfg["evolution.stepper"] == "fixed":
-        stepper = evolution.FixedRK4(dt=cfg["evolution.dt"])
-    else:
-        raise ConfigError("evolution.stepper must be 'adaptive' or 'fixed', "
-                          f"got {cfg['evolution.stepper']!r}")
-    econf = evolution.EvolutionConfig(
-        grid=grid, kernel=state.params.kernel,
-        potential=waves.SineSquared(cfg["solution.V0"], k),
-        alpha=cfg["solution.alpha"], time_horizon=cfg["evolution.horizon"],
-        stepper=stepper, record_every=cfg["evolution.record_every"])
+    with from_settings():
+        grid = PeriodicGrid(period, cfg["grid.num_modes"])
+        state = waves.build_solution(cfg["solution.B"], cfg["solution.V0"], k,
+                                     cfg["solution.alpha"], _scaled_kernel(cfg), grid)
+        psi0 = evolution.perturbed_initial(
+            state, evolution.PerturbationSpec(nu=cfg["perturbation.nu"],
+                                              seed=cfg["run.seed"],
+                                              mode_cutoff=cfg["perturbation.mode_cutoff"]))
+        if cfg["evolution.stepper"] == "adaptive":
+            stepper = evolution.AdaptiveRK45(rtol=cfg["evolution.rtol"],
+                                             atol=cfg["evolution.atol"])
+        elif cfg["evolution.stepper"] == "fixed":
+            stepper = evolution.FixedRK4(dt=cfg["evolution.dt"])
+        else:
+            raise ConfigError("evolution.stepper must be 'adaptive' or 'fixed', "
+                              f"got {cfg['evolution.stepper']!r}")
+        econf = evolution.EvolutionConfig(
+            grid=grid, kernel=state.params.kernel,
+            potential=waves.SineSquared(cfg["solution.V0"], k),
+            alpha=cfg["solution.alpha"], time_horizon=cfg["evolution.horizon"],
+            stepper=stepper, record_every=cfg["evolution.record_every"])
     failure = None
     try:
         traj = evolution.evolve(psi0, econf)
@@ -239,9 +245,10 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
 
 
 def cmd_spectrum(cfg: dict, out_dir) -> int:
-    params = waves.solution_params(cfg["solution.B"], cfg["solution.V0"],
-                                   cfg["solution.k"], cfg["solution.alpha"],
-                                   _scaled_kernel(cfg))
+    with from_settings():
+        params = waves.solution_params(cfg["solution.B"], cfg["solution.V0"],
+                                       cfg["solution.k"], cfg["solution.alpha"],
+                                       _scaled_kernel(cfg))
     reports = bloch.full_period_spectrum(cfg["spectrum.n_periods"], params,
                                          cfg["spectrum.truncation"])
     summary = bloch.eigen_summary(reports, params)
@@ -264,7 +271,7 @@ def cmd_spectrum(cfg: dict, out_dir) -> int:
 
 def cmd_aes_sweep(cfg: dict, out_dir) -> int:
     eps = _parse_float_list(cfg["aes.epsilons"], "aes.epsilons")
-    base = kernels.kernel_from_name(cfg["aes.kernel"])
+    base = _kernel_base(cfg["aes.kernel"])
     table = experiments.run_aes_sweep(
         eps, B=cfg["aes.B"], V0=cfg["aes.V0"], k=cfg["aes.k"],
         alpha=cfg["aes.alpha"], base=base, horizon=cfg["aes.horizon"],
@@ -288,7 +295,7 @@ def cmd_aes_sweep(cfg: dict, out_dir) -> int:
 
 def cmd_figures(cfg: dict, out_dir) -> int:
     regime = cfg["figures.regime"]
-    base = kernels.kernel_from_name(cfg["figures.kernel"])
+    base = _kernel_base(cfg["figures.kernel"])
     result = experiments.run_figure_regime(
         regime, kernel_base=base, seed=cfg["run.seed"],
         horizon=cfg["figures.horizon"], num_modes=cfg["figures.num_modes"],
@@ -334,7 +341,7 @@ def cmd_validate_kernel(cfg: dict, out_dir) -> int:
 def cmd_stability_map(cfg: dict, out_dir) -> int:
     B_vals = _parse_float_list(cfg["map.B_values"], "map.B_values")
     V0_vals = _parse_float_list(cfg["map.V0_values"], "map.V0_values")
-    base = kernels.kernel_from_name(cfg["map.kernel"])
+    base = _kernel_base(cfg["map.kernel"])
     result = experiments.stability_map(
         B_vals, V0_vals, k=cfg["map.k"], eps=cfg["map.eps"],
         alpha=cfg["map.alpha"], base=base, n_periods=cfg["map.n_periods"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,20 @@ FIGURE_REGIMES = {
 }
 
 DEFAULT_SEED = 1234
+
+
+class ConfigError(ValueError):
+    """Invalid run settings: the command line exits 2 on it, not 4."""
+
+
+@contextmanager
+def from_settings():
+    """Objects built from run settings: a ValueError of their input checks is
+    a ConfigError.  Computations stay outside, so their defects are not."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def write_outputs(out_dir, writers: dict):
@@ -86,26 +101,28 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
     """
     if base is None:
         base = kernels.KernelSpec.gaussian_normalized()
-    mass = float(base.zeta_hat(0.0))
-    if abs(mass - 1.0) > 1e-12:
-        raise ValueError(f"the AES sweep needs a unit-mass kernel (zeta_hat(0) = 1), "
-                         f"{base.family} has zeta_hat(0) = {mass:.6g}")
-    eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
-    if any(e < 0 for e in eps_sorted):
-        raise ValueError("epsilons must be nonnegative")
-    grid = PeriodicGrid(2.0 * np.pi / k, num_modes)
-    local_kernel = kernels.ScaledKernel(kernels.KernelSpec.gaussian_normalized(), 0.0)
-    state = waves.build_solution(B, V0, k, alpha, local_kernel, grid)
-    psi0 = state.field
-    stepper = evolution.AdaptiveRK45(rtol=rtol, atol=atol)
+    with from_settings():
+        mass = float(base.zeta_hat(0.0))
+        if abs(mass - 1.0) > 1e-12:
+            raise ValueError(f"the AES sweep needs a unit-mass kernel (zeta_hat(0) = 1), "
+                             f"{base.family} has zeta_hat(0) = {mass:.6g}")
+        eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
+        if any(e < 0 for e in eps_sorted):
+            raise ValueError("epsilons must be nonnegative")
+        grid = PeriodicGrid(2.0 * np.pi / k, num_modes)
+        local_kernel = kernels.ScaledKernel(kernels.KernelSpec.gaussian_normalized(), 0.0)
+        state = waves.build_solution(B, V0, k, alpha, local_kernel, grid)
+        psi0 = state.field
+        stepper = evolution.AdaptiveRK45(rtol=rtol, atol=atol)
 
-    def config_for(kern):
-        return evolution.EvolutionConfig(
-            grid=grid, kernel=kern, potential=waves.SineSquared(V0, k),
-            alpha=alpha, time_horizon=horizon, stepper=stepper,
-            record_every=record_every)
+        def config_for(kern):
+            return evolution.EvolutionConfig(
+                grid=grid, kernel=kern, potential=waves.SineSquared(V0, k),
+                alpha=alpha, time_horizon=horizon, stepper=stepper,
+                record_every=record_every)
 
-    ref = evolution.evolve(psi0, config_for(local_kernel))
+        ref_config = config_for(local_kernel)
+    ref = evolution.evolve(psi0, ref_config)
     rows = []
     for eps in eps_sorted:
         kern = kernels.ScaledKernel(base, eps)
@@ -196,22 +213,23 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
     metadata either way).
     """
     if which not in FIGURE_REGIMES:
-        raise ValueError(f"unknown regime {which!r}; expected one of "
-                         f"{sorted(FIGURE_REGIMES)}")
+        raise ConfigError(f"unknown regime {which!r}; expected one of "
+                          f"{sorted(FIGURE_REGIMES)}")
     reg = FIGURE_REGIMES[which]
     base = kernel_base if kernel_base is not None else kernels.KernelSpec.gaussian_raw()
     k, alpha = 1.0, 1
-    grid = PeriodicGrid(8.0 * np.pi, num_modes)
-    kern = kernels.ScaledKernel(base, reg["eps"])
-    state = waves.build_solution(reg["B"], reg["V0"], k, alpha, kern, grid)
-    psi0 = evolution.perturbed_initial(
-        state, evolution.PerturbationSpec(nu=reg["nu"], seed=seed,
-                                          mode_cutoff=mode_cutoff))
-    cfg = evolution.EvolutionConfig(
-        grid=grid, kernel=kern, potential=waves.SineSquared(reg["V0"], k),
-        alpha=alpha, time_horizon=horizon,
-        stepper=evolution.AdaptiveRK45(rtol=rtol, atol=atol),
-        record_every=record_every)
+    with from_settings():
+        grid = PeriodicGrid(8.0 * np.pi, num_modes)
+        kern = kernels.ScaledKernel(base, reg["eps"])
+        state = waves.build_solution(reg["B"], reg["V0"], k, alpha, kern, grid)
+        psi0 = evolution.perturbed_initial(
+            state, evolution.PerturbationSpec(nu=reg["nu"], seed=seed,
+                                              mode_cutoff=mode_cutoff))
+        cfg = evolution.EvolutionConfig(
+            grid=grid, kernel=kern, potential=waves.SineSquared(reg["V0"], k),
+            alpha=alpha, time_horizon=horizon,
+            stepper=evolution.AdaptiveRK45(rtol=rtol, atol=atol),
+            record_every=record_every)
     traj = evolution.evolve(psi0, cfg)
     deviations = traj.deviation_from(state.field)
 
@@ -308,20 +326,25 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
     B_values = np.asarray(sorted(set(float(b) for b in B_values)))
     V0_values = np.asarray(sorted(set(float(v) for v in V0_values)))
     if B_values.size == 0 or V0_values.size == 0:
-        raise ValueError("B_values and V0_values must be nonempty")
-    kern = kernels.ScaledKernel(base, eps)
+        raise ConfigError("B_values and V0_values must be nonempty")
+    with from_settings():
+        kern = kernels.ScaledKernel(base, eps)
+        bta = kernels.beta(kern, k)
 
-    def point(B, V0):
-        try:
-            params = waves.solution_params(B, V0, k, alpha, kern)
-        except (waves.OffsetTooSmallError, waves.BetaZeroError):
-            return np.nan
-        reports = bloch.full_period_spectrum(n_periods, params, truncation)
-        return max(rep.max_real_part for rep in reports)
+        def params(B, V0):  # None outside the family of solutions
+            try:
+                return waves.solution_params(B, V0, k, alpha, kern)
+            except (waves.OffsetTooSmallError, waves.BetaZeroError):
+                return None
 
-    grid_vals = np.array([[point(B, V0) for V0 in V0_values] for B in B_values])
+        points = [[params(B, V0) for V0 in V0_values] for B in B_values]
 
-    bta = kernels.beta(kern, k)
+    def abscissa(p):
+        return max(rep.max_real_part
+                   for rep in bloch.full_period_spectrum(n_periods, p, truncation))
+
+    grid_vals = np.array([[np.nan if p is None else abscissa(p) for p in row]
+                          for row in points])
     A_values = -V0_values / (alpha * bta)
     try:
         bs = bloch.b_star(k, kern)

@@ -167,7 +167,9 @@ def _power_kv(nu: float):
         for row in horner:  # Horner, not BLAS: no value depends on its place in a
             series *= x2
             series += row
-        f0[small], f1[small] = np.sum(series.reshape(2, 3, -1) * (up, 1 / up, sh), axis=1)
+        # the sum over the basis term by term: no (2, 3, len(a)) temporary
+        S = series.reshape(2, 3, -1)
+        f0[small], f1[small] = S[:, 0] * up + S[:, 1] * (1 / up) + S[:, 2] * sh
         scale[small] = (2.0 * hx)**mu
 
         # E = e^(mu t), cosh t = 1 + v^2/a and sinh t = v root/a give

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,6 +320,21 @@ def test_b_star_two_bands_equal_the_four_band_maximum(tmp_path):
                                                   rel=1e-15, abs=0.0)
 
 
+def test_b_star_is_bitwise_the_per_band_sampling(tmp_path):
+    # b_star samples both bands in one zeta_hat call; the reference makes
+    # one call per band
+    path = tmp_path / "table.csv"
+    s = np.linspace(0, 30, 601)
+    path.write_text("\n".join(f"{a},{b}" for a, b in zip(s, np.exp(-s / 3))) + "\n")
+    mus = np.linspace(0.0, 1.0, 10001)
+    for base in (KernelSpec.gaussian_normalized(), KernelSpec.gaussian_raw(),
+                 KernelSpec.algebraic_decay(3.0), KernelSpec.from_table(path)):
+        for eps in (0.1, 0.5, 2.0):
+            kern = ScaledKernel(base, eps)
+            r2, r0 = (float(np.min(base.zeta_hat(1.0 * eps * (n - mus)))) for n in (2, 0))
+            assert b_star(1.0, kern) == max(0.75 / r2, 1.0 / r0), (base.family, eps)
+
+
 def test_b_star_rejects_sign_changing_transform(tmp_path):
     path = tmp_path / "osc.csv"
     s = np.linspace(0, 30, 601)
@@ -418,16 +432,90 @@ def test_full_period_spectrum_merges_in_mu_order():
 
 def test_sweep_solves_mu_up_to_one_half(monkeypatch):
     solved, eigs = [], []
-    spectrum_fn, eig_fn = bloch.spectrum, np.linalg.eigvals
-    monkeypatch.setattr(bloch, "spectrum",
-                        lambda op: solved.append(op.mu) or spectrum_fn(op))
+    spectra_fn, eig_fn = bloch._spectra, np.linalg.eigvals
+    monkeypatch.setattr(bloch, "_spectra",
+                        lambda mus, bands: solved.append(list(mus)) or spectra_fn(mus, bands))
     monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a, *args, **kw: eigs.append(1) or eig_fn(a, *args, **kw))
+                        lambda a, *args, **kw: eigs.append(np.shape(a)) or eig_fn(a, *args, **kw))
     reports = full_period_spectrum(4, _params(B=1.0, V0=-0.5, eps=0.05), 16)
-    assert solved == [0.0, 0.25, 0.5]
-    assert len(eigs) == 6  # two parity blocks per solved mu
+    assert solved == [[0.0, 0.25, 0.5]]  # one stacked solve
+    # one eigvals call per parity block, each on the three solved mu
+    assert eigs == [(3, 2 * 17, 2 * 17), (3, 2 * 16, 2 * 16)]
     assert [r.mu for r in reports] == [0.0, 0.25, 0.5, 0.75]
     assert all(r.eigenvalues.size == 2 * (2 * 16 + 1) for r in reports)
+
+
+def test_sweep_and_b_star_sample_zeta_hat_once():
+    calls = []
+    base = KernelSpec.algebraic_decay(3.0)
+    counting = KernelSpec(base.family, base.zeta,
+                          lambda s: calls.append(np.shape(s)) or base.zeta_hat(s))
+    p = _params(B=1.0, V0=-0.5, eps=0.5, base=counting)
+    calls.clear()  # solution_params samples beta
+    full_period_spectrum(4, p, 16)
+    assert calls == [(3, 2 * 16 + 1)]
+    calls.clear()
+    b_star(1.0, p.kernel, samples=101)
+    assert calls == [(2, 101)]
+
+
+_BAND_BASES = {"gaussian-normalized": KernelSpec.gaussian_normalized(),
+               "gaussian-raw": KernelSpec.gaussian_raw(),
+               "algebraic:1.5": KernelSpec.algebraic_decay(1.5),
+               "algebraic:3": KernelSpec.algebraic_decay(3.0)}
+
+
+def _square_L_real(mu, M, p):
+    """L' as the square matrix, the way it was assembled before the bands."""
+    modes = np.arange(-M, M + 1) - (mu - 1.0 if mu > 0.5 else mu)
+    a_cc = 2.0 * p.alpha * p.B
+    a_cs = 2.0 * p.alpha * np.sqrt(p.B * (p.B + p.A))
+    a_ss = 2.0 * p.alpha * (p.B + p.A)
+    Dg = np.diag(0.5 * p.k**2 * (modes**2 - 1.0))
+    lam = np.asarray(p.kernel.base.zeta_hat(p.k * p.kernel.epsilon * modes), dtype=float)
+    lo = np.concatenate([[0.0], lam[:-1]])
+    hi = np.concatenate([lam[1:], [0.0]])
+    F = np.diag(0.25 * lam[1:-1], 2)
+    side = np.diag(0.25 * (lo + hi))
+    L12 = -a_cs * (np.diag(0.25 * (hi - lo)) + F.T - F)
+    return np.block([[Dg + a_cc * (side + F + F.T), L12],
+                     [L12.T, Dg - a_ss * (F + F.T - side)]])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel=st.sampled_from(sorted(_BAND_BASES)),
+       B=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), V0=st.floats(-3.0, 0.0),
+       eps=st.floats(0.0, 1.0), alpha=st.sampled_from([1, -1]),
+       n=st.sampled_from([1, 2, 3, 4, 8]), M=st.sampled_from([8, 16, 33, 64]))
+def test_band_blocks_and_stacked_sweep_match_one_operator_bitwise(kernel, B, V0, eps,
+                                                                  alpha, n, M):
+    try:
+        p = _params(B=B, V0=V0, eps=eps, alpha=alpha, base=_BAND_BASES[kernel])
+    except ValueError:  # B below max(-A, 0): no solution to linearise about
+        assume(False)
+    size = 2 * M + 1
+    for r in range(n // 2 + 1):
+        op = assemble(r / n, M, p)
+        # the bands hold the square form's entries, signed zeros included
+        assert _same_bits(op.L_real, _square_L_real(r / n, M, p)), r
+        X = op.bands.reshape(1, 2, 2, 4, -1)[:, ::-1]
+        for first in (0, 1):
+            half = np.arange(first, size, 2)
+            idx = np.concatenate([half, half + size])
+            Lb = op.L_real[np.ix_(idx, idx)]
+            gathered = np.concatenate([Lb[half.size:], Lb[:half.size]])
+            assert _same_bits(bloch._dense(X, first, 2)[0], gathered), (r, first)
+    for rep in full_period_spectrum(n, p, M)[:n // 2 + 1]:
+        one = spectrum(assemble(rep.mu, M, p))
+        assert _same_bits(rep.eigenvalues, one.eigenvalues), rep.mu
+        assert (rep.krein, rep.counts, rep.near_origin) == (
+            one.krein, one.counts, one.near_origin), rep.mu
+        assert rep.max_real_part == one.max_real_part
 
 
 _MIRROR_BASES = {"gaussian-normalized": KernelSpec.gaussian_normalized(),
@@ -676,9 +764,8 @@ def test_spectrum_solves_two_parity_blocks(monkeypatch):
             seen.clear()
             rep = spectrum(assemble(mu, M, p))
             assert rep.eigenvalues.size == 2 * (2 * M + 1)
-            assert len(seen) == 2, seen
-            assert all(max(s) <= 2 * (M + 1) for s in seen), seen
-            assert sum(s[0] for s in seen) == 2 * (2 * M + 1), seen
+            # a stack of one block per call: the sweep's solve on one mu
+            assert seen == [(1, 2 * (M + 1), 2 * (M + 1)), (1, 2 * M, 2 * M)], seen
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +828,13 @@ def test_indefinite_cluster_is_labelled_zero_and_counted():
 
 
 def test_inertia_sweep_rejects_singular_and_non_finite_pivots():
-    op = assemble(0.25, 8, _params(B=1.0, V0=-0.5, eps=0.2))
-    s = t = np.zeros((2, 3))
-    assert bloch._negative_counts(op, s, t).shape == (2, 3)
-    broken = op.L_real.copy()
-    broken[3, 3] = np.nan
-    for L_real in (np.zeros_like(broken), broken):
-        with pytest.raises(bloch.EigensolveError, match="singular or non-finite pivot"):
-            bloch._negative_counts(replace(op, L_real=L_real), s, t)
+    ops = [assemble(mu, 8, _params(B=1.0, V0=-0.5, eps=0.2)) for mu in (0.25, 0.5)]
+    bands = np.stack([op.bands for op in ops])
+    s = t = np.zeros((4, 3))  # group 2 o + b: operator o, parity block b
+    assert bloch._negative_counts(bands, s, t, [0.25, 0.5]).shape == (4, 3)
+    broken = bands.copy()
+    broken[1, 0, 1, 3] = np.nan  # L'[3, 3] of the operator at mu = 0.5
+    for bad in (np.zeros_like(bands), broken):
+        with pytest.raises(bloch.EigensolveError,
+                           match="at mu=0.5: a singular or non-finite pivot"):
+            bloch._negative_counts(np.stack([bands[0], bad[1]]), s, t, [0.25, 0.5])

@@ -105,6 +105,8 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     assert cli.main(["spectrum", "--config", cfg2]) == 2
     cfg3 = _write(tmp_path, "bad3.cfg", "kernel.name = mystery\n")
     assert cli.main(["spectrum", "--config", cfg3]) == 2
+    cfg4 = _write(tmp_path, "bad4.cfg", "spectrum.n_periods = 0\n")
+    assert cli.main(["spectrum", "--config", cfg4]) == 2
     capsys.readouterr()
     for p in ("nan", "inf", "200"):
         assert cli.main(["spectrum", "--kernel", f"algebraic:{p}"]) == 2
@@ -180,27 +182,36 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
 
 
 def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
-    # spectrum solves two parity blocks per mu: fail the first block, the
-    # second block, and the second block of the second mu
+    # the sweep solves mu = 0 and 1/2 in one stacked call per parity block;
+    # when a stacked call fails, its blocks are solved one by one to name
+    # the failing mu.  A block that does not converge wherever it is solved:
+    # the even block of mu = 0, the odd block of mu = 0, that of mu = 1/2.
     solve = np.linalg.eigvals
     cfg = _write(tmp_path, "s.cfg",
                  "spectrum.truncation = 8\nspectrum.n_periods = 2\n")
-    for fail_on, mu in ((1, 0.0), (2, 0.0), (4, 0.5)):
-        calls = []
+    stacks = []
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a, *args, **kw: stacks.append(a) or solve(a, *args, **kw))
+    assert cli.main(["spectrum", "--config", cfg]) in (0, 1)
+    assert [a.shape for a in stacks] == [(2, 18, 18), (2, 16, 16)]
+    capsys.readouterr()
+    for parity, index, mu in ((0, 0, 0.0), (1, 0, 0.0), (1, 1, 0.5)):
+        target, calls = stacks[parity][index], []
 
-        def no_convergence(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == fail_on:
+        def no_convergence(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            if any(np.array_equal(m, target) for m in np.reshape(a, (-1,) + a.shape[-2:])):
                 raise np.linalg.LinAlgError("eigenvalues did not converge")
-            return solve(*args, **kwargs)
+            return solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         assert cli.main(["spectrum", "--config", cfg]) == 4
-        assert len(calls) == fail_on
+        # the stacked calls up to the failing one, then its blocks in order
+        assert calls == [a.shape for a in stacks[:parity + 1]] + [target.shape] * (index + 1)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("internal error: ")
         assert "did not converge" in err[0]
-        assert f"mu={mu}" in err[0]
+        assert f"mu={mu}:" in err[0]
 
 
 @pytest.mark.parametrize("where, message", [("interior", "exceeds its size"),
@@ -210,9 +221,9 @@ def test_inertia_sweep_failure_is_exit_4(tmp_path, capsys, monkeypatch, where, m
     # error: the spectrum command exits 4 and names the failed check
     counts = bloch._negative_counts
 
-    def corrupted(op, s, t):
-        neg = counts(op, s, t)
-        krein = np.flatnonzero(t[0] == 0.0)  # the even block's Krein shifts
+    def corrupted(bands, s, t, mus):
+        neg = counts(bands, s, t, mus)
+        krein = np.flatnonzero(t[0] == 0.0)  # the Krein shifts of mu = 0, even block
         assert krein.size >= 3
         neg[0, krein[1] if where == "interior" else krein[-1]] += 100
         return neg
@@ -335,6 +346,41 @@ def test_figures_stall_is_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("blow-up: ")
     assert "stalled" in err[0]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("spectrum", "spectrum.truncation = 8\nspectrum.n_periods = 2\n"),
+    ("stability-map", "map.truncation = 8\n"),
+    ("figures", "figures.regime = 1b\nfigures.num_modes = 32\nfigures.horizon = 0.5\n"
+                "figures.truncation = 8\nfigures.n_periods = 1\n"
+                "figures.record_every = 0.5\nfigures.mode_cutoff = 8\n"),
+])
+def test_value_error_inside_the_bloch_core_is_exit_4(tmp_path, capsys, monkeypatch,
+                                                     command, text):
+    # a ValueError from a defect in the solve is not a config error
+    def misshapen(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(bloch, "_negative_counts", misshapen)
+    cfg = _write(tmp_path, "s.cfg", text)
+    assert cli.main([command, "--config", cfg]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: ValueError: operands could not be broadcast together"]
+
+
+def test_spectrum_csv_bytes_match_the_one_operator_path(tmp_path):
+    # the spectrum-algebraic benchmark's inputs at seed 1234: the stacked
+    # sweep writes the bytes of one spectrum(assemble(mu)) per solved mu
+    eps = 0.5424335852414709
+    cfg = _write(tmp_path, "s.cfg", f"kernel.name = algebraic:3\nkernel.epsilon = {eps!r}\n"
+                                    "spectrum.n_periods = 4\nspectrum.truncation = 64\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    p = cli.waves.solution_params(1.0, -1.0, 1.0, 1, kernels.ScaledKernel(
+        kernels.KernelSpec.algebraic_decay(3.0), eps))
+    solved = [bloch.spectrum(bloch.assemble(mu, 64, p)) for mu in (0.0, 0.25, 0.5)]
+    bloch.write_eigen_csv(solved + [bloch._mirror(solved[1], 0.75)], tmp_path / "ref.csv")
+    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_unexpected_exception_is_exit_4(capsys, monkeypatch):
