@@ -31,9 +31,7 @@ from .waves import (
     stationary_residual,
 )
 from .evolution import (
-    AdaptiveRK45,
     EvolutionConfig,
-    FixedRK4,
     NonFiniteError,
     PerturbationSpec,
     StepSizeUnderflowError,
@@ -81,9 +79,9 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveRK45", "AesTable", "AnalyticEigen", "BetaZeroError",
+    "AesTable", "AnalyticEigen", "BetaZeroError",
     "BlochOperator", "EigenReport", "EigensolveError", "EvolutionConfig",
-    "FIGURE_REGIMES", "FigureRegimeResult", "FixedRK4", "InvalidMuError",
+    "FIGURE_REGIMES", "FigureRegimeResult", "InvalidMuError",
     "KernelSpec", "NonFiniteError", "NonpositiveMultiplierError",
     "OffsetTooSmallError", "PeriodMismatchError", "PeriodicGrid",
     "PerturbationSpec", "ScaledKernel", "SineSquared", "SolutionParams",

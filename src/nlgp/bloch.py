@@ -168,6 +168,7 @@ class EigenReport:
 _ORIGIN_TOL = 1e-6
 _IM_AXIS_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
+UNSTABLE_ABSCISSA = 1e-8  # a spectral abscissa above this is "unstable"
 
 
 def spectrum(op: BlochOperator) -> EigenReport:
@@ -603,7 +604,8 @@ def eigen_summary(reports: list, params: SolutionParams) -> dict:
     ac = a_crit(params.k)
     return {
         "max_real_part": abscissa,
-        "verdict": "unstable" if abscissa > 1e-8 else "spectrally stable",
+        "verdict": ("unstable" if abscissa > UNSTABLE_ABSCISSA
+                    else "spectrally stable"),
         "per_mu": [
             {"mu": rep.mu, "max_real_part": rep.max_real_part,
              "counts": {"k_r": rep.counts[0], "k_c": rep.counts[1],

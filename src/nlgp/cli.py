@@ -85,8 +85,6 @@ SCHEMAS = {
         "evolution.rtol": ("float", 1e-10),
         "evolution.atol": ("float", 1e-10),
         "evolution.record_every": ("float", 0.25),
-        "evolution.stepper": ("str", "adaptive"),
-        "evolution.dt": ("float", 1e-3),
         "perturbation.nu": ("float", 0.0),
         "perturbation.mode_cutoff": ("int", 16),
         "run.seed": ("int", experiments.DEFAULT_SEED),
@@ -209,19 +207,12 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
             state, evolution.PerturbationSpec(nu=cfg["perturbation.nu"],
                                               seed=cfg["run.seed"],
                                               mode_cutoff=cfg["perturbation.mode_cutoff"]))
-        if cfg["evolution.stepper"] == "adaptive":
-            stepper = evolution.AdaptiveRK45(rtol=cfg["evolution.rtol"],
-                                             atol=cfg["evolution.atol"])
-        elif cfg["evolution.stepper"] == "fixed":
-            stepper = evolution.FixedRK4(dt=cfg["evolution.dt"])
-        else:
-            raise ConfigError("evolution.stepper must be 'adaptive' or 'fixed', "
-                              f"got {cfg['evolution.stepper']!r}")
         econf = evolution.EvolutionConfig(
             grid=grid, kernel=state.params.kernel,
             potential=waves.SineSquared(cfg["solution.V0"], k),
             alpha=cfg["solution.alpha"], time_horizon=cfg["evolution.horizon"],
-            stepper=stepper, record_every=cfg["evolution.record_every"])
+            rtol=cfg["evolution.rtol"], atol=cfg["evolution.atol"],
+            record_every=cfg["evolution.record_every"])
     failure = None
     try:
         traj = evolution.evolve(psi0, econf)
@@ -349,7 +340,7 @@ def cmd_stability_map(cfg: dict, out_dir) -> int:
     experiments.write_outputs(out_dir, {"resolved.cfg": _echo(cfg)})
     n_pts = result.abscissa.size
     n_bad = int(np.sum(np.isnan(result.abscissa)))
-    n_unst = int(np.sum(result.abscissa > 1e-8))
+    n_unst = int(np.sum(result.abscissa > bloch.UNSTABLE_ABSCISSA))
     print(f"{n_pts} points: {n_unst} unstable, "
           f"{n_pts - n_bad - n_unst} stable, {n_bad} outside the family")
     if result.b_star is not None:

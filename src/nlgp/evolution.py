@@ -7,11 +7,10 @@ cubic equation is the kernel at eps = 0: the unit-mass kernel's multiplier is
 then exactly 1, and any constant multiplier is applied pointwise, without the
 convolution's FFT pair.
 
-The flow is always stepped in integrating-factor form: the stiff Laplacian
-symbol is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
-stepper (adaptive RK45 or fixed RK4) integrates only the filtered nonlinear
-and potential terms.  Each run is one pass over the record grid: the adaptive
-stepper is a single call of the Dormand-Prince 5(4) solver below, whose
+The flow is stepped in integrating-factor form: the stiff Laplacian symbol
+is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
+adaptive Dormand-Prince 5(4) solver below integrates only the filtered
+nonlinear and potential terms.  Each run is one call of that solver, whose
 snapshots are its dense output at the record times, with steps capped at
 record_every.
 """
@@ -47,36 +46,14 @@ class NonFiniteError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AdaptiveRK45:
-    """Dormand-Prince embedded RK 4(5), the ode45 family."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-10
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
-
-
-@dataclass(frozen=True)
-class FixedRK4:
-    """Fixed-step RK4 on the integrating-factor form, for reproducibility studies."""
-
-    dt: float
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
-@dataclass(frozen=True)
 class EvolutionConfig:
     grid: PeriodicGrid
     kernel: kernels.ScaledKernel  # eps = 0 is the local equation
     potential: SineSquared  # V0 = 0 is no potential
     alpha: int
     time_horizon: float = 30.0
-    stepper: AdaptiveRK45 | FixedRK4 = AdaptiveRK45()
+    rtol: float = 1e-10  # Dormand-Prince 5(4) tolerances
+    atol: float = 1e-10
     record_every: float = 0.25
 
     def __post_init__(self):
@@ -86,6 +63,8 @@ class EvolutionConfig:
             raise ValueError("time_horizon must be positive")
         if not 0 < self.record_every <= self.time_horizon:
             raise ValueError("record_every must lie in (0, time_horizon]")
+        if self.rtol <= 0 or self.atol <= 0:
+            raise ValueError("rtol and atol must be positive")
 
 
 # Dormand-Prince 5(4) as scipy's RK45 writes it: nodes C, stages A, weights
@@ -210,7 +189,7 @@ class _Workspace:
         """exp(i*half_ksq*t) at one time: the symbol is even in j, so entries
         0..N/2 (every |j| once) are exponentiated and gathered by |j|.  The
         last (t, phase) is kept: a Dormand-Prince step evaluates its sixth
-        and FSAL stages at the same t + h (RK4 its two midpoint stages)."""
+        and FSAL stages at the same t + h."""
         if t != self._phase[0]:
             self._phase = t, np.exp(self.i_half_ksq_half * t)[self.fold]
         return self._phase[1]
@@ -266,27 +245,6 @@ def _record_times(cfg: EvolutionConfig) -> np.ndarray:
     return t
 
 
-def _rk4_pass(f, rec, u, dt):
-    """Fixed-step RK4 across the record grid: the state at each record time
-    reached, stopping after the first non-finite one."""
-    reached = [u]
-    for t0, t1 in zip(rec[:-1], rec[1:]):
-        nsteps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-        h = (t1 - t0) / nsteps
-        t = t0
-        for _ in range(nsteps):
-            k1 = f(t, u)
-            k2 = f(t + h / 2, u + h / 2 * k1)
-            k3 = f(t + h / 2, u + h / 2 * k2)
-            k4 = f(t + h, u + h * k3)
-            u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        reached.append(u)
-        if not np.all(np.isfinite(u)):
-            break
-    return reached
-
-
 def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     """Integrate to cfg.time_horizon in one pass, recording snapshots every
     record_every.
@@ -314,16 +272,11 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     u0 = _fft(psi0.samples.astype(complex))
     # overflow is reported below as NonFiniteError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(cfg.stepper, FixedRK4):
-            reached, message = np.array(_rk4_pass(f, rec, u0, cfg.stepper.dt)), ""
-        else:
-            sol = solve_ivp(f, (rec[0], rec[-1]), u0, rtol=cfg.stepper.rtol,
-                            atol=cfg.stepper.atol, t_eval=rec,
-                            max_step=cfg.record_every)
-            # t = 0 is u0 itself: a solver that fails before its first
-            # record returns no columns in sol.y
-            reached = np.array([u0, *np.transpose(sol.y)[1:]])
-            message = sol.message
+        sol = solve_ivp(f, (rec[0], rec[-1]), u0, rtol=cfg.rtol, atol=cfg.atol,
+                        t_eval=rec, max_step=cfg.record_every)
+    # t = 0 is u0 itself: a solver that fails before its first record
+    # returns no columns in sol.y
+    reached = np.array([u0, *np.transpose(sol.y)[1:]])
 
     # n records, the finite prefix of those reached, make the trajectory
     finite = np.all(np.isfinite(reached), axis=1)
@@ -338,7 +291,7 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
             raise NonFiniteError(f"non-finite state at t = {last[0]:.6g} "
                                  "(blow-up)", trajectory=traj)
         raise StepSizeUnderflowError(
-            f"stepper stalled after t = {rec[n - 1]:.6g}: {message}",
+            f"stepper stalled after t = {rec[n - 1]:.6g}: {sol.message}",
             trajectory=traj)
     return traj
 

@@ -113,12 +113,11 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
         local_kernel = kernels.ScaledKernel(kernels.KernelSpec.gaussian_normalized(), 0.0)
         state = waves.build_solution(B, V0, k, alpha, local_kernel, grid)
         psi0 = state.field
-        stepper = evolution.AdaptiveRK45(rtol=rtol, atol=atol)
 
         def config_for(kern):
             return evolution.EvolutionConfig(
                 grid=grid, kernel=kern, potential=waves.SineSquared(V0, k),
-                alpha=alpha, time_horizon=horizon, stepper=stepper,
+                alpha=alpha, time_horizon=horizon, rtol=rtol, atol=atol,
                 record_every=record_every)
 
         ref_config = config_for(local_kernel)
@@ -227,14 +226,14 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
                                               mode_cutoff=mode_cutoff))
         cfg = evolution.EvolutionConfig(
             grid=grid, kernel=kern, potential=waves.SineSquared(reg["V0"], k),
-            alpha=alpha, time_horizon=horizon,
-            stepper=evolution.AdaptiveRK45(rtol=rtol, atol=atol),
+            alpha=alpha, time_horizon=horizon, rtol=rtol, atol=atol,
             record_every=record_every)
-    traj = evolution.evolve(psi0, cfg)
-    deviations = traj.deviation_from(state.field)
-
+    # the spectra first: they check n_periods and truncation before the
+    # evolution's cost is spent
     reports = bloch.full_period_spectrum(n_periods, state.params, truncation)
     abscissa = max(rep.max_real_part for rep in reports)
+    traj = evolution.evolve(psi0, cfg)
+    deviations = traj.deviation_from(state.field)
     sigma = fit_growth_rate(traj.times, deviations, reg["nu"],
                             state.field.linf_norm())
     warnings = []

@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from nlgp import (
-    AdaptiveRK45,
     EvolutionConfig,
     KernelSpec,
     PeriodicGrid,
@@ -124,7 +123,7 @@ def test_criterion_03_conservation_in_regime_1b(capsys):
     traj = evolve(psi0, EvolutionConfig(
         grid=grid, kernel=kern, potential=SineSquared(p["V0"], 1.0), alpha=1,
         time_horizon=10.0, record_every=0.5,
-        stepper=AdaptiveRK45(rtol=1e-10, atol=1e-10)))
+        rtol=1e-10, atol=1e-10))
     mass = traj.mass_drift()
     energy = traj.energy_drift()
     dt = time.perf_counter() - t0

@@ -90,6 +90,8 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     for command, line in (("simulate", "not.a.key = 1"),
                           ("simulate", "evolution.filter_mode = off"),
                           ("simulate", "evolution.integrating_factor = true"),
+                          ("simulate", "evolution.stepper = adaptive"),
+                          ("simulate", "evolution.dt = 0.001"),
                           ("spectrum", "run.seed = 7"),
                           ("aes-sweep", "run.seed = 7"),
                           ("stability-map", "run.seed = 7")):
@@ -117,8 +119,7 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     ("aes-sweep", "aes.epsilons = a,b",
      "aes.epsilons must be a comma-separated list of numbers, got 'a,b'"),
     ("stability-map", "map.B_values = ,", "map.B_values must list at least one value"),
-    ("simulate", "evolution.stepper = rk2",
-     "evolution.stepper must be 'adaptive' or 'fixed', got 'rk2'"),
+    ("simulate", "evolution.atol = 0", "rtol and atol must be positive"),
     ("validate-kernel", "validate.which = X",
      "validate.which must be 'H', 'Hprime' or 'both', got 'X'"),
 ])
@@ -280,24 +281,6 @@ def test_simulate_writes_artifacts_and_echo(tmp_path):
                  "aes.csv")
 
 
-def test_simulate_blow_up_is_exit_3_with_partial(tmp_path, capsys):
-    # fixed dt = 2 lies outside IF-RK4's stability region for the nonlinear term
-    cfg = _write(tmp_path, "blow.cfg",
-                 "grid.num_modes = 128\nevolution.horizon = 20.0\n"
-                 "evolution.stepper = fixed\nevolution.dt = 2.0\n"
-                 "evolution.record_every = 2.0\n")
-    out = tmp_path / "blow"
-    with warnings.catch_warnings():
-        # numpy's overflow warnings stay out of the one-line report
-        warnings.simplefilter("error")
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
-    assert (out / "trajectory.partial.csv").exists()
-    assert (out / "summary.partial.csv").exists()
-    assert (out / "resolved.cfg").exists()
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("blow-up: non-finite state")
-
-
 def _stalls_before_first_record(fun, t_span, y0, **kwargs):
     # what scipy returns when the solver fails before reaching any t_eval point
     return SimpleNamespace(success=False, t=[], y=[],
@@ -332,6 +315,7 @@ def test_simulate_real_stall_is_exit_3_with_partial(tmp_path, capsys):
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert (out / "trajectory.partial.csv").exists()
     assert (out / "summary.partial.csv").exists()
+    assert (out / "resolved.cfg").exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("blow-up: non-finite state")
 
@@ -346,6 +330,54 @@ def test_figures_stall_is_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("blow-up: ")
     assert "stalled" in err[0]
+
+
+@pytest.mark.parametrize("line, setting", [("figures.n_periods = 0", "n_periods"),
+                                           ("figures.truncation = 4", "truncation")])
+def test_figures_checks_the_spectrum_settings_before_it_evolves(
+        tmp_path, capsys, monkeypatch, line, setting):
+    def must_not_evolve(*args, **kwargs):
+        raise AssertionError("evolved before the settings were checked")
+
+    monkeypatch.setattr(evolution, "solve_ivp", must_not_evolve)
+    cfg = _write(tmp_path, "fig.cfg", f"figures.regime = 1b\n{line}\n")
+    assert cli.main(["figures", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and setting in err
+
+
+# one small run per subcommand, through each handler's whole code path
+_SMALL_RUNS = {
+    "simulate": "grid.num_modes = 32\nevolution.horizon = 0.5\n"
+                "perturbation.nu = 0.01\nperturbation.mode_cutoff = 8\n",
+    "spectrum": "spectrum.truncation = 8\nspectrum.n_periods = 2\n",
+    "aes-sweep": "aes.horizon = 0.4\naes.num_modes = 32\naes.epsilons = 0.1,0.05\n",
+    "figures": "figures.regime = 1b\nfigures.num_modes = 32\nfigures.horizon = 0.5\n"
+               "figures.truncation = 8\nfigures.n_periods = 1\n"
+               "figures.record_every = 0.5\nfigures.mode_cutoff = 8\n",
+    "validate-kernel": "",
+    "stability-map": "map.truncation = 8\nmap.B_values = 1\nmap.V0_values = -1\n",
+}
+
+
+class _ReadRecorder(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_config_key_is_read(tmp_path, capsys, command):
+    # a key in a schema that no handler reads is a setting that does nothing
+    cfg = _write(tmp_path, "small.cfg", _SMALL_RUNS[command])
+    recorder = _ReadRecorder(cli.resolve_config(command, cfg, {}))
+    handler = cli._COMMANDS[command][0]
+    assert handler(recorder, None) in (0, 1)
+    assert sorted(set(cli.SCHEMAS[command]) - recorder.read) == []
 
 
 @pytest.mark.parametrize("command, text", [

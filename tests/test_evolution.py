@@ -7,9 +7,7 @@ import pytest
 
 from nlgp import evolution
 from nlgp.evolution import (
-    AdaptiveRK45,
     EvolutionConfig,
-    FixedRK4,
     NonFiniteError,
     PerturbationSpec,
     StepSizeUnderflowError,
@@ -45,7 +43,7 @@ def test_local_plane_wave_phase_rotation():
     psi0 = WaveField(grid, a * np.exp(1j * j * grid.points))
     cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=1.0, record_every=0.5,
-                          stepper=AdaptiveRK45(rtol=1e-11, atol=1e-11))
+                          rtol=1e-11, atol=1e-11)
     traj = evolve(psi0, cfg)
     freq = j**2 / 2.0 + a**2
     for t, samples in zip(traj.times, traj.samples):
@@ -61,7 +59,7 @@ def test_nonlocal_plane_wave_sees_kernel_mass():
     psi0 = WaveField(grid, a * np.exp(1j * j * grid.points))
     cfg = EvolutionConfig(grid=grid, kernel=kern, potential=NO_POTENTIAL,
                           alpha=1, time_horizon=1.0, record_every=1.0,
-                          stepper=AdaptiveRK45(rtol=1e-11, atol=1e-11))
+                          rtol=1e-11, atol=1e-11)
     traj = evolve(psi0, cfg)
     freq = j**2 / 2.0 + a**2 * np.sqrt(np.pi)
     expect = psi0.samples * np.exp(-1j * freq * 1.0)
@@ -118,25 +116,12 @@ def test_time_reversal_round_trip():
                                                      mode_cutoff=10))
     cfg = EvolutionConfig(grid=grid, kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=2.0, record_every=2.0,
-                          stepper=AdaptiveRK45(rtol=1e-12, atol=1e-12))
+                          rtol=1e-12, atol=1e-12)
     fwd = evolve(psi0, cfg)
     flipped = WaveField(grid, np.conj(fwd.samples[-1]))
     back = evolve(flipped, cfg)
     recovered = np.conj(back.samples[-1])
     assert np.max(np.abs(recovered - psi0.samples)) < 1e-9
-
-
-def test_fixed_step_matches_adaptive():
-    grid = PeriodicGrid(2 * np.pi, 32)
-    state = _state(grid)
-    common = dict(grid=grid, kernel=_local(), potential=SineSquared(-1.0, 1.0),
-                  alpha=1, time_horizon=1.0, record_every=0.25)
-    ref = evolve(state.field, EvolutionConfig(
-        stepper=AdaptiveRK45(rtol=1e-12, atol=1e-12), **common))
-    fixed = evolve(state.field, EvolutionConfig(stepper=FixedRK4(dt=1e-3),
-                                                **common))
-    gap = np.max(np.abs(ref.samples[-1] - fixed.samples[-1]))
-    assert gap < 1e-8
 
 
 def test_record_times_cover_horizon():
@@ -188,24 +173,6 @@ def test_perturbation_validation():
         random_band_limited(grid, seed=1, mode_cutoff=16)  # cutoff = N/2
 
 
-def test_blow_up_raises_with_partial_trajectory():
-    # dt = 2 lies outside IF-RK4's stability region for the nonlinear term
-    grid = PeriodicGrid(2 * np.pi, 128)
-    state = _state(grid)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(),
-                          potential=SineSquared(-1.0, 1.0), alpha=1,
-                          time_horizon=20.0, record_every=2.0,
-                          stepper=FixedRK4(dt=2.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the overflow is reported once, below
-        with pytest.raises(NonFiniteError) as info:
-            evolve(state.field, cfg)
-    partial = info.value.trajectory
-    assert isinstance(partial, Trajectory)
-    assert len(partial.times) >= 1
-    assert np.all(np.isfinite(partial.samples))
-
-
 def test_adaptive_blow_up_is_not_reported_as_a_stall():
     # at tolerances of 1e3 the state overflows between records; the solver
     # then gives up with a step-size message, but the last right-hand side
@@ -216,7 +183,7 @@ def test_adaptive_blow_up_is_not_reported_as_a_stall():
                                                      mode_cutoff=8))
     cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=5.0, record_every=0.25,
-                          stepper=AdaptiveRK45(rtol=1e3, atol=1e3))
+                          rtol=1e3, atol=1e3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="non-finite") as info:
@@ -248,6 +215,37 @@ def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):
     assert len(partial.samples) == len(partial.mass) == 3
 
 
+def test_non_finite_record_raises_with_finite_prefix(monkeypatch):
+    # the solver's third record holds a NaN: a blow-up at that record's
+    # time, carrying the two finite records before it
+    def nan_at_third(fun, t_span, y0, *, t_eval, **kwargs):
+        y = np.tile(np.asarray(y0)[:, None], 3)
+        y[0, 2] = np.nan
+        return SimpleNamespace(success=False, t=t_eval[:3], y=y,
+                               message="Required step size is less than "
+                                       "spacing between numbers.")
+
+    monkeypatch.setattr(evolution, "solve_ivp", nan_at_third)
+    grid = PeriodicGrid(2 * np.pi, 32)
+    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+                          potential=SineSquared(-1.0, 1.0), alpha=1,
+                          time_horizon=1.0, record_every=0.25)
+    with pytest.raises(NonFiniteError, match="non-finite state at t = 0.5 ") as info:
+        evolve(_state(grid).field, cfg)
+    partial = info.value.trajectory
+    assert np.array_equal(partial.times, [0.0, 0.25])
+    assert len(partial.samples) == len(partial.mass) == 2
+    assert np.all(np.isfinite(partial.samples))
+
+
+def test_tolerances_must_be_positive():
+    grid = PeriodicGrid(2 * np.pi, 32)
+    common = dict(grid=grid, kernel=_local(), potential=NO_POTENTIAL, alpha=1)
+    for tols in (dict(rtol=0.0), dict(atol=0.0), dict(rtol=-1e-10)):
+        with pytest.raises(ValueError, match="rtol and atol must be positive"):
+            EvolutionConfig(**common, **tols)
+
+
 def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
     real = evolution.solve_ivp
     calls = []
@@ -261,7 +259,7 @@ def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
     cfg = EvolutionConfig(grid=grid, kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.25,
-                          stepper=AdaptiveRK45(rtol=1e-8, atol=1e-8))
+                          rtol=1e-8, atol=1e-8)
     traj = evolve(_state(grid).field, cfg)
     assert len(calls) == 1
     t_span, kwargs = calls[0]
@@ -379,7 +377,7 @@ def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, tol, rejects):
     cfg = EvolutionConfig(grid=grid, kernel=kern,
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.5,
-                          stepper=AdaptiveRK45(rtol=tol, atol=tol))
+                          rtol=tol, atol=tol)
     fun, y0, t_span, kwargs = _flow(monkeypatch, cfg, psi0)
     times = []
 
@@ -458,7 +456,7 @@ def _regime_1a_to_t2():
     cfg = EvolutionConfig(grid=grid, kernel=kern,
                           potential=SineSquared(reg["V0"], 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.25,
-                          stepper=AdaptiveRK45(rtol=1e-10, atol=1e-10))
+                          rtol=1e-10, atol=1e-10)
     return psi0, cfg
 
 
