@@ -17,7 +17,6 @@ from .kernels import (
     kernel_from_name,
     multiplier,
     validate_hypotheses,
-    x_weighted_l1,
 )
 from .waves import (
     BetaZeroError,
@@ -96,5 +95,5 @@ __all__ = [
     "random_band_limited", "run_aes_sweep", "run_figure_regime",
     "solution_params", "spectrum", "stability_map", "stationary_residual",
     "validate_hypotheses", "write_eigen_csv", "write_summary_csv",
-    "write_trajectory_csv", "x_weighted_l1",
+    "write_trajectory_csv",
 ]

@@ -483,10 +483,18 @@ def b_star(k: float, kernel: ScaledKernel, samples: int = 10001) -> float:
     """Offset threshold B* above which (V0 = 0) no negative-Krein modes remain.
 
     B* = max(3k^2/(4 r~_2), 3k^2/(4 r~_-1), k^2/r~_0, k^2/r~_1) with
-    r~_n = min over mu in [0,1] of zeta_hat(k*eps*(n-mu)), by dense sampling.
-    zeta_hat is even, so r~_-1 = r~_2 and r~_1 = r~_0: two bands are sampled.
+    r~_n = min over mu in [0,1] of zeta_hat(k*eps*(n-mu)).  zeta_hat is even,
+    so r~_-1 = r~_2 and r~_1 = r~_0: two bands, n - mu in [1, 2] and [-1, 0].
+    When zeta_hat is non-increasing in |s| (``kernel.base.decreasing``, as for
+    every built-in family) each minimum sits at the band end farthest from 0,
+    so B* = max(3k^2/(4 beta), k^2/zeta_hat(k*eps)) with beta = zeta_hat(2k*eps),
+    from two evaluations.  Other kernels (tables) are sampled at ``samples``
+    values of mu per band.
     """
-    modes = np.array([[2.0], [0.0]]) - np.linspace(0.0, 1.0, samples)  # n - mu
+    if kernel.base.decreasing:
+        modes = np.array([[2.0], [-1.0]])  # the far band ends
+    else:
+        modes = np.array([[2.0], [0.0]]) - np.linspace(0.0, 1.0, samples)  # n - mu
     r_min = np.min(kernel.base.zeta_hat(k * kernel.epsilon * modes), axis=1).tolist()
     for n, r in zip((2, 0), r_min):
         if r <= 0.0:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bloch, evolution, experiments, kernels, waves
 from .experiments import ConfigError, from_settings
-from .spectral import PeriodicGrid
+from .spectral import PeriodicGrid, filter_multipliers
 
 
 def parse_flat_config(text: str) -> dict:
@@ -174,6 +174,16 @@ def _echo(cfg: dict):
     return lambda path: path.write_text(format_flat_config(cfg))
 
 
+def _warn_damped_perturbation(num_modes: int, mode_cutoff: int, nu: float):
+    """One stderr line when the perturbation reaches modes the filter damps."""
+    if nu > 0 and mode_cutoff > num_modes // 8:
+        grid = PeriodicGrid(1.0, num_modes)
+        factor = filter_multipliers(grid)[grid.modes == mode_cutoff][0]
+        print(f"warning: perturbation modes reach {mode_cutoff} > N/8 = {num_modes // 8}; "
+              f"the evolution's filter multiplies mode {mode_cutoff} by {factor:.4g}",
+              file=sys.stderr)
+
+
 def _parse_float_list(text: str, key: str):
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -232,6 +242,8 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     print(f"final orbit deviation {dev[-1]:.6g} (max {np.max(dev):.6g})")
     print(f"relative mass drift {traj.mass_drift():.3g}, "
           f"energy drift {traj.energy_drift():.3g}")
+    _warn_damped_perturbation(cfg["grid.num_modes"], cfg["perturbation.mode_cutoff"],
+                              cfg["perturbation.nu"])
     return 0
 
 
@@ -301,6 +313,8 @@ def cmd_figures(cfg: dict, out_dir) -> int:
         print(f"fitted growth rate {result.growth_rate:.6g}")
     else:
         print("no resolvable exponential growth window")
+    _warn_damped_perturbation(cfg["figures.num_modes"], cfg["figures.mode_cutoff"],
+                              experiments.FIGURE_REGIMES[regime]["nu"])
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0

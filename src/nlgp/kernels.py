@@ -31,12 +31,15 @@ class KernelSpec:
     """Kernel profile with its transform.
 
     ``zeta_hat`` is a vectorised closed form (or, for tabulated kernels, an
-    interpolant): it takes scalars or arrays of s.
+    interpolant): it takes scalars or arrays of s.  ``decreasing`` states that
+    zeta_hat is non-increasing in |s|, so its minimum over an interval of s
+    sits at the end farthest from 0; only the built-in families set it.
     """
 
     family: str
     zeta: callable
     zeta_hat: callable
+    decreasing: bool = False
 
     @classmethod
     def gaussian_normalized(cls) -> "KernelSpec":
@@ -45,6 +48,7 @@ class KernelSpec:
             family="gaussian-normalized",
             zeta=lambda x: np.exp(-np.asarray(x, float) ** 2) / np.sqrt(np.pi),
             zeta_hat=lambda s: np.exp(-np.asarray(s, float) ** 2 / 4.0),
+            decreasing=True,  # exp(-s^2/4) decreases in |s|
         )
 
     @classmethod
@@ -54,6 +58,7 @@ class KernelSpec:
             family="gaussian-raw",
             zeta=lambda x: np.exp(-np.asarray(x, float) ** 2),
             zeta_hat=lambda s: np.sqrt(np.pi) * np.exp(-np.asarray(s, float) ** 2 / 4.0),
+            decreasing=True,  # as exp(-s^2/4)
         )
 
     @classmethod
@@ -64,8 +69,10 @@ class KernelSpec:
         bound).  The transform is Basset's integral (DLMF 10.32.11): with
         nu = (p-1)/2,
         zeta_hat(s) = 2^(1-nu)/Gamma(nu) * |s|^nu * K_nu(|s|), which tends
-        to 1 as s -> 0.  ``_power_kv`` gives |s|^nu K_nu(|s|) by Temme's
-        series (1975) and a trapezoid rule (Trefethen & Weideman 2014).
+        to 1 as s -> 0.  It decreases in |s|: d/ds[s^nu K_nu(s)] =
+        -s^nu K_(nu-1)(s) < 0 (DLMF 10.29.4).  ``_power_kv`` gives
+        |s|^nu K_nu(|s|) by Temme's series (1975) and a trapezoid rule
+        (Trefethen & Weideman 2014).
         """
         if not 1 < p <= 80:
             # the transform is checked against quadrature up to p = 80
@@ -85,7 +92,8 @@ class KernelSpec:
                 out[nonzero] = c_hat * power_kv(np.minimum(a[nonzero], 750.0))
             return out[()]
 
-        return cls(family=f"algebraic:{p:g}", zeta=zeta, zeta_hat=zeta_hat)
+        return cls(family=f"algebraic:{p:g}", zeta=zeta, zeta_hat=zeta_hat,
+                   decreasing=True)
 
     @classmethod
     def from_table(cls, path) -> "KernelSpec":
@@ -256,12 +264,6 @@ def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on first call: importing nlgp skips it."""
     from scipy.integrate import quad
     return quad(*args, **kwargs)
-
-
-def x_weighted_l1(base: KernelSpec) -> float:
-    """||x zeta(x)||_L1 by quadrature (the Lipschitz constant of the multiplier)."""
-    val, _ = quad(lambda x: x * base.zeta(x), 0, np.inf, epsabs=1e-12, limit=200)
-    return 2.0 * val
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,6 @@ class WaveField:
         return f
 
     @classmethod
-    def zero(cls, grid: PeriodicGrid) -> "WaveField":
-        return cls(grid, np.zeros(grid.num_modes, dtype=complex))
-
-    @classmethod
     def basis_mode(cls, grid: PeriodicGrid, j: int) -> "WaveField":
         """The orthonormal basis field e_j."""
         x = grid.points

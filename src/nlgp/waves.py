@@ -126,11 +126,6 @@ class StationaryState:
         p = self.params
         return p.B + p.A * np.sin(p.k * self.grid.points) ** 2
 
-    def l2_norm_closed_form(self) -> float:
-        """||phi||_2 = sqrt(T*(B + A/2)) from integrating the intensity."""
-        p = self.params
-        return float(np.sqrt(self.grid.period * (p.B + p.A / 2.0)))
-
     def phase(self) -> np.ndarray:
         return np.angle(self.field.samples)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,6 +346,42 @@ def test_b_star_rejects_sign_changing_transform(tmp_path):
         b_star(1.0, kern)
 
 
+def _b_star_or_message(k, kern):
+    try:
+        return b_star(k, kern)
+    except NonpositiveMultiplierError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["gaussian-normalized", "gaussian-raw", "algebraic"]),
+       p=st.floats(1.0, 80.0, exclude_min=True), eps=st.floats(0.0, 60.0),
+       k=st.floats(0.0, 4.0, exclude_min=True))
+@example(family="gaussian-normalized", p=3.0, eps=60.0, k=4.0)  # zeta_hat(2k eps) is 0
+@example(family="algebraic", p=3.0, eps=60.0, k=4.0)
+@example(family="algebraic", p=67.87039321878123, eps=4.977611511851837e-06,
+         k=0.043762058893578516)  # the largest rounding gap seen, 17 ulps
+def test_band_end_b_star_is_the_sampled_b_star(family, p, eps, k):
+    # the built-in kernels' B* comes from the far band ends; the same kernel
+    # with decreasing=False takes the 2 x 10,001-point sampled path
+    base = (KernelSpec.algebraic_decay(p) if family == "algebraic"
+            else getattr(KernelSpec, family.replace("-", "_"))())
+    assert base.decreasing
+    new, old = (_b_star_or_message(k, ScaledKernel(b, eps))
+                for b in (base, replace(base, decreasing=False)))
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old  # both refuse, with the same message
+        return
+    assert new <= old  # each band end is one of the samples
+    if family != "algebraic" or k * eps >= 1e-4:
+        assert new == old
+    else:
+        # below k eps ~ 3e-5 zeta_hat moves between neighbouring samples by
+        # less than _power_kv's rounding near 1, so the sampled minimum is a
+        # rounding low of the band, seen up to 17 ulps (1.9e-15) under its end
+        assert old - new <= 4e-15 * old
+
+
 def test_above_b_star_all_signatures_positive():
     p = _params(B=2.0)  # B* = 1 here
     for mu in (0.2, 0.5, 0.8):
@@ -457,6 +494,9 @@ def test_sweep_and_b_star_sample_zeta_hat_once():
     calls.clear()
     b_star(1.0, p.kernel, samples=101)
     assert calls == [(2, 101)]
+    calls.clear()  # a decreasing transform: the two far band ends
+    b_star(1.0, ScaledKernel(replace(counting, decreasing=True), 0.5), samples=101)
+    assert calls == [(2, 1)]
 
 
 _BAND_BASES = {"gaussian-normalized": KernelSpec.gaussian_normalized(),

@@ -415,6 +415,24 @@ def test_spectrum_csv_bytes_match_the_one_operator_path(tmp_path):
     assert (out / "spectrum.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_spectrum_algebraic_evaluates_the_bessel_function_at_389_points(tmp_path,
+                                                                       monkeypatch):
+    # the spectrum-algebraic benchmark's settings: beta takes 1 point, the
+    # sweep's bands 3 x 129 less s = 0, and B* 2, the far band ends (sampling
+    # both bands took 20,001, all but s = 0 of 2 x 10,001)
+    points, power_kv_of = [], kernels._power_kv
+
+    def counting(nu):
+        power_kv = power_kv_of(nu)
+        return lambda a: points.append(np.size(a)) or power_kv(a)
+
+    monkeypatch.setattr(kernels, "_power_kv", counting)
+    cfg = _write(tmp_path, "s.cfg", "kernel.name = algebraic:3\nkernel.epsilon = 0.5\n"
+                                    "spectrum.n_periods = 4\nspectrum.truncation = 64\n")
+    assert cli.main(["spectrum", "--config", cfg]) == 1
+    assert sum(points) == 1 + 386 + 2
+
+
 def test_unexpected_exception_is_exit_4(capsys, monkeypatch):
     def defect(*args, **kwargs):
         raise RuntimeError("boom")
@@ -484,6 +502,34 @@ def test_figures_command_with_config_regime(tmp_path):
                      "--out", str(out2)]) == 0
     assert json.loads((out2 / "report.json").read_text())["regime"] == "2a"
     assert "figures.regime = 2a" in (out2 / "resolved.cfg").read_text().splitlines()
+
+
+@pytest.mark.parametrize("command, modes_key, cutoff_key, text", [
+    ("simulate", "grid.num_modes", "perturbation.mode_cutoff",
+     "evolution.horizon = 0.25\nevolution.record_every = 0.25\nperturbation.nu = 0.01\n"),
+    ("figures", "figures.num_modes", "figures.mode_cutoff",
+     "figures.regime = 1b\nfigures.horizon = 0.25\nfigures.record_every = 0.25\n"
+     "figures.truncation = 8\nfigures.n_periods = 1\n"),
+])
+def test_perturbation_modes_the_filter_damps_warn_once(tmp_path, capsys, command,
+                                                       modes_key, cutoff_key, text):
+    text += "evolution.rtol = 1e-8\nevolution.atol = 1e-8\n"
+    # the defaults, N = 128 and mode_cutoff = 16 = N/8: silent
+    assert cli.main([command, "--config", _write(tmp_path, "a.cfg", text)]) == 0
+    assert capsys.readouterr().err == ""
+    # N = 64 puts mode 16 at N/4, where the filter's factor is 0.87
+    cfg = _write(tmp_path, "b.cfg", text + f"{modes_key} = 64\n{cutoff_key} = 16\n")
+    assert cli.main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: perturbation modes reach 16 > N/8 = 8; "
+        "the evolution's filter multiplies mode 16 by 0.8687"]
+
+
+def test_unperturbed_simulate_does_not_warn(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.cfg", "grid.num_modes = 32\nevolution.horizon = 0.25\n"
+                                    "evolution.record_every = 0.25\n")
+    assert cli.main(["simulate", "--config", cfg]) == 0  # mode_cutoff 16 > 32/8
+    assert capsys.readouterr().err == ""
 
 
 def test_figures_requires_some_regime(capsys):

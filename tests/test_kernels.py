@@ -17,10 +17,14 @@ from nlgp.kernels import (
     kernel_from_name,
     multiplier,
     validate_hypotheses,
-    x_weighted_l1,
     _power_kv,
 )
 from nlgp.spectral import PeriodicGrid, WaveField
+
+
+def _x_weighted_l1(base):
+    """||x zeta(x)||_L1 by quadrature (the Lipschitz constant of the multiplier)."""
+    return 2.0 * quad(lambda x: x * base.zeta(x), 0, np.inf, epsabs=1e-12, limit=200)[0]
 
 
 def test_gaussian_normalized_closed_forms():
@@ -28,14 +32,14 @@ def test_gaussian_normalized_closed_forms():
     assert abs(base.zeta(0.0) - 1.0 / np.sqrt(np.pi)) < 1e-14
     assert abs(base.zeta_hat(0.0) - 1.0) < 1e-14
     assert abs(base.zeta_hat(2.0) - np.exp(-1.0)) < 1e-14
-    assert abs(x_weighted_l1(base) - 1.0 / np.sqrt(np.pi)) < 1e-6
+    assert abs(_x_weighted_l1(base) - 1.0 / np.sqrt(np.pi)) < 1e-6
 
 
 def test_gaussian_raw_closed_forms():
     base = KernelSpec.gaussian_raw()
     assert abs(base.zeta(0.0) - 1.0) < 1e-14
     assert abs(base.zeta_hat(0.0) - np.sqrt(np.pi)) < 1e-14
-    assert abs(x_weighted_l1(base) - 1.0) < 1e-6
+    assert abs(_x_weighted_l1(base) - 1.0) < 1e-6
 
 
 def test_algebraic_decay_transform_values():
@@ -233,6 +237,19 @@ def test_multiplier_decays_monotonically_in_epsilon():
     assert kern_vals[-1] < 1e-300
 
 
+def test_only_the_built_in_families_declare_a_decreasing_transform(tmp_path):
+    # b_star takes the band minima of a decreasing transform at the band ends
+    s = np.geomspace(1e-3, 700.0, 400)
+    for base in (KernelSpec.gaussian_normalized(), KernelSpec.gaussian_raw(),
+                 *(KernelSpec.algebraic_decay(p) for p in (1.5, 3.0, 80.0))):
+        assert base.decreasing, base.family
+        vals = base.zeta_hat(s)
+        assert np.all(np.diff(vals) <= 0.0), base.family
+    table = KernelSpec.from_table(_write_table(tmp_path, [(0.0, 1.0), (1.0, 0.5)]))
+    hand_built = KernelSpec("hand", table.zeta, table.zeta_hat)
+    assert not table.decreasing and not hand_built.decreasing
+
+
 def test_beta_is_multiplier_at_twice_wavenumber():
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.25)
     k = 1.5
@@ -243,7 +260,7 @@ def test_multiplier_lipschitz_in_epsilon():
     # |zeta_hat(eps1 s) - zeta_hat(eps2 s)| <= |eps1 - eps2| |s| ||x zeta||_1
     rng = np.random.default_rng(23)
     base = KernelSpec.gaussian_normalized()
-    bound_const = x_weighted_l1(base)
+    bound_const = _x_weighted_l1(base)
     for _ in range(50):
         e1, e2 = rng.uniform(0.0, 3.0, 2)
         s = float(rng.uniform(-10, 10))

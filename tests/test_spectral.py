@@ -93,7 +93,7 @@ def test_hs_norm_on_single_mode_is_bracket_weight():
 
 def test_hs_norm_rejects_negative_order():
     grid = PeriodicGrid(1.0, 8)
-    f = WaveField.zero(grid)
+    f = WaveField(grid, np.zeros(grid.num_modes, dtype=complex))
     with pytest.raises(ValueError):
         f.hs_norm(-1.0)
 

@@ -41,7 +41,9 @@ def test_intensity_and_l2_norm_closed_forms():
     state = build_solution(0.7, -0.4, 1.0, 1, _local_kernel(), grid)
     measured = np.abs(state.field.samples) ** 2
     assert np.max(np.abs(measured - state.intensity())) < 1e-13
-    assert state.field.l2_norm() == pytest.approx(state.l2_norm_closed_form(),
+    # ||phi||_2 = sqrt(T (B + A/2)) from integrating the intensity
+    p = state.params
+    assert state.field.l2_norm() == pytest.approx(np.sqrt(grid.period * (p.B + p.A / 2.0)),
                                                   rel=1e-12)
 
 
