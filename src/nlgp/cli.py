@@ -2,14 +2,14 @@
 
 Subcommands: simulate, spectrum, aes-sweep, figures, validate-kernel,
 stability-map.  Each reads an optional flat config file, applies flag
-overrides, and, once it has computed, writes its outputs and an echo of the
-fully resolved config (``resolved.cfg``) in one go; a simulate run that blows
-up writes the echo next to its partial outputs.  It exits with:
+overrides, and, once it has computed, writes its outputs; ``main`` then
+writes an echo of the fully resolved config (``resolved.cfg``) for every run
+that computed, that is on exits 0, 1 and 3.  It exits with:
 
     0  success
     1  scientific check failed (kernel hypothesis violated, unstable verdict,
        non-decreasing convergence table)
-    2  configuration error
+    2  configuration error, non-finite numbers and negative grid.period too
     3  runtime blow-up or stepper stall, from any command (simulate keeps
        its partial outputs)
     4  internal error (any other exception, reported on one line)
@@ -58,93 +58,94 @@ def format_flat_config(mapping: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def coerce(value: str, kind: str):
-    """Coerce a raw string per schema kind: int, float or str."""
+def coerce(value: str, kind: type, key: str):
+    """Convert the raw string of ``key`` to ``kind``, a finite one if float."""
     try:
-        return {"int": int, "float": float}.get(kind, str)(value)
+        out = kind(value)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{key}: {exc}") from None
+    if kind is float and not np.isfinite(out):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return out
 
 
-# Per-subcommand schema: key -> (type-name, default).
+# Per-subcommand schema: key -> default, whose type is the key's type.
 _SOLUTION_KEYS = {
-    "solution.B": ("float", 1.0),
-    "solution.V0": ("float", -1.0),
-    "solution.k": ("float", 1.0),
-    "solution.alpha": ("int", 1),
-    "kernel.name": ("str", "gaussian-normalized"),
-    "kernel.epsilon": ("float", 0.0),
+    "solution.B": 1.0,
+    "solution.V0": -1.0,
+    "solution.k": 1.0,
+    "solution.alpha": 1,
+    "kernel.name": "gaussian-normalized",
+    "kernel.epsilon": 0.0,
 }
 
 SCHEMAS = {
     "simulate": {
         **_SOLUTION_KEYS,
-        "grid.period": ("float", 0.0),  # 0 means one wave period, 2*pi/k
-        "grid.num_modes": ("int", 128),
-        "evolution.horizon": ("float", 30.0),
-        "evolution.rtol": ("float", 1e-10),
-        "evolution.atol": ("float", 1e-10),
-        "evolution.record_every": ("float", 0.25),
-        "perturbation.nu": ("float", 0.0),
-        "perturbation.mode_cutoff": ("int", 16),
-        "run.seed": ("int", experiments.DEFAULT_SEED),
+        "grid.period": 0.0,  # 0 means one wave period, 2*pi/k
+        "grid.num_modes": 128,
+        "evolution.horizon": 30.0,
+        "evolution.rtol": 1e-10,
+        "evolution.atol": 1e-10,
+        "evolution.record_every": 0.25,
+        "perturbation.nu": 0.0,
+        "perturbation.mode_cutoff": 16,
+        "run.seed": experiments.DEFAULT_SEED,
     },
     "spectrum": {
         **_SOLUTION_KEYS,
-        "spectrum.n_periods": ("int", 4),
-        "spectrum.truncation": ("int", 64),
+        "spectrum.n_periods": 4,
+        "spectrum.truncation": 64,
     },
     "aes-sweep": {
-        "aes.B": ("float", 1.0),
-        "aes.V0": ("float", -1.0),
-        "aes.k": ("float", 1.0),
-        "aes.alpha": ("int", 1),
-        "aes.kernel": ("str", "gaussian-normalized"),
-        "aes.horizon": ("float", 5.0),
-        "aes.num_modes": ("int", 64),
-        "aes.record_every": ("float", 0.2),
-        "aes.epsilons": ("str", "0.1,0.05,0.025,0.0125"),
-        "evolution.rtol": ("float", 1e-10),
-        "evolution.atol": ("float", 1e-10),
+        "aes.B": 1.0,
+        "aes.V0": -1.0,
+        "aes.k": 1.0,
+        "aes.alpha": 1,
+        "aes.kernel": "gaussian-normalized",
+        "aes.horizon": 5.0,
+        "aes.num_modes": 64,
+        "aes.record_every": 0.2,
+        "aes.epsilons": "0.1,0.05,0.025,0.0125",
+        "evolution.rtol": 1e-10,
+        "evolution.atol": 1e-10,
     },
     "figures": {
-        "figures.regime": ("str", ""),
-        "figures.kernel": ("str", "gaussian-raw"),
-        "figures.horizon": ("float", 30.0),
-        "figures.num_modes": ("int", 128),
-        "figures.n_periods": ("int", 4),
-        "figures.truncation": ("int", 64),
-        "figures.record_every": ("float", 0.25),
-        "figures.mode_cutoff": ("int", 16),
-        "evolution.rtol": ("float", 1e-10),
-        "evolution.atol": ("float", 1e-10),
-        "run.seed": ("int", experiments.DEFAULT_SEED),
+        "figures.regime": "",
+        "figures.kernel": "gaussian-raw",
+        "figures.horizon": 30.0,
+        "figures.num_modes": 128,
+        "figures.n_periods": 4,
+        "figures.truncation": 64,
+        "figures.record_every": 0.25,
+        "figures.mode_cutoff": 16,
+        "evolution.rtol": 1e-10,
+        "evolution.atol": 1e-10,
+        "run.seed": experiments.DEFAULT_SEED,
     },
     "validate-kernel": {
-        "kernel.name": ("str", "gaussian-normalized"),
-        "kernel.epsilon": ("float", 1.0),
-        "validate.which": ("str", "H"),
+        "kernel.name": "gaussian-normalized",
+        "kernel.epsilon": 1.0,
+        "validate.which": "H",
     },
     "stability-map": {
-        "map.B_values": ("str", "0.25,0.5,1.0,2.0"),
-        "map.V0_values": ("str", "-2.0,-1.0,-0.5,-0.25"),
-        "map.k": ("float", 1.0),
-        "map.eps": ("float", 0.0),
-        "map.alpha": ("int", 1),
-        "map.kernel": ("str", "gaussian-normalized"),
-        "map.n_periods": ("int", 1),
-        "map.truncation": ("int", 32),
+        "map.B_values": "0.25,0.5,1.0,2.0",
+        "map.V0_values": "-2.0,-1.0,-0.5,-0.25",
+        "map.k": 1.0,
+        "map.eps": 0.0,
+        "map.alpha": 1,
+        "map.kernel": "gaussian-normalized",
+        "map.n_periods": 1,
+        "map.truncation": 32,
     },
 }
 
 # Exceptions that indicate a bad configuration rather than a code defect.  A
-# plain ValueError is a config error only where objects are built from the
-# config (``from_settings``, here and in the runners): elsewhere it is a
-# defect and exits 4.
-_CONFIG_ERRORS = (ConfigError, FileNotFoundError, waves.OffsetTooSmallError,
-                  waves.BetaZeroError, waves.PeriodMismatchError,
+# ValueError (the waves errors included) is one only where objects are built
+# from the config, inside ``from_settings``, which raises it as a ConfigError;
+# elsewhere it is a defect and exits 4.
+_CONFIG_ERRORS = (ConfigError, FileNotFoundError,
                   bloch.InvalidMuError, bloch.TruncationTooSmallError)
-_BLOW_UP_ERRORS = (evolution.NonFiniteError, evolution.StepSizeUnderflowError)
 
 
 def resolve_config(command: str, config_path, overrides: dict) -> dict:
@@ -158,20 +159,15 @@ def resolve_config(command: str, config_path, overrides: dict) -> dict:
             raise ConfigError(f"unknown config keys for {command}: "
                               + ", ".join(unknown))
     out = {}
-    for key, (kind, default) in schema.items():
+    for key, default in schema.items():
         if key in file_values:
-            out[key] = coerce(file_values[key], kind)
+            out[key] = coerce(file_values[key], type(default), key)
         else:
             out[key] = default
     for key, value in overrides.items():
         if value is not None:
             out[key] = value
     return out
-
-
-def _echo(cfg: dict):
-    """Writer of resolved.cfg, the one record of a run's settings."""
-    return lambda path: path.write_text(format_flat_config(cfg))
 
 
 def _warn_damped_perturbation(num_modes: int, mode_cutoff: int, nu: float):
@@ -192,6 +188,8 @@ def _parse_float_list(text: str, key: str):
                           f"got {text!r}")
     if not vals:
         raise ConfigError(f"{key} must list at least one value")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{key} must list finite numbers, got {text!r}")
     return vals
 
 
@@ -206,9 +204,11 @@ def _scaled_kernel(cfg):
 
 
 def cmd_simulate(cfg: dict, out_dir) -> int:
-    k = cfg["solution.k"]
-    period = cfg["grid.period"] if cfg["grid.period"] > 0 else 2.0 * np.pi / k
-    cfg["grid.period"] = period
+    k, period = cfg["solution.k"], cfg["grid.period"]
+    if period < 0:
+        raise ConfigError(f"grid.period must be positive, or 0 for one wave period, "
+                          f"got {period!r}")
+    period = cfg["grid.period"] = period or 2.0 * np.pi / k
     with from_settings():
         grid = PeriodicGrid(period, cfg["grid.num_modes"])
         state = waves.build_solution(cfg["solution.B"], cfg["solution.V0"], k,
@@ -226,14 +226,13 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     failure = None
     try:
         traj = evolution.evolve(psi0, econf)
-    except _BLOW_UP_ERRORS as exc:
+    except evolution.BlowUpError as exc:
         failure, traj = exc, exc.trajectory
     tag = "" if failure is None else ".partial"
     experiments.write_outputs(out_dir, {
         f"trajectory{tag}.csv": lambda p: evolution.write_trajectory_csv(traj, p),
         f"summary{tag}.csv": lambda p: evolution.write_summary_csv(
             traj, p, reference=state.field),
-        "resolved.cfg": _echo(cfg),
     })
     if failure is not None:
         raise failure
@@ -256,9 +255,7 @@ def cmd_spectrum(cfg: dict, out_dir) -> int:
                                          cfg["spectrum.truncation"])
     summary = bloch.eigen_summary(reports, params)
     experiments.write_outputs(out_dir, {
-        "spectrum.csv": lambda p: bloch.write_eigen_csv(reports, p),
-        "resolved.cfg": _echo(cfg),
-    })
+        "spectrum.csv": lambda p: bloch.write_eigen_csv(reports, p)})
     print(f"max real part {summary['max_real_part']:.6g} over "
           f"{len(reports)} Bloch parameters -> {summary['verdict']}")
     if summary["b_star"] is not None:
@@ -281,7 +278,6 @@ def cmd_aes_sweep(cfg: dict, out_dir) -> int:
         num_modes=cfg["aes.num_modes"], rtol=cfg["evolution.rtol"],
         atol=cfg["evolution.atol"], record_every=cfg["aes.record_every"],
         out_dir=out_dir)
-    experiments.write_outputs(out_dir, {"resolved.cfg": _echo(cfg)})
     print(f"{'epsilon':>10}  {'sup-t Linf':>12}  {'sup-t H1':>12}")
     for row in table.rows:
         print(f"{row.epsilon:>10.4g}  {row.err_linf:>12.4e}  {row.err_h1:>12.4e}")
@@ -306,7 +302,6 @@ def cmd_figures(cfg: dict, out_dir) -> int:
         rtol=cfg["evolution.rtol"], atol=cfg["evolution.atol"],
         record_every=cfg["figures.record_every"],
         mode_cutoff=cfg["figures.mode_cutoff"], out_dir=out_dir)
-    experiments.write_outputs(out_dir, {"resolved.cfg": _echo(cfg)})
     print(f"regime {regime}: abscissa {result.abscissa:.6g}, "
           f"max deviation {np.max(result.deviations):.6g}")
     if result.growth_rate is not None:
@@ -337,9 +332,7 @@ def cmd_validate_kernel(cfg: dict, out_dir) -> int:
     text = "\n".join(report_lines)
     print(text)
     experiments.write_outputs(out_dir, {
-        "validation.txt": lambda p: p.write_text(text + "\n"),
-        "resolved.cfg": _echo(cfg),
-    })
+        "validation.txt": lambda p: p.write_text(text + "\n")})
     return 0 if ok else 1
 
 
@@ -351,7 +344,6 @@ def cmd_stability_map(cfg: dict, out_dir) -> int:
         B_vals, V0_vals, k=cfg["map.k"], eps=cfg["map.eps"],
         alpha=cfg["map.alpha"], base=base, n_periods=cfg["map.n_periods"],
         truncation=cfg["map.truncation"], out_dir=out_dir)
-    experiments.write_outputs(out_dir, {"resolved.cfg": _echo(cfg)})
     n_pts = result.abscissa.size
     n_bad = int(np.sum(np.isnan(result.abscissa)))
     n_unst = int(np.sum(result.abscissa > bloch.UNSTABLE_ABSCISSA))
@@ -381,9 +373,9 @@ _COMMANDS = {
 
 def _schema_epilog(command: str) -> str:
     lines = ["config keys (key = default):"]
-    for key, (kind, default) in sorted(SCHEMAS[command].items()):
+    for key, default in sorted(SCHEMAS[command].items()):
         shown = format_flat_config({key: default}).strip()
-        lines.append(f"  {shown}   [{kind}]")
+        lines.append(f"  {shown}   [{type(default).__name__}]")
     return "\n".join(lines)
 
 
@@ -430,16 +422,22 @@ def main(argv=None) -> int:
         overrides["figures.regime"] = args.regime
     try:
         cfg = resolve_config(command, args.config, overrides)
-        return handler(cfg, args.out)
+        try:
+            code, failure = handler(cfg, args.out), None
+        except evolution.BlowUpError as exc:
+            code, failure = 3, exc
+        # the one record of the settings, some of them resolved by the handler
+        experiments.write_outputs(args.out, {
+            "resolved.cfg": lambda p: p.write_text(format_flat_config(cfg))})
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _BLOW_UP_ERRORS as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    if failure is not None:
+        print(f"blow-up: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

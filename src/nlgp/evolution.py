@@ -28,21 +28,21 @@ from .spectral import PeriodicGrid, WaveField, filter_multipliers
 from .waves import SineSquared, StationaryState
 
 
-class StepSizeUnderflowError(RuntimeError):
-    """The adaptive stepper stalled.  Carries the trajectory so far."""
+class BlowUpError(RuntimeError):
+    """The evolution stopped short of its horizon.  Carries the trajectory
+    accumulated before the failure."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
 
 
-class NonFiniteError(RuntimeError):
-    """NaN/Inf appeared in the state, signalling blow-up.  Carries the
-    trajectory accumulated before the failure."""
+class StepSizeUnderflowError(BlowUpError):
+    """The adaptive stepper stalled."""
 
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+
+class NonFiniteError(BlowUpError):
+    """NaN/Inf appeared in the state, signalling blow-up."""
 
 
 @dataclass(frozen=True)

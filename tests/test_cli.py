@@ -43,18 +43,18 @@ def test_format_parse_round_trip():
     cfg = {"a.x": 1.5, "b.z": "per-rhs", "b.n": 42}
     text = format_flat_config(cfg)
     parsed = parse_flat_config(text)
-    assert coerce(parsed["a.x"], "float") == 1.5
+    assert coerce(parsed["a.x"], float, "a.x") == 1.5
     assert parsed["b.z"] == "per-rhs"
-    assert coerce(parsed["b.n"], "int") == 42
+    assert coerce(parsed["b.n"], int, "b.n") == 42
     # keys come out sorted, one per line
     assert text.splitlines() == sorted(text.splitlines())
 
 
 def test_coerce_rejects_garbage():
     with pytest.raises(ConfigError):
-        coerce("abc", "float")
+        coerce("abc", float, "a.x")
     with pytest.raises(ConfigError):
-        coerce("1.5", "int")
+        coerce("1.5", int, "b.n")
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +122,24 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     ("simulate", "evolution.atol = 0", "rtol and atol must be positive"),
     ("validate-kernel", "validate.which = X",
      "validate.which must be 'H', 'Hprime' or 'both', got 'X'"),
+    # non-finite numbers, which once reached the solvers (exits 3 and 4)
+    ("spectrum", "kernel.epsilon = nan", "kernel.epsilon must be a finite number, got 'nan'"),
+    ("spectrum", "solution.B = nan", "solution.B must be a finite number, got 'nan'"),
+    ("stability-map", "map.B_values = nan", "map.B_values must list finite numbers, got 'nan'"),
+    ("aes-sweep", "aes.epsilons = nan,0.1",
+     "aes.epsilons must list finite numbers, got 'nan,0.1'"),
+    ("simulate", "evolution.horizon = inf",
+     "evolution.horizon must be a finite number, got 'inf'"),
+    # only 0 means one wave period
+    ("simulate", "grid.period = -5",
+     "grid.period must be positive, or 0 for one wave period, got -5.0"),
 ])
 def test_malformed_values_are_exit_2(tmp_path, capsys, command, line, message):
     cfg = _write(tmp_path, "bad.cfg", line + "\n")
-    assert cli.main([command, "--config", cfg]) == 2
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_b_star_undefined_for_a_sign_changing_multiplier(tmp_path, capsys):
@@ -380,6 +393,26 @@ def test_every_config_key_is_read(tmp_path, capsys, command):
     assert sorted(set(cli.SCHEMAS[command]) - recorder.read) == []
 
 
+@pytest.mark.parametrize("command", ["figures", "aes-sweep"])
+def test_blow_up_in_a_runner_leaves_only_the_echo(tmp_path, capsys, monkeypatch, command):
+    # the runners write their outputs only once they have computed
+    monkeypatch.setattr(evolution, "solve_ivp", _stalls_before_first_record)
+    cfg = _write(tmp_path, "stall.cfg", _SMALL_RUNS[command])
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["resolved.cfg"]
+    assert (out / "resolved.cfg").read_text() == format_flat_config(
+        cli.resolve_config(command, cfg, {}))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("blow-up: ")
+    # an echo that cannot be written is a failure of its own
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert cli.main([command, "--config", cfg, "--out", str(blocker)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: FileExistsError: ")
+
+
 @pytest.mark.parametrize("command, text", [
     ("spectrum", "spectrum.truncation = 8\nspectrum.n_periods = 2\n"),
     ("stability-map", "map.truncation = 8\n"),
@@ -580,6 +613,13 @@ def test_kernel_flag_overrides_config(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # the front end describes each subcommand once and writes after computing
+
+
+def test_schema_defaults_are_int_float_or_str():
+    # each default's type is its key's type, and --help prints its name
+    for command, schema in cli.SCHEMAS.items():
+        for key, default in schema.items():
+            assert type(default) in (int, float, str), (command, key)
 
 
 def test_command_table_matches_schemas():
