@@ -9,7 +9,6 @@ Bloch eigenvalue machinery that decides their spectral stability.
 from .spectral import PeriodicGrid, WaveField, filter_multipliers
 from .kernels import (
     KernelSpec,
-    NonpositiveMultiplierError,
     ScaledKernel,
     ValidationReport,
     beta,
@@ -81,8 +80,8 @@ __all__ = [
     "AesTable", "AnalyticEigen", "BetaZeroError",
     "BlochOperator", "EigenReport", "EigensolveError", "EvolutionConfig",
     "FIGURE_REGIMES", "FigureRegimeResult", "InvalidMuError",
-    "KernelSpec", "NonFiniteError", "NonpositiveMultiplierError",
-    "OffsetTooSmallError", "PeriodMismatchError", "PeriodicGrid",
+    "KernelSpec", "NonFiniteError", "OffsetTooSmallError",
+    "PeriodMismatchError", "PeriodicGrid",
     "PerturbationSpec", "ScaledKernel", "SineSquared", "SolutionParams",
     "StabilityMap", "StationaryState", "StepSizeUnderflowError", "Trajectory",
     "TruncationTooSmallError", "ValidationReport", "WaveField", "a_crit",

@@ -27,11 +27,12 @@ and one block-LDL^T sweep of L' - nu P for every mu at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import NonpositiveMultiplierError, ScaledKernel
+from .kernels import ScaledKernel
 from .waves import SolutionParams
 
 TWO_PI = 2.0 * np.pi
@@ -141,9 +142,9 @@ def _bands(mus, truncation: int, params: SolutionParams) -> np.ndarray:
 class EigenReport:
     """Spectrum of one Bloch operator with Krein bookkeeping.
 
-    ``krein`` aligns with ``eigenvalues``: +1/-1 for purely imaginary
-    eigenvalues in a cluster of one Krein sign, None for eigenvalues off the
-    imaginary axis, and 0 for the origin modes and for every member of an
+    ``krein`` is a float array aligned with ``eigenvalues``: +1/-1 for purely
+    imaginary eigenvalues in a cluster of one Krein sign, NaN for eigenvalues
+    off the imaginary axis, and 0 for the origin modes and for every member of an
     indefinite cluster (purely imaginary eigenvalues within 1e-9 max(1, |lambda|)
     of each other whose signs differ, so no member has a sign of its own).
     Eigenvalues within ``_ORIGIN_TOL`` of the origin are symmetry
@@ -154,7 +155,7 @@ class EigenReport:
 
     mu: float
     eigenvalues: np.ndarray
-    krein: tuple
+    krein: np.ndarray
     max_real_part: float
     counts: tuple  # (k_r, k_c, k_i_minus, n_L)
     near_origin: int
@@ -250,16 +251,16 @@ def _spectra(mus, bands: np.ndarray) -> list:
     at_origin = np.logical_or.reduceat(xo, first) if real.size else xo
     sgn = np.sign(x[first])
     definite = ~at_origin & (np.abs(jump) == size)
-    krein = np.full(nu.size, None, dtype=object)
-    krein[real] = np.repeat(np.where(definite, sgn * np.sign(jump), 0.0), size)
+    krein = np.full(nu.shape, np.nan)
+    krein.flat[real] = np.repeat(np.where(definite, sgn * np.sign(jump), 0.0), size)
     k_im = np.bincount(cg // 2, np.where(at_origin, 0, (size - sgn * jump) / 2), len(mus))
     k_r = np.sum(right & (np.abs(w.imag) < scale), axis=1)
     counts = np.stack([k_r, np.sum(right, axis=1) - k_r, k_im,
                        neg[::2, -1] + neg[1::2, -1]], axis=1).astype(int).tolist()
     abscissa = np.max(w.real, axis=1, where=~origin, initial=-np.inf).tolist()
     order = np.lexsort((w.real, w.imag))
-    w, krein = (np.take_along_axis(a, order, 1) for a in (w, krein.reshape(w.shape)))
-    return [EigenReport(mu, w[o], tuple(krein[o]), abscissa[o], tuple(counts[o]),
+    w, krein = (np.take_along_axis(a, order, 1) for a in (w, krein))
+    return [EigenReport(mu, w[o], krein[o], abscissa[o], tuple(counts[o]),
                         int(np.sum(origin[o]))) for o, mu in enumerate(mus)]
 
 
@@ -325,8 +326,7 @@ def _mirror(rep: EigenReport, mu: float) -> EigenReport:
     w = rep.eigenvalues.conj()
     w.imag += 0.0  # conjugating a real eigenvalue gives Im = -0.0
     order = np.lexsort((w.real, w.imag))
-    return replace(rep, mu=mu, eigenvalues=w[order],
-                   krein=tuple(rep.krein[i] for i in order))
+    return replace(rep, mu=mu, eigenvalues=w[order], krein=rep.krein[order])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def match_spectra(analytic: list, report: EigenReport, gap_tol: float = 1e-4):
 # Thresholds
 
 
-def b_star(k: float, kernel: ScaledKernel, samples: int = 10001) -> float:
+def b_star(k: float, kernel: ScaledKernel, samples: int = 10001) -> float | None:
     """Offset threshold B* above which (V0 = 0) no negative-Krein modes remain.
 
     B* = max(3k^2/(4 r~_2), 3k^2/(4 r~_-1), k^2/r~_0, k^2/r~_1) with
@@ -489,20 +489,17 @@ def b_star(k: float, kernel: ScaledKernel, samples: int = 10001) -> float:
     every built-in family) each minimum sits at the band end farthest from 0,
     so B* = max(3k^2/(4 beta), k^2/zeta_hat(k*eps)) with beta = zeta_hat(2k*eps),
     from two evaluations.  Other kernels (tables) are sampled at ``samples``
-    values of mu per band.
+    values of mu per band.  B* is undefined, and None is returned, unless
+    zeta_hat > 0 on both bands.
     """
     if kernel.base.decreasing:
         modes = np.array([[2.0], [-1.0]])  # the far band ends
     else:
         modes = np.array([[2.0], [0.0]]) - np.linspace(0.0, 1.0, samples)  # n - mu
-    r_min = np.min(kernel.base.zeta_hat(k * kernel.epsilon * modes), axis=1).tolist()
-    for n, r in zip((2, 0), r_min):
-        if r <= 0.0:
-            raise NonpositiveMultiplierError(
-                f"zeta_hat takes non-positive value {r:.3e} near mode {n}; "
-                "B* needs a strictly positive multiplier"
-            )
-    return max(0.75 * k**2 / r_min[0], k**2 / r_min[1])
+    r2, r0 = np.min(kernel.base.zeta_hat(k * kernel.epsilon * modes), axis=1).tolist()
+    if r2 > 0.0 and r0 > 0.0:  # False for NaN too
+        return max(0.75 * k**2 / r2, k**2 / r0)
+    return None
 
 
 def a_crit(k: float) -> float:
@@ -512,13 +509,12 @@ def a_crit(k: float) -> float:
 
 
 def instability_predicate(A: float, k: float) -> str:
-    """"unstable-predicted" iff A >= a_crit(k); otherwise "inconclusive".
+    """"unstable-predicted" iff A >= a_crit(k); otherwise "inconclusive",
+    negative A included.
 
     The prediction is derived under small B and eps; that hypothesis is
     the caller's to check, not enforced here.
     """
-    if A < 0:
-        raise ValueError(f"A must be nonnegative, got {A}")
     return "unstable-predicted" if A >= a_crit(k) else "inconclusive"
 
 
@@ -578,7 +574,7 @@ def _pair_vector(M: int, D: float, kind: str) -> np.ndarray:
 
 
 def _krein_label(value, near_origin: bool) -> str:
-    if value is None:
+    if math.isnan(value):
         return ""
     if value == 0.0:
         return "zero-mode" if near_origin else "indefinite"
@@ -599,17 +595,13 @@ def write_eigen_csv(reports: list, path):
             fh.write("".join([
                 f"{mu!r},{re!r},{im!r},{_krein_label(kr, nr)},"
                 f"{'near-origin' if nr else ''}\r\n"
-                for re, im, kr, nr in zip(w.real.tolist(), w.imag.tolist(), rep.krein, near)]))
+                for re, im, kr, nr in zip(w.real.tolist(), w.imag.tolist(),
+                                          rep.krein.tolist(), near)]))
 
 
 def eigen_summary(reports: list, params: SolutionParams) -> dict:
     """Aggregate verdicts across a mu sweep, for report files and the CLI."""
     abscissa = max(rep.max_real_part for rep in reports)
-    try:
-        bs = b_star(params.k, params.kernel)
-    except NonpositiveMultiplierError:
-        bs = None
-    ac = a_crit(params.k)
     return {
         "max_real_part": abscissa,
         "verdict": ("unstable" if abscissa > UNSTABLE_ABSCISSA
@@ -621,9 +613,8 @@ def eigen_summary(reports: list, params: SolutionParams) -> dict:
              "near_origin": rep.near_origin}
             for rep in reports
         ],
-        "b_star": bs,
-        "a_crit": ac,
+        "b_star": b_star(params.k, params.kernel),
+        "a_crit": a_crit(params.k),
         "A": params.A,
-        "predicate": instability_predicate(params.A, params.k) if params.A >= 0
-                     else "inconclusive",
+        "predicate": instability_predicate(params.A, params.k),
     }

@@ -204,15 +204,17 @@ def _scaled_kernel(cfg):
 
 
 def cmd_simulate(cfg: dict, out_dir) -> int:
-    k, period = cfg["solution.k"], cfg["grid.period"]
+    solution = [cfg[f"solution.{key}"] for key in ("B", "V0", "k", "alpha")]
+    k, period = solution[2], cfg["grid.period"]
     if period < 0:
         raise ConfigError(f"grid.period must be positive, or 0 for one wave period, "
                           f"got {period!r}")
-    period = cfg["grid.period"] = period or 2.0 * np.pi / k
     with from_settings():
+        kern = _scaled_kernel(cfg)
+        waves.solution_params(*solution, kern)  # checks k before 2 pi / k
+        period = cfg["grid.period"] = period or 2.0 * np.pi / k
         grid = PeriodicGrid(period, cfg["grid.num_modes"])
-        state = waves.build_solution(cfg["solution.B"], cfg["solution.V0"], k,
-                                     cfg["solution.alpha"], _scaled_kernel(cfg), grid)
+        state = waves.build_solution(*solution, kern, grid)
         psi0 = evolution.perturbed_initial(
             state, evolution.PerturbationSpec(nu=cfg["perturbation.nu"],
                                               seed=cfg["run.seed"],

@@ -109,8 +109,9 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
         eps_sorted = sorted(set(float(e) for e in epsilons), reverse=True)
         if any(e < 0 for e in eps_sorted):
             raise ValueError("epsilons must be nonnegative")
-        grid = PeriodicGrid(2.0 * np.pi / k, num_modes)
         local_kernel = kernels.ScaledKernel(kernels.KernelSpec.gaussian_normalized(), 0.0)
+        waves.solution_params(B, V0, k, alpha, local_kernel)  # checks k before 2 pi / k
+        grid = PeriodicGrid(2.0 * np.pi / k, num_modes)
         state = waves.build_solution(B, V0, k, alpha, local_kernel, grid)
         psi0 = state.field
 
@@ -345,12 +346,8 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
     grid_vals = np.array([[np.nan if p is None else abscissa(p) for p in row]
                           for row in points])
     A_values = -V0_values / (alpha * bta)
-    try:
-        bs = bloch.b_star(k, kern)
-    except kernels.NonpositiveMultiplierError:
-        bs = None
-    result = StabilityMap(B_values, V0_values, grid_vals, A_values, bs,
-                          bloch.a_crit(k))
+    result = StabilityMap(B_values, V0_values, grid_vals, A_values,
+                          bloch.b_star(k, kern), bloch.a_crit(k))
     write_outputs(out_dir, {
         "stability_map.csv": lambda p: _write_map_csv(result, p),
         "plot_map.py": _write_map_plot_script,

@@ -22,10 +22,6 @@ import numpy as np
 from .spectral import WaveField
 
 
-class NonpositiveMultiplierError(ValueError):
-    """A computation required zeta_hat > 0 but the kernel violates it."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel profile with its transform.

@@ -126,9 +126,6 @@ class StationaryState:
         p = self.params
         return p.B + p.A * np.sin(p.k * self.grid.points) ** 2
 
-    def phase(self) -> np.ndarray:
-        return np.angle(self.field.samples)
-
 
 def _check_commensurate(grid: PeriodicGrid, k: float):
     ratio = grid.period * k / (2.0 * np.pi)

@@ -133,6 +133,10 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     # only 0 means one wave period
     ("simulate", "grid.period = -5",
      "grid.period must be positive, or 0 for one wave period, got -5.0"),
+    # k is checked before the wave period 2 pi / k is derived from it
+    *((command, f"{key} = {k}", f"wavenumber k must be positive, got {k:.1f}")
+      for command, key in (("simulate", "solution.k"), ("aes-sweep", "aes.k"))
+      for k in (0, -1)),
 ])
 def test_malformed_values_are_exit_2(tmp_path, capsys, command, line, message):
     cfg = _write(tmp_path, "bad.cfg", line + "\n")
