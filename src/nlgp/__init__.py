@@ -31,7 +31,6 @@ from .waves import (
 from .evolution import (
     EvolutionConfig,
     NonFiniteError,
-    PerturbationSpec,
     StepSizeUnderflowError,
     Trajectory,
     evolve,
@@ -82,7 +81,7 @@ __all__ = [
     "FIGURE_REGIMES", "FigureRegimeResult", "InvalidMuError",
     "KernelSpec", "NonFiniteError", "OffsetTooSmallError",
     "PeriodMismatchError", "PeriodicGrid",
-    "PerturbationSpec", "ScaledKernel", "SineSquared", "SolutionParams",
+    "ScaledKernel", "SineSquared", "SolutionParams",
     "StabilityMap", "StationaryState", "StepSizeUnderflowError", "Trajectory",
     "TruncationTooSmallError", "ValidationReport", "WaveField", "a_crit",
     "analytic_spectrum_V0_zero", "assemble", "b_star", "beta",

@@ -141,11 +141,10 @@ SCHEMAS = {
 }
 
 # Exceptions that indicate a bad configuration rather than a code defect.  A
-# ValueError (the waves errors included) is one only where objects are built
-# from the config, inside ``from_settings``, which raises it as a ConfigError;
-# elsewhere it is a defect and exits 4.
-_CONFIG_ERRORS = (ConfigError, FileNotFoundError,
-                  bloch.InvalidMuError, bloch.TruncationTooSmallError)
+# ValueError (the waves errors included) or an OSError is one only where
+# objects are built from the config, inside ``from_settings``, which raises it
+# as a ConfigError; elsewhere it is a defect and exits 4.
+_CONFIG_ERRORS = (ConfigError, bloch.InvalidMuError, bloch.TruncationTooSmallError)
 
 
 def resolve_config(command: str, config_path, overrides: dict) -> dict:
@@ -153,7 +152,11 @@ def resolve_config(command: str, config_path, overrides: dict) -> dict:
     schema = SCHEMAS[command]
     file_values = {}
     if config_path is not None:
-        file_values = parse_flat_config(Path(config_path).read_text())
+        try:
+            text = Path(config_path).read_text()
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+        file_values = parse_flat_config(text)
         unknown = sorted(set(file_values) - set(schema))
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: "
@@ -200,29 +203,26 @@ def _kernel_base(name: str) -> kernels.KernelSpec:
 
 def _scaled_kernel(cfg):
     with from_settings():
-        return kernels.ScaledKernel(_kernel_base(cfg["kernel.name"]), cfg["kernel.epsilon"])
+        return kernels.ScaledKernel(kernels.kernel_from_name(cfg["kernel.name"]),
+                                    cfg["kernel.epsilon"])
 
 
 def cmd_simulate(cfg: dict, out_dir) -> int:
-    solution = [cfg[f"solution.{key}"] for key in ("B", "V0", "k", "alpha")]
-    k, period = solution[2], cfg["grid.period"]
+    period = cfg["grid.period"]
     if period < 0:
         raise ConfigError(f"grid.period must be positive, or 0 for one wave period, "
                           f"got {period!r}")
     with from_settings():
-        kern = _scaled_kernel(cfg)
-        waves.solution_params(*solution, kern)  # checks k before 2 pi / k
-        period = cfg["grid.period"] = period or 2.0 * np.pi / k
-        grid = PeriodicGrid(period, cfg["grid.num_modes"])
-        state = waves.build_solution(*solution, kern, grid)
-        psi0 = evolution.perturbed_initial(
-            state, evolution.PerturbationSpec(nu=cfg["perturbation.nu"],
-                                              seed=cfg["run.seed"],
-                                              mode_cutoff=cfg["perturbation.mode_cutoff"]))
+        params = waves.solution_params(
+            *(cfg[f"solution.{key}"] for key in ("B", "V0", "k", "alpha")),
+            _scaled_kernel(cfg))
+        period = cfg["grid.period"] = period or 2.0 * np.pi / params.k
+        state = waves.build_solution(params, PeriodicGrid(period, cfg["grid.num_modes"]))
+        psi0 = evolution.perturbed_initial(state, cfg["perturbation.nu"], cfg["run.seed"],
+                                           cfg["perturbation.mode_cutoff"])
         econf = evolution.EvolutionConfig(
-            grid=grid, kernel=state.params.kernel,
-            potential=waves.SineSquared(cfg["solution.V0"], k),
-            alpha=cfg["solution.alpha"], time_horizon=cfg["evolution.horizon"],
+            kernel=params.kernel, potential=waves.SineSquared(params.V0, params.k),
+            alpha=params.alpha, time_horizon=cfg["evolution.horizon"],
             rtol=cfg["evolution.rtol"], atol=cfg["evolution.atol"],
             record_every=cfg["evolution.record_every"])
     failure = None

@@ -12,7 +12,8 @@ is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
 adaptive Dormand-Prince 5(4) solver below integrates only the filtered
 nonlinear and potential terms.  Each run is one call of that solver, whose
 snapshots are its dense output at the record times, with steps capped at
-record_every.
+record_every.  The grid is the initial state's: a config holds only the
+equation and the solver settings.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class NonFiniteError(BlowUpError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    grid: PeriodicGrid
     kernel: kernels.ScaledKernel  # eps = 0 is the local equation
     potential: SineSquared  # V0 = 0 is no potential
     alpha: int
@@ -164,8 +164,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_step):
 class _Workspace:
     """Precomputed arrays in unshifted FFT order for fast right-hand sides."""
 
-    def __init__(self, cfg: EvolutionConfig):
-        grid = cfg.grid
+    def __init__(self, cfg: EvolutionConfig, grid: PeriodicGrid):
         N = grid.num_modes
         j = np.fft.fftfreq(N, d=1.0 / N)  # 0..N/2-1, -N/2..-1
         kappa = 2.0 * np.pi * j / grid.period
@@ -246,15 +245,13 @@ def _record_times(cfg: EvolutionConfig) -> np.ndarray:
 
 
 def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
-    """Integrate to cfg.time_horizon in one pass, recording snapshots every
-    record_every.
+    """Integrate psi0 on its grid to cfg.time_horizon in one pass, recording
+    snapshots every record_every.
 
     Raises NonFiniteError on blow-up and StepSizeUnderflowError on stepper
     stall; both carry the finite prefix in their ``trajectory`` attribute.
     """
-    if psi0.grid != cfg.grid:
-        raise ValueError("initial state grid does not match config grid")
-    ws = _Workspace(cfg)
+    ws = _Workspace(cfg, psi0.grid)
     rec = _record_times(cfg)
 
     # psi_hat' = -i*half_ksq*psi_hat + N(psi) becomes u' = e(t)*N(psi) for
@@ -296,26 +293,6 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     return traj
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Random perturbation nu*m(x)*exp(i*theta(x)) with ||m||_2 = 1.
-
-    m holds the modes |j| <= mode_cutoff, which the evolution's fixed filter
-    damps: its right-hand side at j = N/4 is multiplied by 0.87, at j = N/8
-    by 0.99945, so mode_cutoff <= N/8 keeps the damping below 0.06%.
-    """
-
-    nu: float
-    seed: int
-    mode_cutoff: int = 16
-
-    def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
-        if self.mode_cutoff < 1:
-            raise ValueError("mode_cutoff must be positive")
-
-
 def random_band_limited(grid: PeriodicGrid, seed: int, mode_cutoff: int) -> WaveField:
     """Real field with modes |j| <= mode_cutoff, seeded, normalized to ||m||_2 = 1."""
     if mode_cutoff >= grid.num_modes // 2:
@@ -332,14 +309,25 @@ def random_band_limited(grid: PeriodicGrid, seed: int, mode_cutoff: int) -> Wave
     return WaveField(grid, f.samples.real / f.l2_norm())
 
 
-def perturbed_initial(state: StationaryState, spec: PerturbationSpec) -> WaveField:
-    """phi + nu*m(x)*exp(i*theta(x)) with theta the phase of phi; deterministic per seed."""
+def perturbed_initial(state: StationaryState, nu: float, seed: int,
+                      mode_cutoff: int = 16) -> WaveField:
+    """phi + nu*m(x)*exp(i*theta(x)) with theta the phase of phi and m the
+    seeded field of :func:`random_band_limited`, so ||m||_2 = 1.
+
+    m holds the modes |j| <= mode_cutoff, which the evolution's fixed filter
+    damps: its right-hand side at j = N/4 is multiplied by 0.87, at j = N/8
+    by 0.99945, so mode_cutoff <= N/8 keeps the damping below 0.06%.
+    """
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+    if mode_cutoff < 1:
+        raise ValueError("mode_cutoff must be positive")
     phi = state.field
-    if spec.nu == 0:
+    if nu == 0:
         return phi
-    m = random_band_limited(phi.grid, spec.seed, spec.mode_cutoff)
+    m = random_band_limited(phi.grid, seed, mode_cutoff)
     theta = np.angle(phi.samples)
-    return WaveField(phi.grid, phi.samples + spec.nu * m.samples * np.exp(1j * theta))
+    return WaveField(phi.grid, phi.samples + nu * m.samples * np.exp(1j * theta))
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,12 @@ class ConfigError(ValueError):
 
 @contextmanager
 def from_settings():
-    """Objects built from run settings: a ValueError of their input checks is
-    a ConfigError.  Computations stay outside, so their defects are not."""
+    """Objects built from run settings: a ValueError of their input checks,
+    or an OSError reading an input file, is a ConfigError.  Computations stay
+    outside, so their defects are not."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -110,15 +111,14 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
         if any(e < 0 for e in eps_sorted):
             raise ValueError("epsilons must be nonnegative")
         local_kernel = kernels.ScaledKernel(kernels.KernelSpec.gaussian_normalized(), 0.0)
-        waves.solution_params(B, V0, k, alpha, local_kernel)  # checks k before 2 pi / k
-        grid = PeriodicGrid(2.0 * np.pi / k, num_modes)
-        state = waves.build_solution(B, V0, k, alpha, local_kernel, grid)
-        psi0 = state.field
+        params = waves.solution_params(B, V0, k, alpha, local_kernel)
+        grid = PeriodicGrid(2.0 * np.pi / params.k, num_modes)
+        psi0 = waves.build_solution(params, grid).field
 
         def config_for(kern):
             return evolution.EvolutionConfig(
-                grid=grid, kernel=kern, potential=waves.SineSquared(V0, k),
-                alpha=alpha, time_horizon=horizon, rtol=rtol, atol=atol,
+                kernel=kern, potential=waves.SineSquared(params.V0, params.k),
+                alpha=params.alpha, time_horizon=horizon, rtol=rtol, atol=atol,
                 record_every=record_every)
 
         ref_config = config_for(local_kernel)
@@ -220,18 +220,17 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
     k, alpha = 1.0, 1
     with from_settings():
         grid = PeriodicGrid(8.0 * np.pi, num_modes)
-        kern = kernels.ScaledKernel(base, reg["eps"])
-        state = waves.build_solution(reg["B"], reg["V0"], k, alpha, kern, grid)
-        psi0 = evolution.perturbed_initial(
-            state, evolution.PerturbationSpec(nu=reg["nu"], seed=seed,
-                                              mode_cutoff=mode_cutoff))
+        params = waves.solution_params(reg["B"], reg["V0"], k, alpha,
+                                       kernels.ScaledKernel(base, reg["eps"]))
+        state = waves.build_solution(params, grid)
+        psi0 = evolution.perturbed_initial(state, reg["nu"], seed, mode_cutoff)
         cfg = evolution.EvolutionConfig(
-            grid=grid, kernel=kern, potential=waves.SineSquared(reg["V0"], k),
+            kernel=params.kernel, potential=waves.SineSquared(reg["V0"], k),
             alpha=alpha, time_horizon=horizon, rtol=rtol, atol=atol,
             record_every=record_every)
     # the spectra first: they check n_periods and truncation before the
     # evolution's cost is spent
-    reports = bloch.full_period_spectrum(n_periods, state.params, truncation)
+    reports = bloch.full_period_spectrum(n_periods, params, truncation)
     abscissa = max(rep.max_real_part for rep in reports)
     traj = evolution.evolve(psi0, cfg)
     deviations = traj.deviation_from(state.field)
@@ -244,7 +243,7 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
             f"only {abscissa:.3g}; linear theory and dynamics disagree")
 
     result = FigureRegimeResult(
-        regime=which, params=state.params, nu=reg["nu"], trajectory=traj,
+        regime=which, params=params, nu=reg["nu"], trajectory=traj,
         reports=reports, deviations=deviations, abscissa=abscissa,
         growth_rate=sigma, warnings=tuple(warnings))
     write_outputs(out_dir, {

@@ -93,7 +93,8 @@ class KernelSpec:
 
     @classmethod
     def from_table(cls, path) -> "KernelSpec":
-        """Tabulated (s, zeta_hat(s)) CSV, linearly interpolated, even in s.
+        """Tabulated (s, zeta_hat(s)) CSV, one finite pair per row on s >= 0,
+        linearly interpolated, even in s.
 
         The profile itself is reconstructed by a trapezoid inverse transform
         over the tabulated range; it is approximate and only used by the
@@ -195,10 +196,15 @@ def _power_kv(nu: float):
 def _read_table(path):
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            rows.append((float(row[0]), float(row[1])))
+            vals = [float(v) for v in row[:2]]
+            if len(vals) < 2 or not np.all(np.isfinite(vals)):
+                raise ValueError(f"kernel table {path} line {reader.line_num}: need two "
+                                 f"finite numbers s, zeta_hat, got {','.join(row)!r}")
+            rows.append(vals)
     if len(rows) < 2:
         raise ValueError(f"kernel table {path} needs at least two (s, zeta_hat) rows")
     rows.sort()

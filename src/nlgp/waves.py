@@ -6,7 +6,9 @@ profile (in the frame rotating at frequency omega)
     phi(x) = sqrt(B) cos(kx) + i sqrt(B+A) sin(kx),
 
 where A = -V0/(alpha*beta(k; eps)) and beta is the kernel multiplier at
-s = 2k.  The family exists whenever beta != 0 and B >= max(-A, 0).
+s = 2k.  The family exists whenever beta != 0 and B >= max(-A, 0):
+:func:`solution_params` checks a tuple once, and :func:`build_solution` puts
+the checked parameters on a grid holding whole wave periods 2*pi/k.
 """
 
 from __future__ import annotations
@@ -117,30 +119,21 @@ class StationaryState:
     params: SolutionParams
     field: WaveField
 
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.field.grid
-
     def intensity(self) -> np.ndarray:
         """Closed-form |phi|^2 = B + A sin^2(kx) on the grid."""
         p = self.params
-        return p.B + p.A * np.sin(p.k * self.grid.points) ** 2
+        return p.B + p.A * np.sin(p.k * self.field.grid.points) ** 2
 
 
-def _check_commensurate(grid: PeriodicGrid, k: float):
-    ratio = grid.period * k / (2.0 * np.pi)
+def build_solution(params: SolutionParams, grid: PeriodicGrid) -> StationaryState:
+    """The stationary state of ``params`` (from :func:`solution_params`) on
+    ``grid``, whose period must be a whole number of wave periods."""
+    ratio = grid.period * params.k / (2.0 * np.pi)
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise PeriodMismatchError(
             f"grid period {grid.period:.6g} is not an integer multiple of 2*pi/k = "
-            f"{2*np.pi/k:.6g}"
+            f"{2*np.pi/params.k:.6g}"
         )
-
-
-def build_solution(B, V0, k, alpha, kernel: kernels.ScaledKernel,
-                   grid: PeriodicGrid) -> StationaryState:
-    """Construct the stationary state on ``grid``; validates all constraints."""
-    params = solution_params(B, V0, k, alpha, kernel)
-    _check_commensurate(grid, params.k)
     x = grid.points
     samples = (np.sqrt(params.B) * np.cos(params.k * x)
                + 1j * np.sqrt(params.B + params.A) * np.sin(params.k * x))

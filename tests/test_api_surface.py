@@ -8,6 +8,7 @@ hook would otherwise pass unnoticed.  The file is parsed, not imported.
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 import nlgp
 from nlgp import bloch
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _span_targets() -> dict:
@@ -53,3 +55,17 @@ def test_solver_result_carries_what_the_tracer_reads():
     assert sol.success and isinstance(sol.message, str)
     assert np.array_equal(sol.t, [0.0, 1.0]) and sol.y.shape == (1, 2)
     assert abs(sol.y[0, -1] - np.exp(-1.0)) < 1e-7
+
+
+def test_readme_python_examples_run(capsys):
+    # the python blocks under "## Python API", run in order in one namespace
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    # B = 1 lies below B* = 1.064 at eps = 0.5, as `nlgp spectrum` reports
+    assert capsys.readouterr().out == "unstable\n"
+    assert namespace["traj"].times[-1] == 2.0

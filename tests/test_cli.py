@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -137,12 +138,46 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     *((command, f"{key} = {k}", f"wavenumber k must be positive, got {k:.1f}")
       for command, key in (("simulate", "solution.k"), ("aes-sweep", "aes.k"))
       for k in (0, -1)),
+    # kernel tables (_BAD_TABLES, written to {tmp}) with a short or a
+    # non-finite row, which once exited 4 or reached a verdict
+    *((command, "kernel.name = custom:{tmp}/one-column.csv",
+       "kernel table {tmp}/one-column.csv line 2: need two finite numbers s, "
+       "zeta_hat, got '0.5'") for command in ("spectrum", "validate-kernel")),
+    ("spectrum", "kernel.name = custom:{tmp}/nan.csv\nkernel.epsilon = 0.5",
+     "kernel table {tmp}/nan.csv line 2: need two finite numbers s, zeta_hat, "
+     "got '1,nan'"),
+    ("spectrum", "kernel.name = custom:{tmp}/inf.csv",
+     "kernel table {tmp}/inf.csv line 3: need two finite numbers s, zeta_hat, "
+     "got 'inf,0'"),
 ])
 def test_malformed_values_are_exit_2(tmp_path, capsys, command, line, message):
-    cfg = _write(tmp_path, "bad.cfg", line + "\n")
+    for name, text in _BAD_TABLES.items():
+        _write(tmp_path, name, text)
+    cfg = _write(tmp_path, "bad.cfg", line.format(tmp=tmp_path) + "\n")
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+    assert not out.exists()
+
+
+_BAD_TABLES = {"one-column.csv": "0,1\n0.5\n1,0.5\n",
+               "nan.csv": "0,1\n1,nan\n2,0.2\n",
+               "inf.csv": "0,1\n1,0.5\ninf,0\n"}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "stability-map"])  # both kernel paths
+@pytest.mark.parametrize("flag", ["--config", "--kernel"])
+@pytest.mark.parametrize("code", [errno.ENOENT, errno.EISDIR], ids=["missing", "directory"])
+def test_unreadable_input_path_is_exit_2(tmp_path, capsys, command, flag, code):
+    # a path that exists but cannot be read is refused like a missing one
+    path = tmp_path / "input"
+    if code == errno.EISDIR:
+        path.mkdir()
+    out = tmp_path / "out"
+    value = str(path) if flag == "--config" else f"custom:{path}"
+    assert cli.main([command, flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: [Errno {code}] "
+                                       f"{os.strerror(code)}: {str(path)!r}\n")
     assert not out.exists()
 
 

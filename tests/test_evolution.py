@@ -9,7 +9,6 @@ from nlgp import evolution
 from nlgp.evolution import (
     EvolutionConfig,
     NonFiniteError,
-    PerturbationSpec,
     StepSizeUnderflowError,
     Trajectory,
     evolve,
@@ -21,7 +20,7 @@ from nlgp.evolution import (
 from nlgp.experiments import FIGURE_REGIMES
 from nlgp.kernels import KernelSpec, ScaledKernel
 from nlgp.spectral import PeriodicGrid, WaveField
-from nlgp.waves import SineSquared, build_solution
+from nlgp.waves import SineSquared, build_solution, solution_params
 
 
 def _local():
@@ -32,8 +31,8 @@ NO_POTENTIAL = SineSquared(0.0, 1.0)
 
 
 def _state(grid, B=1.0, V0=-1.0, kern=None):
-    return build_solution(B, V0, 1.0, 1, kern if kern is not None else _local(),
-                          grid)
+    kern = kern if kern is not None else _local()
+    return build_solution(solution_params(B, V0, 1.0, 1, kern), grid)
 
 
 def test_local_plane_wave_phase_rotation():
@@ -41,7 +40,7 @@ def test_local_plane_wave_phase_rotation():
     grid = PeriodicGrid(2 * np.pi, 64)
     a, j = 0.7, 2
     psi0 = WaveField(grid, a * np.exp(1j * j * grid.points))
-    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+    cfg = EvolutionConfig(kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=1.0, record_every=0.5,
                           rtol=1e-11, atol=1e-11)
     traj = evolve(psi0, cfg)
@@ -57,7 +56,7 @@ def test_nonlocal_plane_wave_sees_kernel_mass():
     a, j = 0.5, 1
     kern = ScaledKernel(KernelSpec.gaussian_raw(), 0.3)
     psi0 = WaveField(grid, a * np.exp(1j * j * grid.points))
-    cfg = EvolutionConfig(grid=grid, kernel=kern, potential=NO_POTENTIAL,
+    cfg = EvolutionConfig(kernel=kern, potential=NO_POTENTIAL,
                           alpha=1, time_horizon=1.0, record_every=1.0,
                           rtol=1e-11, atol=1e-11)
     traj = evolve(psi0, cfg)
@@ -70,7 +69,7 @@ def test_stationary_state_is_fixed_up_to_phase():
     grid = PeriodicGrid(2 * np.pi, 64)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.05)
     state = _state(grid, kern=kern)
-    cfg = EvolutionConfig(grid=grid, kernel=kern, potential=SineSquared(-1.0, 1.0),
+    cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=3.0, record_every=1.0)
     traj = evolve(state.field, cfg)
     dev = traj.deviation_from(state.field)
@@ -85,8 +84,8 @@ def test_mass_and_energy_conserved():
     grid = PeriodicGrid(8 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), 0.01)
     state = _state(grid, B=1.0, V0=-1.0, kern=kern)
-    psi0 = perturbed_initial(state, PerturbationSpec(nu=0.01, seed=2, mode_cutoff=16))
-    cfg = EvolutionConfig(grid=grid, kernel=kern, potential=SineSquared(-1.0, 1.0),
+    psi0 = perturbed_initial(state, 0.01, 2, 16)
+    cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=10.0, record_every=0.5)
     traj = evolve(psi0, cfg)
     assert traj.mass_drift() < 1e-8
@@ -97,7 +96,7 @@ def test_conserved_quantities_match_closed_forms():
     grid = PeriodicGrid(2 * np.pi, 64)
     a = 0.6
     psi = WaveField(grid, a * np.ones(64, complex))
-    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+    cfg = EvolutionConfig(kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=1.0, record_every=1.0)
     traj = evolve(psi, cfg)
     mass, energy = traj.mass[0], traj.energy[0]
@@ -112,9 +111,8 @@ def test_time_reversal_round_trip():
     grid = PeriodicGrid(2 * np.pi, 64)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.05)
     state = _state(grid, kern=kern)
-    psi0 = perturbed_initial(state, PerturbationSpec(nu=0.05, seed=7,
-                                                     mode_cutoff=10))
-    cfg = EvolutionConfig(grid=grid, kernel=kern, potential=SineSquared(-1.0, 1.0),
+    psi0 = perturbed_initial(state, 0.05, 7, 10)
+    cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=2.0, record_every=2.0,
                           rtol=1e-12, atol=1e-12)
     fwd = evolve(psi0, cfg)
@@ -127,7 +125,7 @@ def test_time_reversal_round_trip():
 def test_record_times_cover_horizon():
     grid = PeriodicGrid(2 * np.pi, 32)
     state = _state(grid)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+    cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.3)
     traj = evolve(state.field, cfg)
@@ -153,22 +151,24 @@ def test_perturbation_profile_properties():
 def test_perturbed_initial_modulates_along_phase():
     grid = PeriodicGrid(2 * np.pi, 64)
     state = _state(grid)
-    spec = PerturbationSpec(nu=0.05, seed=11, mode_cutoff=8)
-    psi0 = perturbed_initial(state, spec)
+    psi0 = perturbed_initial(state, 0.05, 11, 8)
     diff = psi0.samples - state.field.samples
     # the perturbation rides the local phase: diff = nu * m * e^{i theta}
     expected_mag = 0.05 * np.abs(
         random_band_limited(grid, seed=11, mode_cutoff=8).samples)
     assert np.max(np.abs(np.abs(diff) - expected_mag)) < 1e-12
-    clean = perturbed_initial(state, PerturbationSpec(nu=0.0, seed=11,
-                                                      mode_cutoff=8))
+    clean = perturbed_initial(state, 0.0, 11, 8)
     assert np.array_equal(clean.samples, state.field.samples)
 
 
 def test_perturbation_validation():
     grid = PeriodicGrid(2 * np.pi, 32)
-    with pytest.raises(ValueError):
-        PerturbationSpec(nu=-0.1, seed=1, mode_cutoff=8)
+    state = _state(grid)
+    with pytest.raises(ValueError, match="nu must be nonnegative"):
+        perturbed_initial(state, -0.1, 1, 8)
+    # checked before nu = 0 returns the state unperturbed
+    with pytest.raises(ValueError, match="mode_cutoff must be positive"):
+        perturbed_initial(state, 0.0, 1, 0)
     with pytest.raises(ValueError):
         random_band_limited(grid, seed=1, mode_cutoff=16)  # cutoff = N/2
 
@@ -179,9 +179,8 @@ def test_adaptive_blow_up_is_not_reported_as_a_stall():
     # it evaluated is non-finite
     grid = PeriodicGrid(2 * np.pi, 32)
     state = _state(grid, B=50.0, V0=0.0)
-    psi0 = perturbed_initial(state, PerturbationSpec(nu=0.5, seed=1234,
-                                                     mode_cutoff=8))
-    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+    psi0 = perturbed_initial(state, 0.5, 1234, 8)
+    cfg = EvolutionConfig(kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=5.0, record_every=0.25,
                           rtol=1e3, atol=1e3)
     with warnings.catch_warnings():
@@ -204,7 +203,7 @@ def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):
     monkeypatch.setattr(evolution, "solve_ivp", stalls_after_third)
     grid = PeriodicGrid(2 * np.pi, 32)
     state = _state(grid)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+    cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.25)
     with pytest.raises(StepSizeUnderflowError, match="stalled") as info:
@@ -227,7 +226,7 @@ def test_non_finite_record_raises_with_finite_prefix(monkeypatch):
 
     monkeypatch.setattr(evolution, "solve_ivp", nan_at_third)
     grid = PeriodicGrid(2 * np.pi, 32)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+    cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.25)
     with pytest.raises(NonFiniteError, match="non-finite state at t = 0.5 ") as info:
@@ -239,8 +238,7 @@ def test_non_finite_record_raises_with_finite_prefix(monkeypatch):
 
 
 def test_tolerances_must_be_positive():
-    grid = PeriodicGrid(2 * np.pi, 32)
-    common = dict(grid=grid, kernel=_local(), potential=NO_POTENTIAL, alpha=1)
+    common = dict(kernel=_local(), potential=NO_POTENTIAL, alpha=1)
     for tols in (dict(rtol=0.0), dict(atol=0.0), dict(rtol=-1e-10)):
         with pytest.raises(ValueError, match="rtol and atol must be positive"):
             EvolutionConfig(**common, **tols)
@@ -256,7 +254,7 @@ def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
 
     monkeypatch.setattr(evolution, "solve_ivp", recording)
     grid = PeriodicGrid(2 * np.pi, 32)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+    cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.25,
                           rtol=1e-8, atol=1e-8)
@@ -267,16 +265,6 @@ def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
     assert np.array_equal(kwargs["t_eval"], [0.0, 0.25, 0.5, 0.75, 1.0])
     assert kwargs["max_step"] == cfg.record_every
     assert np.array_equal(traj.times, kwargs["t_eval"])
-
-
-def test_grid_mismatch_rejected():
-    grid = PeriodicGrid(2 * np.pi, 32)
-    other = PeriodicGrid(2 * np.pi, 64)
-    state = _state(grid)
-    cfg = EvolutionConfig(grid=other, kernel=_local(), potential=NO_POTENTIAL,
-                          alpha=1, time_horizon=1.0, record_every=1.0)
-    with pytest.raises(ValueError):
-        evolve(state.field, cfg)
 
 
 def test_sine_squared_period_validation():
@@ -292,11 +280,11 @@ def test_rhs_never_feeds_the_unmatched_nyquist_mode():
     # entry (index N/2 in FFT order) of the right-hand side is exactly zero
     grid = PeriodicGrid(8 * np.pi, 128)  # regime 1a's grid
     state = _state(grid, B=0.01, V0=-2.46)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+    cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-2.46, 1.0), alpha=1)
     rng = np.random.default_rng(7)
     noise = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    rhs = evolution._Workspace(cfg).nonlinear_rhs_hat(
+    rhs = evolution._Workspace(cfg, grid).nonlinear_rhs_hat(
         0.0, state.field.samples + 1e-3 * noise)
     assert rhs[64] == 0.0
 
@@ -304,7 +292,7 @@ def test_rhs_never_feeds_the_unmatched_nyquist_mode():
 def test_csv_writers_round_trip(tmp_path):
     grid = PeriodicGrid(2 * np.pi, 16)
     state = _state(grid)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(),
+    cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=0.5, record_every=0.25)
     traj = evolve(state.field, cfg)
@@ -372,9 +360,8 @@ def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, tol, rejects):
 
     grid = PeriodicGrid(2 * np.pi, 32)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.5)
-    psi0 = perturbed_initial(_state(grid, B=4.0, kern=kern),
-                             PerturbationSpec(nu=0.5, seed=3, mode_cutoff=8))
-    cfg = EvolutionConfig(grid=grid, kernel=kern,
+    psi0 = perturbed_initial(_state(grid, B=4.0, kern=kern), 0.5, 3, 8)
+    cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.5,
                           rtol=tol, atol=tol)
@@ -402,10 +389,10 @@ def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, tol, rejects):
 def test_constant_multiplier_skips_the_convolution_transforms(monkeypatch, kern,
                                                              ffts):
     grid = PeriodicGrid(2 * np.pi, 32)
-    cfg = EvolutionConfig(grid=grid, kernel=kern,
+    cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=0.5, record_every=0.5)
-    ws = evolution._Workspace(cfg)
+    ws = evolution._Workspace(cfg, grid)
     rng = np.random.default_rng(5)
     y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     q = np.abs(y) ** 2
@@ -438,9 +425,9 @@ def test_direct_transforms_equal_numpy_fft_bitwise(N, shape):
 @pytest.mark.parametrize("N", [4, 32, 128, 256])
 def test_half_spectrum_phase_equals_full_exponential(N):
     grid = PeriodicGrid(8 * np.pi, N)
-    cfg = EvolutionConfig(grid=grid, kernel=_local(), potential=NO_POTENTIAL,
+    cfg = EvolutionConfig(kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=1.0, record_every=1.0)
-    ws = evolution._Workspace(cfg)
+    ws = evolution._Workspace(cfg, grid)
     for t in (0.0, 1e-7, 0.3, 2.5, 17.0, 29.999, 1234.5):
         assert np.array_equal(ws.phase(t), np.exp(ws.i_half_ksq * t)), t
 
@@ -450,10 +437,9 @@ def _regime_1a_to_t2():
     reg = FIGURE_REGIMES["1a"]
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
-    state = build_solution(reg["B"], reg["V0"], 1.0, 1, kern, grid)
-    psi0 = perturbed_initial(state, PerturbationSpec(nu=reg["nu"], seed=1234,
-                                                     mode_cutoff=16))
-    cfg = EvolutionConfig(grid=grid, kernel=kern,
+    state = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
+    psi0 = perturbed_initial(state, reg["nu"], 1234, 16)
+    cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(reg["V0"], 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.25,
                           rtol=1e-10, atol=1e-10)

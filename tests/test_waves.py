@@ -30,7 +30,7 @@ def test_reference_parameter_set():
 
 def test_profile_is_elliptic_combination():
     grid = PeriodicGrid(2 * np.pi, 128)
-    state = build_solution(1.0, -1.0, 1.0, 1, _local_kernel(), grid)
+    state = build_solution(solution_params(1.0, -1.0, 1.0, 1, _local_kernel()), grid)
     x = grid.points
     expect = np.sqrt(1.0) * np.cos(x) + 1j * np.sqrt(2.0) * np.sin(x)
     assert np.max(np.abs(state.field.samples - expect)) < 1e-14
@@ -38,7 +38,7 @@ def test_profile_is_elliptic_combination():
 
 def test_intensity_and_l2_norm_closed_forms():
     grid = PeriodicGrid(2 * np.pi, 128)
-    state = build_solution(0.7, -0.4, 1.0, 1, _local_kernel(), grid)
+    state = build_solution(solution_params(0.7, -0.4, 1.0, 1, _local_kernel()), grid)
     measured = np.abs(state.field.samples) ** 2
     assert np.max(np.abs(measured - state.intensity())) < 1e-13
     # ||phi||_2 = sqrt(T (B + A/2)) from integrating the intensity
@@ -51,7 +51,7 @@ def test_phase_tangent_identity():
     # tan(theta) = sqrt((B+A)/B) tan(kx) wherever cos(kx) != 0
     grid = PeriodicGrid(2 * np.pi, 256)
     B, V0, k = 0.8, -0.5, 1.0
-    state = build_solution(B, V0, k, 1, _local_kernel(), grid)
+    state = build_solution(solution_params(B, V0, k, 1, _local_kernel()), grid)
     A = state.params.A
     x = grid.points
     keep = np.abs(np.cos(k * x)) > 0.2
@@ -69,7 +69,8 @@ def test_residual_small_for_random_valid_tuples():
         k = float(rng.integers(1, 4))
         eps = float(rng.uniform(0.0, 0.5))
         grid = PeriodicGrid(2 * np.pi, 128)
-        state = build_solution(B, V0, k, 1, ScaledKernel(base, eps), grid)
+        params = solution_params(B, V0, k, 1, ScaledKernel(base, eps))
+        state = build_solution(params, grid)
         assert stationary_residual(state) < 1e-9
 
 
@@ -77,9 +78,9 @@ def test_residual_with_raw_kernel_and_defocusing():
     # non-unit kernel mass shifts omega; the residual must stay at rounding level
     grid = PeriodicGrid(2 * np.pi, 128)
     raw = ScaledKernel(KernelSpec.gaussian_raw(), 0.3)
-    state = build_solution(1.2, -0.7, 1.0, 1, raw, grid)
+    state = build_solution(solution_params(1.2, -0.7, 1.0, 1, raw), grid)
     assert stationary_residual(state) < 1e-9
-    focusing = build_solution(0.9, 0.4, 1.0, -1, raw, grid)
+    focusing = build_solution(solution_params(0.9, 0.4, 1.0, -1, raw), grid)
     assert stationary_residual(focusing) < 1e-9
 
 
@@ -103,7 +104,8 @@ def test_residual_stays_at_rounding_floor_as_N_doubles():
     prev = None
     for N in (32, 64, 128, 256):
         grid = PeriodicGrid(2 * np.pi, N)
-        res = stationary_residual(build_solution(1.0, -0.6, 1.0, 1, kern, grid))
+        state = build_solution(solution_params(1.0, -0.6, 1.0, 1, kern), grid)
+        res = stationary_residual(state)
         assert res < 1e-11
         if prev is not None:
             assert res <= prev + 1e-11
@@ -121,7 +123,7 @@ def test_offset_lower_bound_enforced():
 
 def test_zero_offset_allowed_when_A_nonnegative():
     grid = PeriodicGrid(2 * np.pi, 64)
-    state = build_solution(0.0, -1.0, 1.0, 1, _local_kernel(), grid)
+    state = build_solution(solution_params(0.0, -1.0, 1.0, 1, _local_kernel()), grid)
     assert state.params.D is None
     x = grid.points
     assert np.max(np.abs(state.field.samples - 1j * np.sin(x))) < 1e-14
@@ -138,22 +140,24 @@ def test_beta_zero_rejected(tmp_path):
 
 
 def test_grid_period_must_hold_integer_wave_count():
-    kern = _local_kernel()
+    params = solution_params(1.0, -1.0, 1.0, 1, _local_kernel())
     with pytest.raises(PeriodMismatchError):
-        build_solution(1.0, -1.0, 1.0, 1, kern, PeriodicGrid(3.0 * np.pi, 64))
+        build_solution(params, PeriodicGrid(3.0 * np.pi, 64))
     # multiple wave periods are fine
-    state = build_solution(1.0, -1.0, 1.0, 1, kern, PeriodicGrid(4 * np.pi, 64))
+    state = build_solution(params, PeriodicGrid(4 * np.pi, 64))
     assert stationary_residual(state) < 1e-9
 
 
 def test_solution_converges_pointwise_as_epsilon_vanishes():
     base = KernelSpec.gaussian_normalized()
     grid = PeriodicGrid(2 * np.pi, 64)
-    ref = build_solution(1.0, -1.0, 1.0, 1, ScaledKernel(base, 0.0), grid)
+    ref = build_solution(solution_params(1.0, -1.0, 1.0, 1, ScaledKernel(base, 0.0)),
+                         grid)
     assert ref.params.beta == pytest.approx(1.0, abs=1e-15)
     sup_gaps = []
     for eps in (0.1, 0.01, 0.001):
-        state = build_solution(1.0, -1.0, 1.0, 1, ScaledKernel(base, eps), grid)
+        params = solution_params(1.0, -1.0, 1.0, 1, ScaledKernel(base, eps))
+        state = build_solution(params, grid)
         sup_gaps.append(float(np.max(np.abs(state.field.samples
                                             - ref.field.samples))))
     assert all(a > b for a, b in zip(sup_gaps[:-1], sup_gaps[1:]))
