@@ -154,7 +154,7 @@ def resolve_config(command: str, config_path, overrides: dict) -> dict:
     if config_path is not None:
         try:
             text = Path(config_path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(str(exc)) from exc
         file_values = parse_flat_config(text)
         unknown = sorted(set(file_values) - set(schema))

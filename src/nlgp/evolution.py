@@ -12,13 +12,18 @@ is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
 adaptive Dormand-Prince 5(4) solver below integrates only the filtered
 nonlinear and potential terms.  Each run is one call of that solver, whose
 snapshots are its dense output at the record times, with steps capped at
-record_every.  The grid is the initial state's: a config holds only the
-equation and the solver settings.
+record_every.  The solver and the right-hand side allocate their work arrays
+once per call and write into them, with the arithmetic of scipy's RK45 kept
+operation for operation, so that the results equal scipy's bit for bit.  The
+grid is the initial state's: a config holds only the equation and the solver
+settings.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
+import math
 from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
 
@@ -90,17 +95,18 @@ _P = np.array([
 # them, with the same arguments, so bit for bit the same without numpy's
 # per-call argument handling; looked up per call so that importing nlgp does
 # not import numpy.fft
-def _fft(a):
-    return np.fft._pocketfft_umath.fft(a, 1.0, out=np.empty(a.shape, complex))
+def _fft(a, out=None):
+    out = np.empty(a.shape, complex) if out is None else out
+    return np.fft._pocketfft_umath.fft(a, 1.0, out=out)
 
 
-def _ifft(a):
-    return np.fft._pocketfft_umath.ifft(a, 1.0 / a.shape[-1],
-                                        out=np.empty(a.shape, complex))
+def _ifft(a, out=None):
+    out = np.empty(a.shape, complex) if out is None else out
+    return np.fft._pocketfft_umath.ifft(a, 1.0 / a.shape[-1], out=out)
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
+def _rms(x):  # np.linalg.norm(x) / sqrt(x.size), summed as np.linalg.norm sums
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / x.size**0.5
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_step):
@@ -109,39 +115,50 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_step):
 
     Initial step, RMS error norm, controller and interpolant are scipy's
     RK45, operation for operation, so ``t``, ``y`` (n by len(t)) and ``nfev``
-    equal ``scipy.integrate.solve_ivp(method="RK45")``'s bit for bit.  Name
-    and call shape are scipy's too: the benchmark tracer wraps this
-    attribute, times ``fun`` as the right-hand side and reads ``nfev``, and
-    the stall tests replace it with stubs of that shape.
+    equal ``scipy.integrate.solve_ivp(method="RK45")``'s bit for bit, although
+    the work arrays are allocated once per call and written in place (``fun``
+    must not keep the stage input it is given).  Name and call shape are
+    scipy's too: the benchmark tracer wraps this attribute, times ``fun`` as
+    the right-hand side and reads ``nfev``, and the stall tests replace it.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=np.result_type(y0, float))
     rtol = max(rtol, 100 * np.finfo(float).eps)
     f = fun(t, y)
-    scale = atol + np.abs(y) * rtol  # initial step for error order 4
+    abs_y = np.abs(y)
+    scale = atol + abs_y * rtol  # initial step for error order 4
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
     d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs = min(100 * h0, h1, t_bound - t, max_step)
-    nfev, K, ys, i = 2, np.empty((7, y.size), dtype=y.dtype), [], 0
+    # the tableau cast to y's type as scipy's mixed-type np.dot casts it; per
+    # stage: node, the slopes so far as columns, tableau row, the stage's row
+    K, x, err = np.empty((7, y.size), y.dtype), np.empty_like(y), np.empty_like(y)
+    A, B, E, P = (m.astype(y.dtype) for m in (_A, _B, _E, _P))
+    stages = [(_C[s].item(), K[:s].T, A[s, :s], K[s]) for s in range(1, 6)]
+    abs_new, times, nfev, ys, i = np.empty_like(abs_y), t_eval.tolist(), 2, [], 0
     message = "The solver successfully reached the end of the integration interval."
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_bound)
             h_abs = h = t_new - t
             K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = fun(t + h, y_new)
+            for c, k_prev, a, k in stages:
+                np.multiply(np.dot(k_prev, a, out=x), h, out=x)
+                k[...] = fun(t + c * h, np.add(y, x, out=x))
+            y_new = np.dot(K[:-1].T, B)
+            np.add(y, np.multiply(h, y_new, out=y_new), out=y_new)
+            K[-1] = f_new = fun(t + h, y_new)  # f survives a rejected attempt
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            np.maximum(abs_y, np.abs(y_new, out=abs_new), out=scale)
+            np.add(atol, np.multiply(scale, rtol, out=scale), out=scale)
+            np.multiply(np.dot(K.T, E, out=err), h, out=err)
+            error_norm = _rms(np.divide(err, scale, out=err))
             if error_norm < 1:  # accept; grow at most 10x, not at all after a retry
                 factor = min(10, 0.9 * error_norm**-0.2) if error_norm else 10
                 h_abs *= min(1, factor) if rejected else factor
@@ -150,19 +167,19 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval, max_step):
         else:
             message = "Required step size is less than spacing between numbers."
             break
-        j = np.searchsorted(t_eval, t_new, side="right")
+        j = bisect.bisect_right(times, t_new)
         if j > i:  # the records this step covers
-            x = np.cumprod(np.tile((t_eval[i:j] - t) / h, (4, 1)), axis=0)
-            ys.append(h * np.dot(K.T.dot(_P), x) + y[:, None])
+            x_rec = np.cumprod(np.tile((t_eval[i:j] - t) / h, (4, 1)), axis=0)
+            ys.append(h * np.dot(K.T.dot(P), x_rec) + y[:, None])
             i = j
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y, abs_new = t_new, y_new, f_new, abs_new, abs_y
     return SimpleNamespace(t=t_eval[:i],
                            y=np.hstack(ys) if ys else np.empty((y.size, 0)),
                            nfev=nfev, success=t >= t_bound, message=message)
 
 
 class _Workspace:
-    """Precomputed arrays in unshifted FFT order for fast right-hand sides."""
+    """Precomputed arrays in unshifted FFT order and right-hand-side buffers."""
 
     def __init__(self, cfg: EvolutionConfig, grid: PeriodicGrid):
         N = grid.num_modes
@@ -182,34 +199,47 @@ class _Workspace:
         filt[j == -N // 2] = 0.0  # unmatched Nyquist mode gets no RHS
         self.filt_i = -1j * filt
         self.h = grid.spacing
-        self._phase = None, None
+        # buffers: phase, psi, u/e and transforms, R*|psi|^2, squares, |psi|^2
+        self._half, self._e = np.empty(N // 2 + 1, complex), np.empty(N, complex)
+        self._psi, self._hat, self._conv = np.empty((3, N), complex)
+        self._sq, self._q = np.empty(2 * N), np.empty(N)
+        self._phase, self.last = (None, self._e), None  # last: (t, u') of rhs
 
     def phase(self, t):
         """exp(i*half_ksq*t) at one time: the symbol is even in j, so entries
-        0..N/2 (every |j| once) are exponentiated and gathered by |j|.  The
-        last (t, phase) is kept: a Dormand-Prince step evaluates its sixth
-        and FSAL stages at the same t + h."""
+        0..N/2 (every |j| once) are exponentiated and gathered by |j| into a
+        buffer (fold is in range: "clip" only spares numpy's copy of out).
+        The last (t, phase) is kept: a Dormand-Prince step evaluates its
+        sixth and FSAL stages at the same t + h."""
         if t != self._phase[0]:
-            self._phase = t, np.exp(self.i_half_ksq_half * t)[self.fold]
+            half = np.multiply(self.i_half_ksq_half, t, out=self._half)
+            np.exp(half, out=half).take(self.fold, out=self._e, mode="clip")
+            self._phase = t, self._e
         return self._phase[1]
 
-    def nonlinear_rhs_hat(self, t, y):
-        """Filtered FFT of -i*(alpha*psi*(R*|psi|^2) + V*psi)."""
-        conv = self.convolve(y.real**2 + y.imag**2)
-        return self.filt_i * _fft(y * (conv + self.V))
-
-    def convolve(self, q):
-        """alpha*(R*q) along the last axis; pointwise when the multiplier is
-        constant."""
+    def rhs(self, t, u):
+        """u' = e*filt_i*FFT(psi*(alpha*(R*|psi|^2) + V)) at psi = IFFT(u/e),
+        e = exp(i*half_ksq*t): -i times the filtered nonlinear and potential
+        terms in the integrating-factor variable u = e*psi_hat.  Only the
+        result is a fresh array; it is kept with t as ``last``."""
+        e = self.phase(t)
+        psi = _ifft(np.divide(u, e, out=self._hat), out=self._psi)
+        sq = np.square(psi.view(float), out=self._sq)
+        w = np.add(sq[0::2], sq[1::2], out=self._q)
         if self.local is not None:
-            return self.local * q
-        return _ifft(_fft(q) * self.mult)
+            np.multiply(self.local, w, out=w)
+        else:  # complex, as the convolution's inverse transform returns it
+            w = _ifft(np.multiply(_fft(w, out=self._hat), self.mult, out=self._hat),
+                      out=self._conv)
+        hat = _fft(np.multiply(psi, np.add(w, self.V, out=w), out=psi), out=self._hat)
+        self.last = t, np.multiply(e, np.multiply(self.filt_i, hat, out=hat))
+        return self.last[1]
 
     def mass_energy(self, y):
         """Mass and energy of each row of the (records, N) sample array y."""
         q = y.real**2 + y.imag**2
         dpsi = _ifft(_fft(y) * (-1j * self.kappa))
-        conv = self.convolve(q).real
+        conv = self.local * q if self.local is not None else _ifft(_fft(q) * self.mult).real
         dens = np.abs(dpsi) ** 2 + 2.0 * self.V * q + q * conv
         return np.sum(q, axis=-1) * self.h, 0.5 * np.sum(dens, axis=-1) * self.h
 
@@ -255,21 +285,11 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     rec = _record_times(cfg)
 
     # psi_hat' = -i*half_ksq*psi_hat + N(psi) becomes u' = e(t)*N(psi) for
-    # u = e(t)*psi_hat, e(t) = exp(i*half_ksq*t): the stiff part is exact.
-    # The last (t, u') evaluated tells a blow-up from a stall when the
-    # adaptive solver gives up.
-    last = None
-
-    def f(t, u):
-        nonlocal last
-        e = ws.phase(t)
-        last = t, e * ws.nonlinear_rhs_hat(t, _ifft(u / e))
-        return last[1]
-
+    # u = e(t)*psi_hat, e(t) = exp(i*half_ksq*t): the stiff part is exact
     u0 = _fft(psi0.samples.astype(complex))
     # overflow is reported below as NonFiniteError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(f, (rec[0], rec[-1]), u0, rtol=cfg.rtol, atol=cfg.atol,
+        sol = solve_ivp(ws.rhs, (rec[0], rec[-1]), u0, rtol=cfg.rtol, atol=cfg.atol,
                         t_eval=rec, max_step=cfg.record_every)
     # t = 0 is u0 itself: a solver that fails before its first record
     # returns no columns in sol.y
@@ -283,9 +303,9 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     if n < len(reached):
         raise NonFiniteError(f"non-finite state at t = {rec[n]:.6g} (blow-up)",
                              trajectory=traj)
-    if n < len(rec):
-        if last is not None and not np.all(np.isfinite(last[1])):
-            raise NonFiniteError(f"non-finite state at t = {last[0]:.6g} "
+    if n < len(rec):  # a non-finite last right-hand side is a blow-up too
+        if ws.last is not None and not np.all(np.isfinite(ws.last[1])):
+            raise NonFiniteError(f"non-finite state at t = {ws.last[0]:.6g} "
                                  "(blow-up)", trajectory=traj)
         raise StepSizeUnderflowError(
             f"stepper stalled after t = {rec[n - 1]:.6g}: {sol.message}",

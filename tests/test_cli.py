@@ -181,6 +181,20 @@ def test_unreadable_input_path_is_exit_2(tmp_path, capsys, command, flag, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--config", "--kernel"])
+def test_non_utf8_input_file_is_exit_2(tmp_path, capsys, flag):
+    # an ELF header and high bytes: not text, so a config error, not a defect
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    with pytest.raises(UnicodeDecodeError) as info:
+        path.read_bytes().decode()
+    out = tmp_path / "out"
+    value = str(path) if flag == "--config" else f"custom:{path}"
+    assert cli.main(["spectrum", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {info.value}\n"
+    assert not out.exists()
+
+
 def test_b_star_undefined_for_a_sign_changing_multiplier(tmp_path, capsys):
     # this table's cosine transform is negative somewhere on the lattice
     table = _write(tmp_path, "neg.csv", "0,1\n1,-0.5\n10,-0.5\n")

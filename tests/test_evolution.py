@@ -284,8 +284,8 @@ def test_rhs_never_feeds_the_unmatched_nyquist_mode():
                           potential=SineSquared(-2.46, 1.0), alpha=1)
     rng = np.random.default_rng(7)
     noise = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    rhs = evolution._Workspace(cfg, grid).nonlinear_rhs_hat(
-        0.0, state.field.samples + 1e-3 * noise)
+    rhs = evolution._Workspace(cfg, grid).rhs(
+        0.0, np.fft.fft(state.field.samples + 1e-3 * noise))
     assert rhs[64] == 0.0
 
 
@@ -354,10 +354,8 @@ def _flow(monkeypatch, cfg, psi0):
     return seen[0]
 
 
-@pytest.mark.parametrize("tol, rejects", [(1e-8, False), (1e-2, True)])
-def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, tol, rejects):
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
+def _nonlocal_n32(tol):
+    """A nonlocal flow at N = 32 that the stepper solves at rtol = atol = tol."""
     grid = PeriodicGrid(2 * np.pi, 32)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.5)
     psi0 = perturbed_initial(_state(grid, B=4.0, kern=kern), 0.5, 3, 8)
@@ -365,6 +363,19 @@ def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, tol, rejects):
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.5,
                           rtol=tol, atol=tol)
+    return psi0, cfg
+
+
+@pytest.mark.parametrize("flow, rejects", [
+    pytest.param(lambda: _nonlocal_n32(1e-8), False, id="1e-08-False"),
+    pytest.param(lambda: _nonlocal_n32(1e-2), True, id="0.01-True"),
+    # the benchmarked path: N = 128, constant multiplier, 1e-10
+    pytest.param(lambda: _regime_1a_to_t2(), False, id="regime-1a"),
+])
+def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, flow, rejects):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    psi0, cfg = flow()
     fun, y0, t_span, kwargs = _flow(monkeypatch, cfg, psi0)
     times = []
 
@@ -398,15 +409,15 @@ def test_constant_multiplier_skips_the_convolution_transforms(monkeypatch, kern,
     q = np.abs(y) ** 2
     conv = np.fft.ifft(np.fft.fft(q) * ws.mult)
     explicit = ws.filt_i * np.fft.fft(y * (conv + ws.V))
-    rhs = ws.nonlinear_rhs_hat(0.0, y)
+    rhs = ws.rhs(0.0, np.fft.fft(y))
     assert np.max(np.abs(rhs - explicit)) <= 1e-13 * np.max(np.abs(explicit))
 
     fun, y0, _, _ = _flow(monkeypatch, cfg, _state(grid, kern=kern).field)
     calls = []
     for name in ("_fft", "_ifft"):
         orig = getattr(evolution, name)
-        monkeypatch.setattr(evolution, name, lambda a, _fn=orig:
-                            calls.append(1) or _fn(a))
+        monkeypatch.setattr(evolution, name, lambda *args, _fn=orig, **kwargs:
+                            calls.append(1) or _fn(*args, **kwargs))
     fun(0.1, y0)
     assert len(calls) == ffts
 
@@ -474,3 +485,19 @@ def test_direct_transforms_leave_regime_1a_bitwise_unchanged(monkeypatch):
     ref = evolve(psi0, cfg)
     for name in ("times", "samples", "mass", "energy"):
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
+def test_work_buffers_alias_neither_inputs_nor_results(monkeypatch):
+    # the stepper and the right-hand side write into buffers they allocate
+    # once per call; none of them may leak into y0, a result or a later run
+    psi0, cfg = _regime_1a_to_t2()
+    fun, y0, t_span, kwargs = _flow(monkeypatch, cfg, psi0)
+    kept = y0.copy()
+    first = evolution.solve_ivp(fun, t_span, y0, **kwargs)
+    assert np.array_equal(y0, kept)
+    second = evolution.solve_ivp(fun, t_span, y0, **kwargs)
+    assert not np.shares_memory(first.y, second.y)
+    assert np.array_equal(first.y, second.y)
+    one, two = evolve(psi0, cfg), evolve(psi0, cfg)
+    for name in ("times", "samples", "mass", "energy"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
