@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bloch, evolution, experiments, kernels, waves
-from .experiments import ConfigError, from_settings
+# the handlers that evolve import evolution and experiments themselves
+from . import bloch, kernels, runs, waves
+from .runs import ConfigError, from_settings
 from .spectral import PeriodicGrid, filter_multipliers
 
 
@@ -90,7 +91,7 @@ SCHEMAS = {
         "evolution.record_every": 0.25,
         "perturbation.nu": 0.0,
         "perturbation.mode_cutoff": 16,
-        "run.seed": experiments.DEFAULT_SEED,
+        "run.seed": runs.DEFAULT_SEED,
     },
     "spectrum": {
         **_SOLUTION_KEYS,
@@ -121,7 +122,7 @@ SCHEMAS = {
         "figures.mode_cutoff": 16,
         "evolution.rtol": 1e-10,
         "evolution.atol": 1e-10,
-        "run.seed": experiments.DEFAULT_SEED,
+        "run.seed": runs.DEFAULT_SEED,
     },
     "validate-kernel": {
         "kernel.name": "gaussian-normalized",
@@ -208,6 +209,8 @@ def _scaled_kernel(cfg):
 
 
 def cmd_simulate(cfg: dict, out_dir) -> int:
+    from . import evolution
+
     period = cfg["grid.period"]
     if period < 0:
         raise ConfigError(f"grid.period must be positive, or 0 for one wave period, "
@@ -228,10 +231,10 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     failure = None
     try:
         traj = evolution.evolve(psi0, econf)
-    except evolution.BlowUpError as exc:
+    except runs.BlowUpError as exc:
         failure, traj = exc, exc.trajectory
     tag = "" if failure is None else ".partial"
-    experiments.write_outputs(out_dir, {
+    runs.write_outputs(out_dir, {
         f"trajectory{tag}.csv": lambda p: evolution.write_trajectory_csv(traj, p),
         f"summary{tag}.csv": lambda p: evolution.write_summary_csv(
             traj, p, reference=state.field),
@@ -256,7 +259,7 @@ def cmd_spectrum(cfg: dict, out_dir) -> int:
     reports = bloch.full_period_spectrum(cfg["spectrum.n_periods"], params,
                                          cfg["spectrum.truncation"])
     summary = bloch.eigen_summary(reports, params)
-    experiments.write_outputs(out_dir, {
+    runs.write_outputs(out_dir, {
         "spectrum.csv": lambda p: bloch.write_eigen_csv(reports, p)})
     print(f"max real part {summary['max_real_part']:.6g} over "
           f"{len(reports)} Bloch parameters -> {summary['verdict']}")
@@ -272,6 +275,8 @@ def cmd_spectrum(cfg: dict, out_dir) -> int:
 
 
 def cmd_aes_sweep(cfg: dict, out_dir) -> int:
+    from . import experiments
+
     eps = _parse_float_list(cfg["aes.epsilons"], "aes.epsilons")
     base = _kernel_base(cfg["aes.kernel"])
     table = experiments.run_aes_sweep(
@@ -295,6 +300,8 @@ def cmd_aes_sweep(cfg: dict, out_dir) -> int:
 
 
 def cmd_figures(cfg: dict, out_dir) -> int:
+    from . import experiments
+
     regime = cfg["figures.regime"]
     base = _kernel_base(cfg["figures.kernel"])
     result = experiments.run_figure_regime(
@@ -311,7 +318,7 @@ def cmd_figures(cfg: dict, out_dir) -> int:
     else:
         print("no resolvable exponential growth window")
     _warn_damped_perturbation(cfg["figures.num_modes"], cfg["figures.mode_cutoff"],
-                              experiments.FIGURE_REGIMES[regime]["nu"])
+                              runs.FIGURE_REGIMES[regime]["nu"])
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -333,12 +340,14 @@ def cmd_validate_kernel(cfg: dict, out_dir) -> int:
         ok = ok and report.all_passed
     text = "\n".join(report_lines)
     print(text)
-    experiments.write_outputs(out_dir, {
+    runs.write_outputs(out_dir, {
         "validation.txt": lambda p: p.write_text(text + "\n")})
     return 0 if ok else 1
 
 
 def cmd_stability_map(cfg: dict, out_dir) -> int:
+    from . import experiments
+
     B_vals = _parse_float_list(cfg["map.B_values"], "map.B_values")
     V0_vals = _parse_float_list(cfg["map.V0_values"], "map.V0_values")
     base = _kernel_base(cfg["map.kernel"])
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "gaussian-raw, algebraic:P, custom:PATH")
         if name == "figures":
             p.add_argument("regime", nargs="?", default=None,
-                           choices=sorted(experiments.FIGURE_REGIMES),
+                           choices=sorted(runs.FIGURE_REGIMES),
                            help="which published regime to run")
     return parser
 
@@ -426,10 +435,10 @@ def main(argv=None) -> int:
         cfg = resolve_config(command, args.config, overrides)
         try:
             code, failure = handler(cfg, args.out), None
-        except evolution.BlowUpError as exc:
+        except runs.BlowUpError as exc:
             code, failure = 3, exc
         # the one record of the settings, some of them resolved by the handler
-        experiments.write_outputs(args.out, {
+        runs.write_outputs(args.out, {
             "resolved.cfg": lambda p: p.write_text(format_flat_config(cfg))})
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

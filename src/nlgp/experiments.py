@@ -11,51 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import bloch, evolution, kernels, waves
+from .runs import DEFAULT_SEED, FIGURE_REGIMES, ConfigError, from_settings, write_outputs
 from .spectral import PeriodicGrid, WaveField
-
-# Parameter sets of the four published stability figures (k = 1, alpha = 1,
-# 128 modes on [0, 8*pi], perturbations with 16 modes).
-FIGURE_REGIMES = {
-    "1a": {"B": 0.01, "V0": -2.46, "eps": 0.0, "nu": 0.01},
-    "1b": {"B": 1.0, "V0": -0.01, "eps": 0.01, "nu": 0.01},
-    "2a": {"B": 1.0, "V0": -1.0, "eps": 0.01, "nu": 0.01},
-    "2b": {"B": 1.0, "V0": -1.0, "eps": 0.01, "nu": 0.1},
-}
-
-DEFAULT_SEED = 1234
-
-
-class ConfigError(ValueError):
-    """Invalid run settings: the command line exits 2 on it, not 4."""
-
-
-@contextmanager
-def from_settings():
-    """Objects built from run settings: a ValueError of their input checks,
-    or an OSError reading an input file, is a ConfigError.  Computations stay
-    outside, so their defects are not."""
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def write_outputs(out_dir, writers: dict):
-    """Create out_dir if needed and call each writer with its file path;
-    no-op when out_dir is None."""
-    if out_dir is None:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for fname, writer in writers.items():
-        writer(out / fname)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ hook would otherwise pass unnoticed.  The file is parsed, not imported.
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,42 @@ def test_every_traced_hook_resolves():
 
 def test_every_exported_name_resolves():
     assert [name for name in nlgp.__all__ if not hasattr(nlgp, name)] == []
+    # each name is the object of the module the table files it under, and
+    # that module defines it
+    for name in nlgp.__all__:
+        home = importlib.import_module(f"nlgp.{nlgp._HOME[name]}")
+        obj = getattr(nlgp, name)
+        assert obj is getattr(home, name), name
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == home.__name__, name
+    assert nlgp.bloch is bloch
+
+
+def test_imports_load_only_what_runs(tmp_path):
+    # importing the package loads no module of it, a name loads its own
+    # module, and a spectrum run loads neither the evolution nor the
+    # experiments nor json
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("spectrum.truncation = 16\n")
+    script = (
+        "import sys\n"
+        "import nlgp\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('nlgp.'))\n"
+        "assert loaded() == [], loaded()\n"
+        "assert nlgp.FIGURE_REGIMES['1a']['B'] == 0.01\n"
+        "assert nlgp.spectral.__name__ == 'nlgp.spectral'\n"
+        "assert loaded() == ['nlgp.runs', 'nlgp.spectral'], loaded()\n"
+        "from nlgp import cli\n"
+        f"assert cli.main(['spectrum', '--config', {str(cfg)!r}]) in (0, 1)\n"
+        "late = {'nlgp.evolution', 'nlgp.experiments', 'json'} & set(sys.modules)\n"
+        "assert not late, late\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                         capture_output=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("max real part ")
 
 
 def test_solver_result_carries_what_the_tracer_reads():

@@ -706,7 +706,7 @@ def test_simulate_internal_error_leaves_no_echo(tmp_path, capsys, monkeypatch):
     def defect(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli.evolution, "evolve", defect)
+    monkeypatch.setattr(evolution, "evolve", defect)
     cfg = _write(tmp_path, "sim.cfg", "grid.num_modes = 32\n")
     out = tmp_path / "sim"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
