@@ -171,11 +171,15 @@ def resolve_config(command: str, config_path, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             out[key] = value
+    if out.get("run.seed", 0) < 0:  # the generator would seed -s as s
+        raise ConfigError(f"run.seed must be nonnegative, got {out['run.seed']}")
     return out
 
 
 def _warn_damped_perturbation(num_modes: int, mode_cutoff: int, nu: float):
-    """One stderr line when the perturbation reaches modes the filter damps."""
+    """One stderr line when mode_cutoff exceeds N/8: the perturbation keeps to
+    |j| <= mode_cutoff, so at or below N/8 the filter takes at most 0.055% of
+    any of its modes."""
     if nu > 0 and mode_cutoff > num_modes // 8:
         grid = PeriodicGrid(1.0, num_modes)
         factor = filter_multipliers(grid)[grid.modes == mode_cutoff][0]

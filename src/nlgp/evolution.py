@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import random
 from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
 
@@ -306,15 +307,20 @@ def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
 
 
 def random_band_limited(grid: PeriodicGrid, seed: int, mode_cutoff: int) -> WaveField:
-    """Real field with modes |j| <= mode_cutoff, seeded, normalized to ||m||_2 = 1."""
+    """Real field with modes |j| <= mode_cutoff, seeded, normalized to ||m||_2 = 1.
+
+    The 2*mode_cutoff + 1 normals come from the stdlib ``random.Random(seed)``,
+    which would seed -s as s, so a negative seed is refused."""
     if mode_cutoff >= grid.num_modes // 2:
         raise ValueError("mode_cutoff must be below the Nyquist index")
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    gauss = random.Random(seed).gauss
     c = np.zeros(grid.num_modes, dtype=complex)
     modes = grid.modes
-    c[modes == 0] = rng.normal()
+    c[modes == 0] = gauss(0.0, 1.0)
     for m in range(1, mode_cutoff + 1):
-        re, im = rng.normal(), rng.normal()
+        re, im = gauss(0.0, 1.0), gauss(0.0, 1.0)
         c[modes == m] = (re + 1j * im) / 2.0
         c[modes == -m] = (re - 1j * im) / 2.0
     f = WaveField.from_coeffs(grid, c)
@@ -323,17 +329,17 @@ def random_band_limited(grid: PeriodicGrid, seed: int, mode_cutoff: int) -> Wave
 
 def perturbed_initial(state: StationaryState, nu: float, seed: int,
                       mode_cutoff: int = 16) -> WaveField:
-    """phi + nu*m(x)*exp(i*theta(x)) with theta the phase of phi and m the
-    seeded field of :func:`random_band_limited`, so ||m||_2 = 1.
+    """phi + nu*p with ||p||_2 = 1 and p band-limited to |j| <= mode_cutoff:
+    p is m*exp(i*theta), with theta the phase of phi and m the seeded field
+    of :func:`random_band_limited`, projected onto those modes and rescaled.
 
-    m holds the modes |j| <= mode_cutoff; the evolution's fixed filter
+    The projection matters: the phase factor spreads m's modes, and it nearly
+    jumps where |phi| is small (in regime 1a at N = 128, 11-44% of the
+    product's energy lies above |j| = 16), which the adaptive stepper would
+    resolve at a cost of thousands of steps.  The evolution's fixed filter
     multiplies the right-hand side at j = N/8 by 0.99945, at j = N/4 by 0.87
-    and at j = 3N/8 by 0.027.  The perturbation nu*m*exp(i*theta) is not
-    band-limited: the phase factor spreads m's modes, and it nearly jumps
-    where |phi| is small.  At seed 1234 and N = 128, 3.5% of its energy lies
-    above |j| = 16 in regimes 1b, 2a and 2b (under 1e-6 above 32), but in
-    regime 1a (B = 0.01) 11% lies above 16 and 2.2% above 32, so
-    mode_cutoff <= N/8 bounds the damping of m, not of the perturbation.
+    and at j = 3N/8 by 0.027, so mode_cutoff <= N/8 bounds its damping of
+    the whole perturbation.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
@@ -343,8 +349,10 @@ def perturbed_initial(state: StationaryState, nu: float, seed: int,
     if nu == 0:
         return phi
     m = random_band_limited(phi.grid, seed, mode_cutoff)
-    theta = np.angle(phi.samples)
-    return WaveField(phi.grid, phi.samples + nu * m.samples * np.exp(1j * theta))
+    aligned = WaveField(phi.grid, m.samples * np.exp(1j * np.angle(phi.samples)))
+    c = np.where(np.abs(phi.grid.modes) <= mode_cutoff, aligned.coeffs, 0.0)
+    p = WaveField.from_coeffs(phi.grid, c / np.linalg.norm(c))
+    return WaveField(phi.grid, phi.samples + nu * p.samples)
 
 
 # ---------------------------------------------------------------------------

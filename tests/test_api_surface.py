@@ -57,11 +57,12 @@ def test_every_exported_name_resolves():
 
 def test_imports_load_only_what_runs(tmp_path):
     # importing the package loads no module of it, a name loads its own
-    # module, and a spectrum run loads neither the evolution nor the
-    # experiments nor json
+    # module, a spectrum run loads neither the evolution nor the experiments
+    # nor json, and a seeded perturbation does not load numpy.random
     cfg = tmp_path / "s.cfg"
     cfg.write_text("spectrum.truncation = 16\n")
     script = (
+        "import math\n"
         "import sys\n"
         "import nlgp\n"
         "def loaded():\n"
@@ -73,7 +74,13 @@ def test_imports_load_only_what_runs(tmp_path):
         "from nlgp import cli\n"
         f"assert cli.main(['spectrum', '--config', {str(cfg)!r}]) in (0, 1)\n"
         "late = {'nlgp.evolution', 'nlgp.experiments', 'json'} & set(sys.modules)\n"
-        "assert not late, late\n")
+        "assert not late, late\n"
+        "kern = nlgp.ScaledKernel(nlgp.KernelSpec.gaussian_raw(), 0.0)\n"
+        "state = nlgp.build_solution(nlgp.solution_params(0.01, -2.46, 1.0, 1, kern),\n"
+        "                            nlgp.PeriodicGrid(8.0 * math.pi, 128))\n"
+        "psi0 = nlgp.perturbed_initial(state, 0.01, 1234)\n"
+        "assert psi0 is not state.field\n"
+        "assert 'numpy.random' not in sys.modules\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], env=env, text=True,

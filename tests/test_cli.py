@@ -303,6 +303,22 @@ def test_inertia_sweep_failure_is_exit_4(tmp_path, capsys, monkeypatch, where, m
     assert "inertia sweep failed at mu=0.0" in err[0] and message in err[0]
 
 
+def test_focusing_state_with_a_split_double_nu_is_exit_1(tmp_path, capsys):
+    # at mu = 0 round-off splits the double nu = 2 into 2 -+ 4e-8, and the
+    # unpivoted inertia sweep meets a singular pivot at the shift between
+    # them: the pair is one indefinite cluster, and the modulationally
+    # unstable state gets its verdict instead of an internal error
+    cfg = _write(tmp_path, "f.cfg", "solution.alpha = -1\nsolution.B = 1.0\n"
+                                    "solution.V0 = 0.0\nspectrum.truncation = 32\n")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    assert "-> unstable" in capsys.readouterr().out
+    with open(out / "spectrum.csv", newline="") as fh:
+        pair = [row["krein"] for row in csv.DictReader(fh) if row["mu"] == "0.0"
+                and row["re_lambda"] == "0.0" and abs(float(row["im_lambda"]) - 2) < 1e-6]
+    assert pair == ["indefinite", "indefinite"]
+
+
 def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
     # eigenvalues from dgeev without vectors and Krein signs and n(L) from
     # inertia counts: at M = 128 (blocks of 258 and 256 rows, large enough
@@ -543,6 +559,22 @@ def test_seed_flag_changes_outputs(tmp_path):
         outs.append((out / "trajectory.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", "grid.num_modes = 32\nevolution.horizon = 0.25\n"
+                 "perturbation.nu = 0.05\nperturbation.mode_cutoff = 8\n"),
+    ("figures", "figures.regime = 1b\nfigures.num_modes = 32\n"
+                "figures.mode_cutoff = 8\n"),
+])
+def test_negative_seed_is_exit_2(tmp_path, capsys, command, text):
+    # the generator would seed -3 as 3: a negative seed is refused, with its key
+    cfg = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: run.seed must be nonnegative, got -3"]
+    assert not out.exists()
 
 
 def test_aes_sweep_command(tmp_path, capsys):

@@ -148,16 +148,24 @@ def test_perturbation_profile_properties():
     assert np.max(np.abs(m.samples - other.samples)) > 1e-3
 
 
-def test_perturbed_initial_modulates_along_phase():
-    grid = PeriodicGrid(2 * np.pi, 64)
-    state = _state(grid)
-    psi0 = perturbed_initial(state, 0.05, 11, 8)
-    diff = psi0.samples - state.field.samples
-    # the perturbation rides the local phase: diff = nu * m * e^{i theta}
-    expected_mag = 0.05 * np.abs(
-        random_band_limited(grid, seed=11, mode_cutoff=8).samples)
-    assert np.max(np.abs(np.abs(diff) - expected_mag)) < 1e-12
-    clean = perturbed_initial(state, 0.0, 11, 8)
+def test_perturbed_initial_is_band_limited_with_norm_nu():
+    # psi0 - phi = nu * p, p band-limited to |j| <= mode_cutoff with
+    # ||p||_2 = 1; regime 1a's small |phi| is where the phase factor spreads
+    # the product m * e^{i theta} furthest above the cutoff
+    reg = FIGURE_REGIMES["1a"]
+    grid = PeriodicGrid(8.0 * np.pi, 128)
+    kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
+    state = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
+    for cutoff in (8, 16):
+        psi0 = perturbed_initial(state, 0.05, 11, cutoff)
+        diff = WaveField(grid, psi0.samples - state.field.samples)
+        assert np.max(np.abs(diff.coeffs[np.abs(grid.modes) > cutoff])) < 1e-15
+        assert diff.l2_norm() == pytest.approx(0.05, rel=1e-13)
+    again = perturbed_initial(state, 0.05, 11, 16)
+    assert np.array_equal(again.samples, psi0.samples)
+    other = perturbed_initial(state, 0.05, 12, 16)
+    assert np.max(np.abs(other.samples - psi0.samples)) > 1e-3
+    clean = perturbed_initial(state, 0.0, 11, 16)
     assert np.array_equal(clean.samples, state.field.samples)
 
 
@@ -171,6 +179,9 @@ def test_perturbation_validation():
         perturbed_initial(state, 0.0, 1, 0)
     with pytest.raises(ValueError):
         random_band_limited(grid, seed=1, mode_cutoff=16)  # cutoff = N/2
+    # the generator seeds -s as s, so a negative seed is refused
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+        perturbed_initial(state, 0.1, -3, 8)
 
 
 def test_adaptive_blow_up_is_not_reported_as_a_stall():
