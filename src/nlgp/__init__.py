@@ -20,8 +20,8 @@ _EXPORTS = {
                 "convolve_periodic", "kernel_from_name", "multiplier",
                 "validate_hypotheses"),
     "waves": ("BetaZeroError", "OffsetTooSmallError", "PeriodMismatchError",
-              "SineSquared", "SolutionParams", "StationaryState", "build_solution",
-              "solution_params", "stationary_residual"),
+              "SineSquared", "SolutionParams", "build_solution", "solution_params",
+              "stationary_residual"),
     "evolution": ("EvolutionConfig", "NonFiniteError", "StepSizeUnderflowError",
                   "Trajectory", "evolve", "perturbed_initial", "random_band_limited",
                   "write_summary_csv", "write_trajectory_csv"),

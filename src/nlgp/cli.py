@@ -126,7 +126,6 @@ SCHEMAS = {
     },
     "validate-kernel": {
         "kernel.name": "gaussian-normalized",
-        "kernel.epsilon": 1.0,
         "validate.which": "H",
     },
     "stability-map": {
@@ -224,8 +223,8 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
             *(cfg[f"solution.{key}"] for key in ("B", "V0", "k", "alpha")),
             _scaled_kernel(cfg))
         period = cfg["grid.period"] = period or 2.0 * np.pi / params.k
-        state = waves.build_solution(params, PeriodicGrid(period, cfg["grid.num_modes"]))
-        psi0 = evolution.perturbed_initial(state, cfg["perturbation.nu"], cfg["run.seed"],
+        phi = waves.build_solution(params, PeriodicGrid(period, cfg["grid.num_modes"]))
+        psi0 = evolution.perturbed_initial(phi, cfg["perturbation.nu"], cfg["run.seed"],
                                            cfg["perturbation.mode_cutoff"])
         econf = evolution.EvolutionConfig(
             kernel=params.kernel, potential=waves.SineSquared(params.V0, params.k),
@@ -238,14 +237,13 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     except runs.BlowUpError as exc:
         failure, traj = exc, exc.trajectory
     tag = "" if failure is None else ".partial"
+    dev = traj.deviation_from(phi)
     runs.write_outputs(out_dir, {
         f"trajectory{tag}.csv": lambda p: evolution.write_trajectory_csv(traj, p),
-        f"summary{tag}.csv": lambda p: evolution.write_summary_csv(
-            traj, p, reference=state.field),
+        f"summary{tag}.csv": lambda p: evolution.write_summary_csv(traj, p, dev),
     })
     if failure is not None:
         raise failure
-    dev = traj.deviation_from(state.field)
     print(f"evolved to t = {traj.times[-1]:g} in {len(traj.times)} snapshots")
     print(f"final orbit deviation {dev[-1]:.6g} (max {np.max(dev):.6g})")
     print(f"relative mass drift {traj.mass_drift():.3g}, "
@@ -329,7 +327,7 @@ def cmd_figures(cfg: dict, out_dir) -> int:
 
 
 def cmd_validate_kernel(cfg: dict, out_dir) -> int:
-    kern = _scaled_kernel(cfg)
+    base = _kernel_base(cfg["kernel.name"])
     which = cfg["validate.which"]
     if which not in ("H", "Hprime", "both"):
         raise ConfigError("validate.which must be 'H', 'Hprime' or 'both', "
@@ -338,7 +336,7 @@ def cmd_validate_kernel(cfg: dict, out_dir) -> int:
     ok = True
     report_lines = []
     for s in sets:
-        report = kernels.validate_hypotheses(kern, which=s)
+        report = kernels.validate_hypotheses(base, which=s)
         report_lines.append(f"[{s}] kernel {report.kernel_family}")
         report_lines.extend("  " + ln for ln in report.lines())
         ok = ok and report.all_passed

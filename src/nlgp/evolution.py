@@ -33,7 +33,7 @@ import numpy as np
 from . import kernels
 from .runs import BlowUpError
 from .spectral import PeriodicGrid, WaveField, filter_multipliers
-from .waves import SineSquared, StationaryState
+from .waves import SineSquared
 
 
 class StepSizeUnderflowError(BlowUpError):
@@ -327,7 +327,7 @@ def random_band_limited(grid: PeriodicGrid, seed: int, mode_cutoff: int) -> Wave
     return WaveField(grid, f.samples.real / f.l2_norm())
 
 
-def perturbed_initial(state: StationaryState, nu: float, seed: int,
+def perturbed_initial(phi: WaveField, nu: float, seed: int,
                       mode_cutoff: int = 16) -> WaveField:
     """phi + nu*p with ||p||_2 = 1 and p band-limited to |j| <= mode_cutoff:
     p is m*exp(i*theta), with theta the phase of phi and m the seeded field
@@ -345,7 +345,6 @@ def perturbed_initial(state: StationaryState, nu: float, seed: int,
         raise ValueError("nu must be nonnegative")
     if mode_cutoff < 1:
         raise ValueError("mode_cutoff must be positive")
-    phi = state.field
     if nu == 0:
         return phi
     m = random_band_limited(phi.grid, seed, mode_cutoff)
@@ -370,11 +369,10 @@ def write_trajectory_csv(traj: Trajectory, path):
                               zip(range(row.size), row.real.tolist(), row.imag.tolist())]))
 
 
-def write_summary_csv(traj: Trajectory, path, reference: WaveField):
-    """Per-snapshot mass, energy and orbit deviation from ``reference``."""
-    dev = traj.deviation_from(reference)
+def write_summary_csv(traj: Trajectory, path, deviation: np.ndarray):
+    """Per-snapshot mass, energy and orbit ``deviation`` (see deviation_from)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "mass", "energy", "mod_deviation"])
         w.writerows(zip(traj.times.tolist(), traj.mass.tolist(),
-                        traj.energy.tolist(), dev.tolist()))
+                        traj.energy.tolist(), deviation.tolist()))

@@ -76,7 +76,7 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
         local_kernel = kernels.ScaledKernel(kernels.KernelSpec.gaussian_normalized(), 0.0)
         params = waves.solution_params(B, V0, k, alpha, local_kernel)
         grid = PeriodicGrid(2.0 * np.pi / params.k, num_modes)
-        psi0 = waves.build_solution(params, grid).field
+        psi0 = waves.build_solution(params, grid)
 
         def config_for(kern):
             return evolution.EvolutionConfig(
@@ -185,8 +185,8 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
         grid = PeriodicGrid(8.0 * np.pi, num_modes)
         params = waves.solution_params(reg["B"], reg["V0"], k, alpha,
                                        kernels.ScaledKernel(base, reg["eps"]))
-        state = waves.build_solution(params, grid)
-        psi0 = evolution.perturbed_initial(state, reg["nu"], seed, mode_cutoff)
+        phi = waves.build_solution(params, grid)
+        psi0 = evolution.perturbed_initial(phi, reg["nu"], seed, mode_cutoff)
         cfg = evolution.EvolutionConfig(
             kernel=params.kernel, potential=waves.SineSquared(reg["V0"], k),
             alpha=alpha, time_horizon=horizon, rtol=rtol, atol=atol,
@@ -196,9 +196,8 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
     reports = bloch.full_period_spectrum(n_periods, params, truncation)
     abscissa = max(rep.max_real_part for rep in reports)
     traj = evolution.evolve(psi0, cfg)
-    deviations = traj.deviation_from(state.field)
-    sigma = fit_growth_rate(traj.times, deviations, reg["nu"],
-                            state.field.linf_norm())
+    deviations = traj.deviation_from(phi)
+    sigma = fit_growth_rate(traj.times, deviations, reg["nu"], phi.linf_norm())
     warnings = []
     if sigma is not None and sigma > 1e-2 and abscissa < sigma / 2.0:
         warnings.append(
@@ -211,8 +210,7 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
         growth_rate=sigma, warnings=tuple(warnings))
     write_outputs(out_dir, {
         "trajectory.csv": lambda p: evolution.write_trajectory_csv(traj, p),
-        "summary.csv": lambda p: evolution.write_summary_csv(traj, p,
-                                                             reference=state.field),
+        "summary.csv": lambda p: evolution.write_summary_csv(traj, p, deviations),
         "spectrum.csv": lambda p: bloch.write_eigen_csv(reports, p),
         "report.json": lambda p: _write_regime_json(result, p),
         "plot_regime.py": _write_regime_plot_script,

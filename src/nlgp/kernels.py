@@ -282,7 +282,6 @@ class HypothesisCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     kernel_family: str
-    which: str
     checks: tuple
 
     @property
@@ -352,16 +351,16 @@ def _check_transform_positive(zeta_hat) -> HypothesisCheck:
     return HypothesisCheck("zeta_hat > 0", mn > 0.0, f"min zeta_hat on [0,50] = {mn:.3e}")
 
 
-def validate_hypotheses(kern: ScaledKernel, which: str = "H") -> ValidationReport:
-    """Numerically audit the kernel hypotheses.
+def validate_hypotheses(base: KernelSpec, which: str = "H") -> ValidationReport:
+    """Numerically audit the kernel hypotheses on the base profile zeta; they
+    do not depend on eps, as R(x; eps) = zeta(x/eps)/eps only rescales it.
 
     which = "H": nonnegativity, unit mass, first-moment integrability, and the
     transform decay envelope.  which = "Hprime": nonnegativity + evenness +
     unit mass, strict positivity of zeta_hat, and the same decay envelope.
     Failures land in the report; nothing raises.
     """
-    z = kern.base.zeta
-    zh = kern.base.zeta_hat
+    z, zh = base.zeta, base.zeta_hat
     if which == "H":
         checks = (
             _check_nonnegative(z),
@@ -379,4 +378,4 @@ def validate_hypotheses(kern: ScaledKernel, which: str = "H") -> ValidationRepor
         )
     else:
         raise ValueError(f"which must be 'H' or 'Hprime', got {which!r}")
-    return ValidationReport(kern.base.family, which, checks)
+    return ValidationReport(base.family, checks)

@@ -7,8 +7,9 @@ profile (in the frame rotating at frequency omega)
 
 where A = -V0/(alpha*beta(k; eps)) and beta is the kernel multiplier at
 s = 2k.  The family exists whenever beta != 0 and B >= max(-A, 0):
-:func:`solution_params` checks a tuple once, and :func:`build_solution` puts
-the checked parameters on a grid holding whole wave periods 2*pi/k.
+:func:`solution_params` checks a tuple once, and :func:`build_solution`
+samples phi, a plain WaveField, on a grid holding whole wave periods 2*pi/k;
+the caller keeps the parameters beside it.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class SolutionParams:
     D: float | None
     omega: float
 
-    @property
-    def epsilon(self) -> float:
-        return self.kernel.epsilon
-
 
 def solution_params(B, V0, k, alpha, kernel: kernels.ScaledKernel) -> SolutionParams:
     """Validate the input tuple and fill in beta, A, D, omega."""
@@ -114,20 +111,9 @@ def solution_params(B, V0, k, alpha, kernel: kernels.ScaledKernel) -> SolutionPa
                           float(bta), float(A), D, float(omega))
 
 
-@dataclass(frozen=True, eq=False)
-class StationaryState:
-    params: SolutionParams
-    field: WaveField
-
-    def intensity(self) -> np.ndarray:
-        """Closed-form |phi|^2 = B + A sin^2(kx) on the grid."""
-        p = self.params
-        return p.B + p.A * np.sin(p.k * self.field.grid.points) ** 2
-
-
-def build_solution(params: SolutionParams, grid: PeriodicGrid) -> StationaryState:
-    """The stationary state of ``params`` (from :func:`solution_params`) on
-    ``grid``, whose period must be a whole number of wave periods."""
+def build_solution(params: SolutionParams, grid: PeriodicGrid) -> WaveField:
+    """The stationary profile phi of ``params`` (from :func:`solution_params`)
+    on ``grid``, whose period must be a whole number of wave periods."""
     ratio = grid.period * params.k / (2.0 * np.pi)
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise PeriodMismatchError(
@@ -137,24 +123,22 @@ def build_solution(params: SolutionParams, grid: PeriodicGrid) -> StationaryStat
     x = grid.points
     samples = (np.sqrt(params.B) * np.cos(params.k * x)
                + 1j * np.sqrt(params.B + params.A) * np.sin(params.k * x))
-    return StationaryState(params, WaveField(grid, samples))
+    return WaveField(grid, samples)
 
 
-def stationary_residual(state: StationaryState) -> float:
+def stationary_residual(params: SolutionParams, phi: WaveField) -> float:
     """L2 norm of -phi''/2 + alpha*phi*(R*|phi|^2) + V*phi - omega*phi.
 
     Evaluated pseudo-spectrally; for the band-limited exact profile this
     measures discretization error only and sits near machine precision.
     """
-    p = state.params
-    phi = state.field
     grid = phi.grid
     lap = phi.derivative(2)
     modsq = WaveField(grid, np.abs(phi.samples) ** 2)
-    conv = kernels.convolve_periodic(p.kernel, modsq)
-    V = SineSquared(p.V0, p.k).values(grid)
+    conv = kernels.convolve_periodic(params.kernel, modsq)
+    V = SineSquared(params.V0, params.k).values(grid)
     r = (-0.5 * lap.samples
-         + p.alpha * phi.samples * conv.samples
+         + params.alpha * phi.samples * conv.samples
          + V * phi.samples
-         - p.omega * phi.samples)
+         - params.omega * phi.samples)
     return WaveField(grid, r).l2_norm()

@@ -102,8 +102,8 @@ def test_criterion_02_exact_solution_residual(capsys):
         else:
             V0 = -float(10.0 ** rng.uniform(-1.3, 0.3))
             B = float(10.0 ** rng.uniform(-1.0, 0.7))
-        state = build_solution(solution_params(B, V0, k, 1, kern), grid)
-        worst = max(worst, stationary_residual(state))
+        params = solution_params(B, V0, k, 1, kern)
+        worst = max(worst, stationary_residual(params, build_solution(params, grid)))
     dt = time.perf_counter() - t0
     ok = worst < 1e-9 and dt < 5.0
     _verdict(capsys, 2, ok,
@@ -116,8 +116,8 @@ def test_criterion_03_conservation_in_regime_1b(capsys):
     p = FIGURE_REGIMES["1b"]
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(_RAW, p["eps"])
-    state = build_solution(solution_params(p["B"], p["V0"], 1.0, 1, kern), grid)
-    psi0 = perturbed_initial(state, p["nu"], DEFAULT_SEED, mode_cutoff=16)
+    phi = build_solution(solution_params(p["B"], p["V0"], 1.0, 1, kern), grid)
+    psi0 = perturbed_initial(phi, p["nu"], DEFAULT_SEED, mode_cutoff=16)
     traj = evolve(psi0, EvolutionConfig(
         kernel=kern, potential=SineSquared(p["V0"], 1.0), alpha=1,
         time_horizon=10.0, record_every=0.5,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import nlgp
-from nlgp import bloch
+from nlgp import bloch, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -76,10 +76,10 @@ def test_imports_load_only_what_runs(tmp_path):
         "late = {'nlgp.evolution', 'nlgp.experiments', 'json'} & set(sys.modules)\n"
         "assert not late, late\n"
         "kern = nlgp.ScaledKernel(nlgp.KernelSpec.gaussian_raw(), 0.0)\n"
-        "state = nlgp.build_solution(nlgp.solution_params(0.01, -2.46, 1.0, 1, kern),\n"
-        "                            nlgp.PeriodicGrid(8.0 * math.pi, 128))\n"
-        "psi0 = nlgp.perturbed_initial(state, 0.01, 1234)\n"
-        "assert psi0 is not state.field\n"
+        "phi = nlgp.build_solution(nlgp.solution_params(0.01, -2.46, 1.0, 1, kern),\n"
+        "                          nlgp.PeriodicGrid(8.0 * math.pi, 128))\n"
+        "psi0 = nlgp.perturbed_initial(phi, 0.01, 1234)\n"
+        "assert psi0 is not phi\n"
         "assert 'numpy.random' not in sys.modules\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -115,3 +115,13 @@ def test_readme_python_examples_run(capsys):
     # B = 1 lies below B* = 1.064 at eps = 0.5, as `nlgp spectrum` reports
     assert capsys.readouterr().out == "unstable\n"
     assert namespace["traj"].times[-1] == 2.0
+
+
+def test_readme_cli_examples_exit_as_stated(capsys):
+    # the lines of the README's Examples block that state their exit code
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\nExamples:\n\n```\n", 1)[1].split("\n```", 1)[0]
+    stated = re.findall(r"^nlgp (.*?)\s+# exits (\d)", block, re.M)
+    assert [args.split()[0] for args, _ in stated] == ["aes-sweep", "validate-kernel"]
+    for args, code in stated:
+        assert cli.main(args.split()) == int(code), args

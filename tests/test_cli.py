@@ -1,10 +1,12 @@
 import csv
 import errno
+import inspect
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -95,7 +97,8 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
                           ("simulate", "evolution.dt = 0.001"),
                           ("spectrum", "run.seed = 7"),
                           ("aes-sweep", "run.seed = 7"),
-                          ("stability-map", "run.seed = 7")):
+                          ("stability-map", "run.seed = 7"),
+                          ("validate-kernel", "kernel.epsilon = 1.0")):
         cfg = _write(tmp_path, "bad.cfg", line + "\n")
         assert cli.main([command, "--config", cfg]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
@@ -620,6 +623,88 @@ def test_figures_command_with_config_regime(tmp_path):
                      "--out", str(out2)]) == 0
     assert json.loads((out2 / "report.json").read_text())["regime"] == "2a"
     assert "figures.regime = 2a" in (out2 / "resolved.cfg").read_text().splitlines()
+
+
+def test_python_api_defaults_match_the_cli_schemas(monkeypatch):
+    def defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    # (callable, subcommand, {keyword: config key})
+    for fn, command, keys in (
+            (experiments.run_aes_sweep, "aes-sweep", {
+                "B": "aes.B", "V0": "aes.V0", "k": "aes.k", "alpha": "aes.alpha",
+                "horizon": "aes.horizon", "num_modes": "aes.num_modes",
+                "rtol": "evolution.rtol", "atol": "evolution.atol",
+                "record_every": "aes.record_every"}),
+            (experiments.run_figure_regime, "figures", {
+                "seed": "run.seed", "horizon": "figures.horizon",
+                "num_modes": "figures.num_modes", "n_periods": "figures.n_periods",
+                "truncation": "figures.truncation", "rtol": "evolution.rtol",
+                "atol": "evolution.atol", "record_every": "figures.record_every",
+                "mode_cutoff": "figures.mode_cutoff"}),
+            (experiments.stability_map, "stability-map", {
+                "k": "map.k", "eps": "map.eps", "alpha": "map.alpha",
+                "n_periods": "map.n_periods", "truncation": "map.truncation"}),
+            (evolution.EvolutionConfig, "simulate", {
+                "time_horizon": "evolution.horizon", "rtol": "evolution.rtol",
+                "atol": "evolution.atol", "record_every": "evolution.record_every"}),
+            (evolution.perturbed_initial, "simulate", {
+                "mode_cutoff": "perturbation.mode_cutoff"})):
+        api, schema = defaults(fn), cli.SCHEMAS[command]
+        for name, key in keys.items():
+            assert (type(api[name]), api[name]) == (type(schema[key]), schema[key]), key
+    eps = defaults(experiments.run_aes_sweep)["epsilons"]
+    assert list(eps) == cli._parse_float_list(cli.SCHEMAS["aes-sweep"]["aes.epsilons"], "")
+
+    # the kernel each runner scales when it is given none
+    families = []
+
+    class Recorded(kernels.ScaledKernel):
+        def __post_init__(self):
+            families.append(self.base.family)
+            super().__post_init__()
+
+    monkeypatch.setattr(kernels, "ScaledKernel", Recorded)
+    experiments.run_aes_sweep((0.1,), horizon=0.2, num_modes=16, record_every=0.2)
+    experiments.run_figure_regime("2a", horizon=0.25, num_modes=32, n_periods=1,
+                                  truncation=8, mode_cutoff=4, rtol=1e-6, atol=1e-6)
+    experiments.stability_map([1.0], [-1.0], truncation=8)
+    names = (cli.SCHEMAS["aes-sweep"]["aes.kernel"], cli.SCHEMAS["figures"]["figures.kernel"],
+             cli.SCHEMAS["stability-map"]["map.kernel"])
+    # run_aes_sweep scales its local reference first
+    assert families == ["gaussian-normalized",
+                        *(kernels.kernel_from_name(name).family for name in names)]
+
+
+# regime settings small enough for a run of a few milliseconds
+_SMALL_FIGURE = ("figures.num_modes = 32\nfigures.horizon = 6\nfigures.truncation = 12\n"
+                 "figures.n_periods = 1\nfigures.mode_cutoff = 4\n"
+                 "evolution.rtol = 1e-6\nevolution.atol = 1e-6\n")
+
+
+def test_figures_says_when_no_growth_window_resolves(tmp_path, capsys):
+    # stable regime 2a: the deviation stays below 3 nu, so there is nothing to fit
+    cfg = _write(tmp_path, "fig.cfg", "figures.regime = 2a\n" + _SMALL_FIGURE)
+    assert cli.main(["figures", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["no resolvable exponential growth window"]
+    assert err == ""
+
+
+def test_figures_warns_when_theory_and_dynamics_disagree(tmp_path, capsys, monkeypatch):
+    # regime 1a grows; a spectrum that shows no unstable mode must be flagged
+    real = bloch.full_period_spectrum
+    monkeypatch.setattr(bloch, "full_period_spectrum", lambda *args: [
+        replace(rep, max_real_part=0.0) for rep in real(*args)])
+    cfg = _write(tmp_path, "fig.cfg", "figures.regime = 1a\n" + _SMALL_FIGURE)
+    assert cli.main(["figures", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    rate = float(out.splitlines()[1].removeprefix("fitted growth rate "))
+    assert rate > 0.1
+    assert err.splitlines() == [
+        f"warning: dynamics grow at fitted rate {rate:.3g} but spectral abscissa is "
+        "only 0; linear theory and dynamics disagree"]
 
 
 @pytest.mark.parametrize("command, modes_key, cutoff_key, text", [

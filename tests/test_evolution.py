@@ -30,7 +30,7 @@ def _local():
 NO_POTENTIAL = SineSquared(0.0, 1.0)
 
 
-def _state(grid, B=1.0, V0=-1.0, kern=None):
+def _phi(grid, B=1.0, V0=-1.0, kern=None):
     kern = kern if kern is not None else _local()
     return build_solution(solution_params(B, V0, 1.0, 1, kern), grid)
 
@@ -68,23 +68,24 @@ def test_nonlocal_plane_wave_sees_kernel_mass():
 def test_stationary_state_is_fixed_up_to_phase():
     grid = PeriodicGrid(2 * np.pi, 64)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.05)
-    state = _state(grid, kern=kern)
+    params = solution_params(1.0, -1.0, 1.0, 1, kern)
+    phi = build_solution(params, grid)
     cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=3.0, record_every=1.0)
-    traj = evolve(state.field, cfg)
-    dev = traj.deviation_from(state.field)
+    traj = evolve(phi, cfg)
+    dev = traj.deviation_from(phi)
     assert np.max(dev) < 1e-7
     # and the phase advances at the dispersion frequency omega
     t_end = traj.times[-1]
-    expect = state.field.samples * np.exp(-1j * state.params.omega * t_end)
+    expect = phi.samples * np.exp(-1j * params.omega * t_end)
     assert np.max(np.abs(traj.samples[-1] - expect)) < 1e-6
 
 
 def test_mass_and_energy_conserved():
     grid = PeriodicGrid(8 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), 0.01)
-    state = _state(grid, B=1.0, V0=-1.0, kern=kern)
-    psi0 = perturbed_initial(state, 0.01, 2, 16)
+    phi = _phi(grid, B=1.0, V0=-1.0, kern=kern)
+    psi0 = perturbed_initial(phi, 0.01, 2, 16)
     cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=10.0, record_every=0.5)
     traj = evolve(psi0, cfg)
@@ -110,8 +111,8 @@ def test_time_reversal_round_trip():
     # local tolerances, hence the 1e-9 budget at rtol = 1e-12 over T = 2
     grid = PeriodicGrid(2 * np.pi, 64)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.05)
-    state = _state(grid, kern=kern)
-    psi0 = perturbed_initial(state, 0.05, 7, 10)
+    phi = _phi(grid, kern=kern)
+    psi0 = perturbed_initial(phi, 0.05, 7, 10)
     cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=2.0, record_every=2.0,
                           rtol=1e-12, atol=1e-12)
@@ -124,11 +125,11 @@ def test_time_reversal_round_trip():
 
 def test_record_times_cover_horizon():
     grid = PeriodicGrid(2 * np.pi, 32)
-    state = _state(grid)
+    phi = _phi(grid)
     cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.3)
-    traj = evolve(state.field, cfg)
+    traj = evolve(phi, cfg)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.times) > 0)
@@ -155,33 +156,33 @@ def test_perturbed_initial_is_band_limited_with_norm_nu():
     reg = FIGURE_REGIMES["1a"]
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
-    state = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
+    phi = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
     for cutoff in (8, 16):
-        psi0 = perturbed_initial(state, 0.05, 11, cutoff)
-        diff = WaveField(grid, psi0.samples - state.field.samples)
+        psi0 = perturbed_initial(phi, 0.05, 11, cutoff)
+        diff = WaveField(grid, psi0.samples - phi.samples)
         assert np.max(np.abs(diff.coeffs[np.abs(grid.modes) > cutoff])) < 1e-15
         assert diff.l2_norm() == pytest.approx(0.05, rel=1e-13)
-    again = perturbed_initial(state, 0.05, 11, 16)
+    again = perturbed_initial(phi, 0.05, 11, 16)
     assert np.array_equal(again.samples, psi0.samples)
-    other = perturbed_initial(state, 0.05, 12, 16)
+    other = perturbed_initial(phi, 0.05, 12, 16)
     assert np.max(np.abs(other.samples - psi0.samples)) > 1e-3
-    clean = perturbed_initial(state, 0.0, 11, 16)
-    assert np.array_equal(clean.samples, state.field.samples)
+    clean = perturbed_initial(phi, 0.0, 11, 16)
+    assert np.array_equal(clean.samples, phi.samples)
 
 
 def test_perturbation_validation():
     grid = PeriodicGrid(2 * np.pi, 32)
-    state = _state(grid)
+    phi = _phi(grid)
     with pytest.raises(ValueError, match="nu must be nonnegative"):
-        perturbed_initial(state, -0.1, 1, 8)
+        perturbed_initial(phi, -0.1, 1, 8)
     # checked before nu = 0 returns the state unperturbed
     with pytest.raises(ValueError, match="mode_cutoff must be positive"):
-        perturbed_initial(state, 0.0, 1, 0)
+        perturbed_initial(phi, 0.0, 1, 0)
     with pytest.raises(ValueError):
         random_band_limited(grid, seed=1, mode_cutoff=16)  # cutoff = N/2
     # the generator seeds -s as s, so a negative seed is refused
     with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
-        perturbed_initial(state, 0.1, -3, 8)
+        perturbed_initial(phi, 0.1, -3, 8)
 
 
 def test_adaptive_blow_up_is_not_reported_as_a_stall():
@@ -189,8 +190,8 @@ def test_adaptive_blow_up_is_not_reported_as_a_stall():
     # then gives up with a step-size message, but the last right-hand side
     # it evaluated is non-finite
     grid = PeriodicGrid(2 * np.pi, 32)
-    state = _state(grid, B=50.0, V0=0.0)
-    psi0 = perturbed_initial(state, 0.5, 1234, 8)
+    phi = _phi(grid, B=50.0, V0=0.0)
+    psi0 = perturbed_initial(phi, 0.5, 1234, 8)
     cfg = EvolutionConfig(kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=5.0, record_every=0.25,
                           rtol=1e3, atol=1e3)
@@ -213,12 +214,12 @@ def test_stepper_stall_raises_with_partial_trajectory(monkeypatch):
 
     monkeypatch.setattr(evolution, "solve_ivp", stalls_after_third)
     grid = PeriodicGrid(2 * np.pi, 32)
-    state = _state(grid)
+    phi = _phi(grid)
     cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.25)
     with pytest.raises(StepSizeUnderflowError, match="stalled") as info:
-        evolve(state.field, cfg)
+        evolve(phi, cfg)
     partial = info.value.trajectory
     assert isinstance(partial, Trajectory)
     assert np.array_equal(partial.times, [0.0, 0.25, 0.5])
@@ -241,7 +242,7 @@ def test_non_finite_record_raises_with_finite_prefix(monkeypatch):
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.25)
     with pytest.raises(NonFiniteError, match="non-finite state at t = 0.5 ") as info:
-        evolve(_state(grid).field, cfg)
+        evolve(_phi(grid), cfg)
     partial = info.value.trajectory
     assert np.array_equal(partial.times, [0.0, 0.25])
     assert len(partial.samples) == len(partial.mass) == 2
@@ -253,6 +254,20 @@ def test_tolerances_must_be_positive():
     for tols in (dict(rtol=0.0), dict(atol=0.0), dict(rtol=-1e-10)):
         with pytest.raises(ValueError, match="rtol and atol must be positive"):
             EvolutionConfig(**common, **tols)
+
+
+def test_config_checks_alpha_horizon_and_record_spacing():
+    common = dict(kernel=_local(), potential=NO_POTENTIAL)
+    for bad, message in ((dict(alpha=0), "alpha must be"),
+                         (dict(alpha=1, time_horizon=0.0), "time_horizon must be"),
+                         (dict(alpha=1, time_horizon=-1.0), "time_horizon must be"),
+                         (dict(alpha=1, record_every=0.0), "record_every must lie"),
+                         (dict(alpha=1, time_horizon=1.0, record_every=1.5),
+                          "record_every must lie")):
+        with pytest.raises(ValueError, match=message):
+            EvolutionConfig(**common, **bad)
+    # record_every may equal the horizon
+    EvolutionConfig(**common, alpha=-1, time_horizon=1.0, record_every=1.0)
 
 
 def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
@@ -269,7 +284,7 @@ def test_adaptive_evolve_is_one_solver_call_over_the_record_grid(monkeypatch):
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=1.0, record_every=0.25,
                           rtol=1e-8, atol=1e-8)
-    traj = evolve(_state(grid).field, cfg)
+    traj = evolve(_phi(grid), cfg)
     assert len(calls) == 1
     t_span, kwargs = calls[0]
     assert tuple(t_span) == (0.0, 1.0)
@@ -290,27 +305,27 @@ def test_rhs_never_feeds_the_unmatched_nyquist_mode():
     # the filter acts on the potential term too, so at V0 != 0 the j = -N/2
     # entry (index N/2 in FFT order) of the right-hand side is exactly zero
     grid = PeriodicGrid(8 * np.pi, 128)  # regime 1a's grid
-    state = _state(grid, B=0.01, V0=-2.46)
+    phi = _phi(grid, B=0.01, V0=-2.46)
     cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-2.46, 1.0), alpha=1)
     rng = np.random.default_rng(7)
     noise = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     rhs = evolution._Workspace(cfg, grid).rhs(
-        0.0, np.fft.fft(state.field.samples + 1e-3 * noise))
+        0.0, np.fft.fft(phi.samples + 1e-3 * noise))
     assert rhs[64] == 0.0
 
 
 def test_csv_writers_round_trip(tmp_path):
     grid = PeriodicGrid(2 * np.pi, 16)
-    state = _state(grid)
+    phi = _phi(grid)
     cfg = EvolutionConfig(kernel=_local(),
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=0.5, record_every=0.25)
-    traj = evolve(state.field, cfg)
+    traj = evolve(phi, cfg)
     tpath = tmp_path / "traj.csv"
     spath = tmp_path / "summary.csv"
     write_trajectory_csv(traj, tpath)
-    write_summary_csv(traj, spath, reference=state.field)
+    write_summary_csv(traj, spath, traj.deviation_from(phi))
     with open(tpath) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(traj.times) * grid.num_modes
@@ -369,7 +384,7 @@ def _nonlocal_n32(tol):
     """A nonlocal flow at N = 32 that the stepper solves at rtol = atol = tol."""
     grid = PeriodicGrid(2 * np.pi, 32)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.5)
-    psi0 = perturbed_initial(_state(grid, B=4.0, kern=kern), 0.5, 3, 8)
+    psi0 = perturbed_initial(_phi(grid, B=4.0, kern=kern), 0.5, 3, 8)
     cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.5,
@@ -423,7 +438,7 @@ def test_constant_multiplier_skips_the_convolution_transforms(monkeypatch, kern,
     rhs = ws.rhs(0.0, np.fft.fft(y))
     assert np.max(np.abs(rhs - explicit)) <= 1e-13 * np.max(np.abs(explicit))
 
-    fun, y0, _, _ = _flow(monkeypatch, cfg, _state(grid, kern=kern).field)
+    fun, y0, _, _ = _flow(monkeypatch, cfg, _phi(grid, kern=kern))
     calls = []
     for name in ("_fft", "_ifft"):
         orig = getattr(evolution, name)
@@ -459,8 +474,8 @@ def _regime_1a_to_t2():
     reg = FIGURE_REGIMES["1a"]
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
-    state = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
-    psi0 = perturbed_initial(state, reg["nu"], 1234, 16)
+    phi = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
+    psi0 = perturbed_initial(phi, reg["nu"], 1234, 16)
     cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(reg["V0"], 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.25,

@@ -256,6 +256,13 @@ def test_beta_is_multiplier_at_twice_wavenumber():
     assert beta(kern, k) == pytest.approx(float(multiplier(kern, 2 * k)), rel=1e-14)
 
 
+def test_beta_rejects_a_nonpositive_wavenumber():
+    kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.25)
+    for k in (0.0, -1.0):
+        with pytest.raises(ValueError, match="wavenumber k must be positive"):
+            beta(kern, k)
+
+
 def test_multiplier_lipschitz_in_epsilon():
     # |zeta_hat(eps1 s) - zeta_hat(eps2 s)| <= |eps1 - eps2| |s| ||x zeta||_1
     rng = np.random.default_rng(23)
@@ -298,29 +305,31 @@ def test_from_table_input_validation(tmp_path):
 
 
 def test_validate_normalized_gaussian_passes_both_sets():
-    kern = ScaledKernel(KernelSpec.gaussian_normalized(), 1.0)
+    base = KernelSpec.gaussian_normalized()
     for which in ("H", "Hprime"):
-        report = validate_hypotheses(kern, which=which)
+        report = validate_hypotheses(base, which=which)
         assert report.all_passed, report.lines()
 
 
+def test_validate_rejects_an_unknown_hypothesis_set():
+    with pytest.raises(ValueError, match="which must be 'H' or 'Hprime', got 'both'"):
+        validate_hypotheses(KernelSpec.gaussian_normalized(), which="both")
+
+
 def test_validate_raw_gaussian_fails_unit_mass():
-    kern = ScaledKernel(KernelSpec.gaussian_raw(), 1.0)
-    report = validate_hypotheses(kern, which="H")
+    report = validate_hypotheses(KernelSpec.gaussian_raw(), which="H")
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["unit L1 mass"]
     assert not report.all_passed
 
 
 def test_validate_algebraic_passes_H():
-    kern = ScaledKernel(KernelSpec.algebraic_decay(3.0), 1.0)
-    report = validate_hypotheses(kern, which="H")
+    report = validate_hypotheses(KernelSpec.algebraic_decay(3.0), which="H")
     assert report.all_passed, report.lines()
 
 
 def test_validate_algebraic_passes_Hprime():
-    kern = ScaledKernel(KernelSpec.algebraic_decay(3.0), 1.0)
-    report = validate_hypotheses(kern, which="Hprime")
+    report = validate_hypotheses(KernelSpec.algebraic_decay(3.0), which="Hprime")
     assert report.all_passed, report.lines()
 
 
@@ -328,7 +337,7 @@ def test_validate_first_moment_rejects_divergent_tails():
     # x*zeta ~ x^(1-P): integrable only for P > 2; QUADPACK returns a
     # negative value with a small error estimate at P = 1.5
     def first_moment(base):
-        report = validate_hypotheses(ScaledKernel(base, 1.0), which="H")
+        report = validate_hypotheses(base, which="H")
         return next(c for c in report.checks if c.name == "x*zeta integrable")
 
     for p in (1.5, 2.0):
@@ -345,7 +354,7 @@ def test_validate_oscillating_table_fails_positivity(tmp_path):
     s_grid = np.linspace(0, 20, 2001)
     vals = np.exp(-(s_grid**2) / 16) * np.cos(1.5 * s_grid)
     base = KernelSpec.from_table(_write_table(tmp_path, list(zip(s_grid, vals))))
-    report = validate_hypotheses(ScaledKernel(base, 1.0), which="Hprime")
+    report = validate_hypotheses(base, which="Hprime")
     by_name = {c.name: c.passed for c in report.checks}
     assert not by_name["zeta_hat > 0"]
     assert not report.all_passed
@@ -357,14 +366,13 @@ def test_validate_asymmetric_kernel_fails_evenness():
         zeta=lambda x: np.exp(-np.square(x - 0.5)) / np.sqrt(np.pi),
         zeta_hat=lambda s: np.exp(-np.square(s) / 4),
     )
-    report = validate_hypotheses(ScaledKernel(skew, 1.0), which="Hprime")
+    report = validate_hypotheses(skew, which="Hprime")
     by_name = {c.name: c.passed for c in report.checks}
     assert not by_name["evenness"]
 
 
 def test_validation_report_lines_are_informative():
-    kern = ScaledKernel(KernelSpec.gaussian_raw(), 1.0)
-    report = validate_hypotheses(kern, which="H")
+    report = validate_hypotheses(KernelSpec.gaussian_raw(), which="H")
     lines = report.lines()
     assert any("FAIL" in ln for ln in lines)
     assert any("pass" in ln for ln in lines)
@@ -396,15 +404,15 @@ def test_quadrature_is_imported_only_when_a_validator_runs(tmp_path):
     script = (
         "import sys\n"
         "import nlgp, nlgp.cli\n"
-        "from nlgp.kernels import KernelSpec, ScaledKernel, validate_hypotheses\n"
+        "from nlgp.kernels import KernelSpec, validate_hypotheses\n"
         "def scipy_modules():\n"
         "    return [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert not scipy_modules(), scipy_modules()\n"
         f"nlgp.cli.main(['spectrum', '--kernel', 'algebraic:3', '--config', {str(cfg)!r}])\n"
         "assert not scipy_modules(), scipy_modules()\n"
-        "kern = ScaledKernel(KernelSpec.gaussian_normalized(), 1.0)\n"
+        "base = KernelSpec.gaussian_normalized()\n"
         "for which in ('H', 'Hprime'):\n"
-        "    print(*validate_hypotheses(kern, which).lines(), sep='\\n')\n"
+        "    print(*validate_hypotheses(base, which).lines(), sep='\\n')\n"
         "assert 'scipy.integrate' in sys.modules\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -412,8 +420,8 @@ def test_quadrature_is_imported_only_when_a_validator_runs(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, text=True,
                          capture_output=True, check=True).stdout.splitlines()
     assert out[0].startswith("max real part ")
-    kern = ScaledKernel(KernelSpec.gaussian_normalized(), 1.0)
+    base = KernelSpec.gaussian_normalized()
     expected = [line for which in ("H", "Hprime")
-                for line in validate_hypotheses(kern, which).lines()]
+                for line in validate_hypotheses(base, which).lines()]
     assert out[3:] == expected
     assert all(line.split(": ")[1].startswith("pass") for line in expected)

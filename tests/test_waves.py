@@ -25,37 +25,39 @@ def test_reference_parameter_set():
     assert p.A == pytest.approx(1.0, abs=1e-14)
     assert p.D == pytest.approx(np.sqrt(2.0), abs=1e-14)
     assert p.omega == pytest.approx(1.5, abs=1e-14)
-    assert p.epsilon == 0.0
+    assert p.kernel.epsilon == 0.0
 
 
 def test_profile_is_elliptic_combination():
     grid = PeriodicGrid(2 * np.pi, 128)
-    state = build_solution(solution_params(1.0, -1.0, 1.0, 1, _local_kernel()), grid)
+    phi = build_solution(solution_params(1.0, -1.0, 1.0, 1, _local_kernel()), grid)
     x = grid.points
     expect = np.sqrt(1.0) * np.cos(x) + 1j * np.sqrt(2.0) * np.sin(x)
-    assert np.max(np.abs(state.field.samples - expect)) < 1e-14
+    assert np.max(np.abs(phi.samples - expect)) < 1e-14
 
 
 def test_intensity_and_l2_norm_closed_forms():
     grid = PeriodicGrid(2 * np.pi, 128)
-    state = build_solution(solution_params(0.7, -0.4, 1.0, 1, _local_kernel()), grid)
-    measured = np.abs(state.field.samples) ** 2
-    assert np.max(np.abs(measured - state.intensity())) < 1e-13
+    p = solution_params(0.7, -0.4, 1.0, 1, _local_kernel())
+    phi = build_solution(p, grid)
+    measured = np.abs(phi.samples) ** 2
+    # |phi|^2 = B + A sin^2(kx)
+    assert np.max(np.abs(measured - (p.B + p.A * np.sin(p.k * grid.points) ** 2))) < 1e-13
     # ||phi||_2 = sqrt(T (B + A/2)) from integrating the intensity
-    p = state.params
-    assert state.field.l2_norm() == pytest.approx(np.sqrt(grid.period * (p.B + p.A / 2.0)),
-                                                  rel=1e-12)
+    assert phi.l2_norm() == pytest.approx(np.sqrt(grid.period * (p.B + p.A / 2.0)),
+                                          rel=1e-12)
 
 
 def test_phase_tangent_identity():
     # tan(theta) = sqrt((B+A)/B) tan(kx) wherever cos(kx) != 0
     grid = PeriodicGrid(2 * np.pi, 256)
     B, V0, k = 0.8, -0.5, 1.0
-    state = build_solution(solution_params(B, V0, k, 1, _local_kernel()), grid)
-    A = state.params.A
+    params = solution_params(B, V0, k, 1, _local_kernel())
+    phi = build_solution(params, grid)
+    A = params.A
     x = grid.points
     keep = np.abs(np.cos(k * x)) > 0.2
-    lhs = np.tan(np.angle(state.field.samples)[keep])
+    lhs = np.tan(np.angle(phi.samples)[keep])
     rhs = np.sqrt((B + A) / B) * np.tan(k * x[keep])
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -70,18 +72,17 @@ def test_residual_small_for_random_valid_tuples():
         eps = float(rng.uniform(0.0, 0.5))
         grid = PeriodicGrid(2 * np.pi, 128)
         params = solution_params(B, V0, k, 1, ScaledKernel(base, eps))
-        state = build_solution(params, grid)
-        assert stationary_residual(state) < 1e-9
+        assert stationary_residual(params, build_solution(params, grid)) < 1e-9
 
 
 def test_residual_with_raw_kernel_and_defocusing():
     # non-unit kernel mass shifts omega; the residual must stay at rounding level
     grid = PeriodicGrid(2 * np.pi, 128)
     raw = ScaledKernel(KernelSpec.gaussian_raw(), 0.3)
-    state = build_solution(solution_params(1.2, -0.7, 1.0, 1, raw), grid)
-    assert stationary_residual(state) < 1e-9
-    focusing = build_solution(solution_params(0.9, 0.4, 1.0, -1, raw), grid)
-    assert stationary_residual(focusing) < 1e-9
+    params = solution_params(1.2, -0.7, 1.0, 1, raw)
+    assert stationary_residual(params, build_solution(params, grid)) < 1e-9
+    focusing = solution_params(0.9, 0.4, 1.0, -1, raw)
+    assert stationary_residual(focusing, build_solution(focusing, grid)) < 1e-9
 
 
 def test_omega_shift_for_non_unit_mass_kernel():
@@ -104,8 +105,8 @@ def test_residual_stays_at_rounding_floor_as_N_doubles():
     prev = None
     for N in (32, 64, 128, 256):
         grid = PeriodicGrid(2 * np.pi, N)
-        state = build_solution(solution_params(1.0, -0.6, 1.0, 1, kern), grid)
-        res = stationary_residual(state)
+        params = solution_params(1.0, -0.6, 1.0, 1, kern)
+        res = stationary_residual(params, build_solution(params, grid))
         assert res < 1e-11
         if prev is not None:
             assert res <= prev + 1e-11
@@ -123,11 +124,12 @@ def test_offset_lower_bound_enforced():
 
 def test_zero_offset_allowed_when_A_nonnegative():
     grid = PeriodicGrid(2 * np.pi, 64)
-    state = build_solution(solution_params(0.0, -1.0, 1.0, 1, _local_kernel()), grid)
-    assert state.params.D is None
+    params = solution_params(0.0, -1.0, 1.0, 1, _local_kernel())
+    phi = build_solution(params, grid)
+    assert params.D is None
     x = grid.points
-    assert np.max(np.abs(state.field.samples - 1j * np.sin(x))) < 1e-14
-    assert stationary_residual(state) < 1e-10
+    assert np.max(np.abs(phi.samples - 1j * np.sin(x))) < 1e-14
+    assert stationary_residual(params, phi) < 1e-10
 
 
 def test_beta_zero_rejected(tmp_path):
@@ -144,22 +146,21 @@ def test_grid_period_must_hold_integer_wave_count():
     with pytest.raises(PeriodMismatchError):
         build_solution(params, PeriodicGrid(3.0 * np.pi, 64))
     # multiple wave periods are fine
-    state = build_solution(params, PeriodicGrid(4 * np.pi, 64))
-    assert stationary_residual(state) < 1e-9
+    phi = build_solution(params, PeriodicGrid(4 * np.pi, 64))
+    assert stationary_residual(params, phi) < 1e-9
 
 
 def test_solution_converges_pointwise_as_epsilon_vanishes():
     base = KernelSpec.gaussian_normalized()
     grid = PeriodicGrid(2 * np.pi, 64)
-    ref = build_solution(solution_params(1.0, -1.0, 1.0, 1, ScaledKernel(base, 0.0)),
-                         grid)
-    assert ref.params.beta == pytest.approx(1.0, abs=1e-15)
+    ref_params = solution_params(1.0, -1.0, 1.0, 1, ScaledKernel(base, 0.0))
+    ref = build_solution(ref_params, grid)
+    assert ref_params.beta == pytest.approx(1.0, abs=1e-15)
     sup_gaps = []
     for eps in (0.1, 0.01, 0.001):
         params = solution_params(1.0, -1.0, 1.0, 1, ScaledKernel(base, eps))
-        state = build_solution(params, grid)
-        sup_gaps.append(float(np.max(np.abs(state.field.samples
-                                            - ref.field.samples))))
+        phi = build_solution(params, grid)
+        sup_gaps.append(float(np.max(np.abs(phi.samples - ref.samples))))
     assert all(a > b for a, b in zip(sup_gaps[:-1], sup_gaps[1:]))
     assert sup_gaps[-1] < 1e-6
 
