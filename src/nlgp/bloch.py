@@ -407,37 +407,21 @@ def _analytic_one(n: int, positive_axis: bool, mu: float,
         raise InvalidMuError(f"closed forms need mu in (0, 1), got {mu}")
     k, B = params.k, params.B
     kern = params.kernel
-    rhat = lambda m: float(kern.base.zeta_hat(k * kern.epsilon * (m - mu)))
-    if positive_axis:
-        lam_inf = 0.5j * k**2 * abs((n - mu) ** 2 - 1.0)
-        if n in (0, 1):
-            c = k**2 * (mu - (1 + n)) ** 2
-            mid, coupled, base_sign = n + 1, n + 2, -1
-            shrink = True  # lambda_p = (i/2)(c - sqrt(...)) pulls down
-        else:
-            c = k**2 * (n - mu - 1.0) ** 2
-            mid, coupled, base_sign = n - 1, n - 2, +1
-            shrink = False
-    else:
-        lam_inf = -0.5j * k**2 * abs((n - mu) ** 2 - 1.0)
-        if n in (0, 1):
-            c = k**2 * (mu + 1 - n) ** 2
-            mid, coupled, base_sign = n - 1, n - 2, +1
-            shrink = False
-        else:
-            c = k**2 * (n - mu + 1.0) ** 2
-            mid, coupled, base_sign = n + 1, n + 2, -1
-            shrink = True
-    r = rhat(mid)
+    # mode n couples to n + 2d through the multiplier at n + d, with d = +1
+    # on the positive axis for n in {0, 1} and off it for the other n
+    d = 1 if positive_axis == (n in (0, 1)) else -1
+    lam_inf = (0.5j if positive_axis else -0.5j) * k**2 * abs((n - mu) ** 2 - 1.0)
+    c = k**2 * (n - mu + d) ** 2
+    r = float(kern.base.zeta_hat(k * kern.epsilon * (n + d - mu)))
     root = np.sqrt(c**2 + 4.0 * c * B * r)
-    lam_p = 0.5j * (c - root) if shrink else 0.5j * (root - c)
+    lam_p = 0.5j * d * (c - root)
     gamma = B * r / c
     delta = (B * r + 0.5 * (root - c)) / c
     return AnalyticEigen(
         n=n, branch="positive-axis" if positive_axis else "negative-axis",
         mu=float(mu), lambda_inf=lam_inf, lambda_p=lam_p, c_n=float(c),
         r_hat=r, alpha_n=float(gamma / (1.0 + delta)),
-        coupled_n=coupled, base_sign=base_sign,
+        coupled_n=n + 2 * d, base_sign=-d,
     )
 
 
@@ -563,30 +547,26 @@ def hill_quadratic_form(g: dict, A: float, k: float) -> float:
 
 def phase_zero_mode(op: BlochOperator) -> np.ndarray:
     """(D sin x, -cos x): generated by the phase symmetry, in ker(JL) at mu = 0."""
-    if op.D is None:
-        raise ValueError("phase mode vector needs B > 0 (D defined)")
-    return _pair_vector(op.truncation, op.D, kind="sin-cos")
+    sin_c, cos_c = _sin_cos(op)
+    return np.concatenate([op.D * sin_c, -cos_c])
 
 
 def generalized_zero_mode(op: BlochOperator) -> np.ndarray:
     """(D cos x, sin x): the generalized eigenvector partner of the phase mode."""
+    sin_c, cos_c = _sin_cos(op)
+    return np.concatenate([op.D * cos_c, sin_c])
+
+
+def _sin_cos(op: BlochOperator):
+    """The coefficient vectors of sin x and cos x on op's basis."""
     if op.D is None:
-        raise ValueError("generalized mode vector needs B > 0 (D defined)")
-    return _pair_vector(op.truncation, op.D, kind="cos-sin")
-
-
-def _pair_vector(M: int, D: float, kind: str) -> np.ndarray:
-    size = 2 * M + 1
-    sin_c = np.zeros(size, dtype=complex)
-    cos_c = np.zeros(size, dtype=complex)
+        raise ValueError("zero mode vectors need B > 0 (D defined)")
+    M = op.truncation
+    sin_c, cos_c = np.zeros((2, 2 * M + 1), dtype=complex)
     # sin x = (e^{ix} - e^{-ix})/(2i): j = -1 entry -i/2, j = +1 entry +i/2
-    sin_c[M - 1] = -0.5j
-    sin_c[M + 1] = +0.5j
-    cos_c[M - 1] = 0.5
-    cos_c[M + 1] = 0.5
-    if kind == "sin-cos":
-        return np.concatenate([D * sin_c, -cos_c])
-    return np.concatenate([D * cos_c, sin_c])
+    sin_c[M - 1], sin_c[M + 1] = -0.5j, 0.5j
+    cos_c[M - 1] = cos_c[M + 1] = 0.5
+    return sin_c, cos_c
 
 
 # ---------------------------------------------------------------------------

@@ -205,10 +205,13 @@ def _kernel_base(name: str) -> kernels.KernelSpec:
         return kernels.kernel_from_name(name)
 
 
-def _scaled_kernel(cfg):
+def _solution(cfg) -> waves.SolutionParams:
+    """The exact solution that the solution.* and kernel.* keys select."""
     with from_settings():
-        return kernels.ScaledKernel(kernels.kernel_from_name(cfg["kernel.name"]),
-                                    cfg["kernel.epsilon"])
+        kernel = kernels.ScaledKernel(kernels.kernel_from_name(cfg["kernel.name"]),
+                                      cfg["kernel.epsilon"])
+        return waves.solution_params(*(cfg[f"solution.{key}"] for key in
+                                       ("B", "V0", "k", "alpha")), kernel)
 
 
 def cmd_simulate(cfg: dict, out_dir) -> int:
@@ -218,10 +221,8 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     if period < 0:
         raise ConfigError(f"grid.period must be positive, or 0 for one wave period, "
                           f"got {period!r}")
+    params = _solution(cfg)
     with from_settings():
-        params = waves.solution_params(
-            *(cfg[f"solution.{key}"] for key in ("B", "V0", "k", "alpha")),
-            _scaled_kernel(cfg))
         period = cfg["grid.period"] = period or 2.0 * np.pi / params.k
         phi = waves.build_solution(params, PeriodicGrid(period, cfg["grid.num_modes"]))
         psi0 = evolution.perturbed_initial(phi, cfg["perturbation.nu"], cfg["run.seed"],
@@ -254,10 +255,7 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
 
 
 def cmd_spectrum(cfg: dict, out_dir) -> int:
-    with from_settings():
-        params = waves.solution_params(cfg["solution.B"], cfg["solution.V0"],
-                                       cfg["solution.k"], cfg["solution.alpha"],
-                                       _scaled_kernel(cfg))
+    params = _solution(cfg)
     reports = bloch.full_period_spectrum(cfg["spectrum.n_periods"], params,
                                          cfg["spectrum.truncation"])
     summary = bloch.eigen_summary(reports, params)

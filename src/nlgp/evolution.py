@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .runs import BlowUpError
-from .spectral import PeriodicGrid, WaveField, filter_multipliers
+from .spectral import PeriodicGrid, WaveField, _fft, _ifft, filter_multipliers
 from .waves import SineSquared
 
 
@@ -82,20 +82,6 @@ _P = np.array([
     [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-
-
-# np.fft.fft/ifft along the last axis: the pocketfft gufuncs numpy calls for
-# them, with the same arguments, so bit for bit the same without numpy's
-# per-call argument handling; looked up per call so that importing nlgp does
-# not import numpy.fft
-def _fft(a, out=None):
-    out = np.empty(a.shape, complex) if out is None else out
-    return np.fft._pocketfft_umath.fft(a, 1.0, out=out)
-
-
-def _ifft(a, out=None):
-    out = np.empty(a.shape, complex) if out is None else out
-    return np.fft._pocketfft_umath.ifft(a, 1.0 / a.shape[-1], out=out)
 
 
 def _rms(x):  # np.linalg.norm(x) / sqrt(x.size), summed as np.linalg.norm sums
@@ -258,12 +244,12 @@ class Trajectory:
 
 
 def _record_times(cfg: EvolutionConfig) -> np.ndarray:
+    """0, record_every, ... with the last of the n + 1 records moved to the
+    horizon: n = ceil(T/record_every - 1e-9) puts n*record_every within
+    1e-9*record_every of T or beyond it, and (n - 1)*record_every below it."""
     n = int(np.ceil(cfg.time_horizon / cfg.record_every - 1e-9))
     t = np.arange(n + 1) * cfg.record_every
-    if t[-1] < cfg.time_horizon - 1e-12 * cfg.time_horizon:
-        t = np.append(t, cfg.time_horizon)
-    else:
-        t[-1] = cfg.time_horizon
+    t[-1] = cfg.time_horizon
     return t
 
 

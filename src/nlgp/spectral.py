@@ -19,6 +19,20 @@ import numpy as np
 MACHINE_EPS = float(np.finfo(float).eps)
 
 
+# np.fft.fft/ifft along the last axis: the pocketfft gufuncs numpy calls for
+# them, with the same arguments, so bit for bit the same without numpy's
+# per-call argument handling; looked up per call so that importing nlgp does
+# not import numpy.fft
+def _fft(a, out=None):
+    out = np.empty(a.shape, complex) if out is None else out
+    return np.fft._pocketfft_umath.fft(a, 1.0, out=out)
+
+
+def _ifft(a, out=None):
+    out = np.empty(a.shape, complex) if out is None else out
+    return np.fft._pocketfft_umath.ifft(a, 1.0 / a.shape[-1], out=out)
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid of ``num_modes`` points on a circle of circumference ``period``."""
@@ -79,12 +93,12 @@ class WaveField:
 
     @classmethod
     def from_coeffs(cls, grid: PeriodicGrid, coeffs) -> "WaveField":
-        c = np.asarray(coeffs, dtype=complex)
+        c = np.array(coeffs, dtype=complex)  # a copy: it is the field's coeffs
         if c.shape != (grid.num_modes,):
             raise ValueError(f"coeffs shape {c.shape} does not match grid")
-        samples = np.fft.fft(np.fft.ifftshift(c)) / np.sqrt(grid.period)
-        f = cls(grid, samples)
-        object.__setattr__(f, "_coeffs_cache", c.copy())
+        f = cls(grid, _fft(np.fft.ifftshift(c)) / np.sqrt(grid.period))
+        c.setflags(write=False)
+        f.__dict__["coeffs"] = c  # primes the cached property
         return f
 
     @classmethod
@@ -95,11 +109,7 @@ class WaveField:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        cached = getattr(self, "_coeffs_cache", None)
-        if cached is not None:
-            c = np.asarray(cached, dtype=complex)
-        else:
-            c = np.sqrt(self.grid.period) * np.fft.fftshift(np.fft.ifft(self.samples))
+        c = np.sqrt(self.grid.period) * np.fft.fftshift(_ifft(self.samples))
         c.setflags(write=False)
         return c
 

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nlgp
 from nlgp import bloch, cli
@@ -125,3 +126,23 @@ def test_readme_cli_examples_exit_as_stated(capsys):
     assert [args.split()[0] for args, _ in stated] == ["aes-sweep", "validate-kernel"]
     for args, code in stated:
         assert cli.main(args.split()) == int(code), args
+
+
+def test_package_entry_points_resolve():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "nlgp.cli", "spectrum", "--help"],
+                         env=env, text=True, capture_output=True)
+    assert out.returncode == 0, out.stderr
+    assert "spectrum.truncation = 64" in out.stdout
+    # a fresh import: names loaded by earlier tests would hide a missing __dir__
+    out = subprocess.run([sys.executable, "-c", "import nlgp\n"
+                          "missing = set(nlgp.__all__) - set(dir(nlgp))\n"
+                          "assert not missing, missing\n"],
+                         env=env, text=True, capture_output=True)
+    assert out.returncode == 0, out.stderr
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"nlgp": "nlgp.cli:main"}
+    module, attr = scripts["nlgp"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main

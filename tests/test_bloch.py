@@ -300,6 +300,24 @@ def test_krein_form_shares_the_closed_form_guards():
         krein_form(1, "negative-axis", 0.0, _params())
     with pytest.raises(ValueError, match="V0 = 0"):
         krein_form(3, "positive-axis", 0.3, _params(V0=-0.5))
+    with pytest.raises(ValueError, match="branch must be"):
+        krein_form(0, "positive", 0.3, _params())
+
+
+def test_eigenvector_truncation_and_match_gap_guards():
+    p = _params(B=1.0, eps=0.2)
+    # modes 7 and 5 need M > 9; at M = 8 both still index the vector
+    ae = [e for e in analytic_spectrum_V0_zero([7], 0.3, p)
+          if e.branch == "positive-axis"][0]
+    assert ae.coupled_n == 5 and ae.eigenvector(10).shape == (42,)
+    with pytest.raises(TruncationTooSmallError, match="need truncation > 9"):
+        ae.eigenvector(8)
+    # a closed form 1e-3 off the matrix spectrum has no partner within 1e-4
+    report = spectrum(assemble(0.3, 24, p))
+    off = replace(ae, lambda_p=ae.lambda_p + 1e-3j)
+    assert match_spectra([ae], report)[1] < 1e-8
+    with pytest.raises(EigensolveError, match="has no matrix partner"):
+        match_spectra([ae, off], report)
 
 
 def test_krein_form_positive_for_large_modes():
@@ -487,6 +505,11 @@ def test_zero_modes_at_mu_zero():
     op = assemble(0.0, 20, p)
     g = generalized_zero_mode(op)
     assert np.max(np.abs(op.L_matrix @ g - 2.0 * 1.3 * g)) < 1e-10
+    # at B = 0, D is undefined
+    op = assemble(0.0, 8, _params(B=0.0))
+    for mode in (phase_zero_mode, generalized_zero_mode):
+        with pytest.raises(ValueError, match="B > 0"):
+            mode(op)
 
 
 def test_full_period_spectrum_merges_in_mu_order():
@@ -912,3 +935,23 @@ def test_inertia_sweep_rejects_singular_and_non_finite_pivots():
         with pytest.raises(bloch.EigensolveError,
                            match="at mu=0.5: a singular or non-finite pivot"):
             bloch._negative_counts(np.stack([bands[0], bad[1]]), s, t, [0.25, 0.5])
+
+
+@pytest.mark.parametrize("column", ["below", "n(L)"])
+def test_cluster_join_re_raises_a_failed_end_or_n_L_shift(monkeypatch, column):
+    # only a shift between two clusters of a group may meet a singular pivot
+    # that joining them mends; a failure at an end or n(L) shift is raised
+    real, calls = bloch._negative_counts, []
+
+    def fails_once(bands, s, t, mus):
+        calls.append(1)
+        if len(calls) > 1:
+            return real(bands, s, t, mus)
+        failed = np.zeros(s.shape, bool)
+        failed[0, 0 if column == "below" else -1] = True
+        raise EigensolveError("injected singular pivot", failed)
+
+    monkeypatch.setattr(bloch, "_negative_counts", fails_once)
+    with pytest.raises(EigensolveError, match="injected singular pivot"):
+        spectrum(assemble(0.3, 8, _params(B=1.0, V0=-0.5, eps=0.2)))
+    assert len(calls) == 1

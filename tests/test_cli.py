@@ -366,6 +366,15 @@ def test_simulate_writes_artifacts_and_echo(tmp_path):
                  "aes.csv")
 
 
+def test_simulate_records_a_horizon_just_past_a_multiple_once(tmp_path):
+    cfg = _write(tmp_path, "s.cfg", "grid.num_modes = 32\n"
+                 "evolution.horizon = 0.750000000125\nevolution.record_every = 0.25\n")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [float(row[0]) for row in rows] == [0.0, 0.25, 0.5, 0.750000000125]
+
+
 def _stalls_before_first_record(fun, t_span, y0, **kwargs):
     # what scipy returns when the solver fails before reaching any t_eval point
     return SimpleNamespace(success=False, t=[], y=[],

@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -134,6 +135,9 @@ def test_record_times_cover_horizon():
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.times) > 0)
     assert len(traj.times) == len(traj.samples) == len(traj.mass)
+    # ceil(1/0.3 - 1e-9) + 1 records, the last moved to the horizon
+    assert len(traj.times) == 5 and traj.times[-1] == 1.0
+    assert traj.times[-1] - traj.times[-2] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_perturbation_profile_properties():
@@ -527,3 +531,14 @@ def test_work_buffers_alias_neither_inputs_nor_results(monkeypatch):
     one, two = evolve(psi0, cfg), evolve(psi0, cfg)
     for name in ("times", "samples", "mass", "energy"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+
+def test_horizon_just_past_a_multiple_is_recorded_once():
+    # ceil(T/every - 1e-9) puts the last multiple of every within 1e-9*every
+    # of T; it is moved to T, with no second record beside it
+    horizon = 0.75 + 1.25e-10
+    cfg = EvolutionConfig(kernel=_local(), potential=SineSquared(-1.0, 1.0),
+                          alpha=1, time_horizon=horizon, record_every=0.25)
+    traj = evolve(_phi(PeriodicGrid(2 * np.pi, 32)), cfg)
+    assert len(traj.samples) == math.ceil(horizon / 0.25 - 1e-9) + 1 == 4
+    assert traj.times.tolist() == [0.0, 0.25, 0.5, horizon]

@@ -304,6 +304,19 @@ def test_from_table_input_validation(tmp_path):
     assert abs(base.zeta_hat(1.5) - 0.65) < 1e-12
 
 
+def test_from_table_skips_comment_and_blank_rows(tmp_path):
+    path = tmp_path / "kern.csv"
+    path.write_text("# s, zeta_hat\n0.0,1.0\n\n  # halfway down\n2.0,0.5\n")
+    assert KernelSpec.from_table(path).zeta_hat(1.0) == 0.75
+
+
+def test_decay_envelope_passes_a_transform_that_vanishes(tmp_path):
+    # zeta_hat = 0 from s = 1 on: no slope to fit, and nothing to fail
+    base = KernelSpec.from_table(_write_table(tmp_path, [(0.0, 1.0), (1.0, 0.0)]))
+    check = kernels._check_decay_envelope(base.zeta_hat, "transform decay envelope")
+    assert check.passed and "underflows" in check.detail
+
+
 def test_validate_normalized_gaussian_passes_both_sets():
     base = KernelSpec.gaussian_normalized()
     for which in ("H", "Hprime"):

@@ -139,3 +139,27 @@ def test_filter_is_linear_and_idempotent_on_low_modes():
     # mode 1 of 64 is damped by exp(ln(eps)*(1/32)^8) ~ 1 - 3e-11, near identity
     low = WaveField.basis_mode(grid, 1).samples
     assert np.max(np.abs(apply_filter(low) - low)) < 1e-9
+
+
+def test_wave_field_rejects_arrays_off_its_grid():
+    grid = PeriodicGrid(1.0, 8)
+    with pytest.raises(ValueError, match="samples shape"):
+        WaveField(grid, np.zeros(6))
+    # a column of 8 transforms to 8 columns of one sample: the coefficient
+    # check, not the sample check, must name it
+    with pytest.raises(ValueError, match="coeffs shape"):
+        WaveField.from_coeffs(grid, np.zeros((8, 1)))
+
+
+def test_both_views_are_the_numpy_transforms_bitwise():
+    rng = np.random.default_rng(9)
+    grid = PeriodicGrid(3.0, 30)  # 1/N is inexact at N = 30
+    c = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    f = WaveField.from_coeffs(grid, c)
+    assert np.array_equal(f.samples, np.fft.fft(np.fft.ifftshift(c)) / np.sqrt(3.0))
+    g = WaveField(grid, f.samples)
+    assert np.array_equal(g.coeffs, np.sqrt(3.0) * np.fft.fftshift(np.fft.ifft(f.samples)))
+    # from_coeffs keeps a read-only copy of its input as the coefficient view
+    kept = c.copy()
+    c[:] = 0.0
+    assert np.array_equal(f.coeffs, kept) and not f.coeffs.flags.writeable
