@@ -33,16 +33,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import ScaledKernel
+from .runs import ConfigError, write_csv
 from .waves import SolutionParams
 
 TWO_PI = 2.0 * np.pi
 
 
-class InvalidMuError(ValueError):
+class InvalidMuError(ConfigError):
     """Bloch parameter outside [0, 1)."""
 
 
-class TruncationTooSmallError(ValueError):
+class TruncationTooSmallError(ConfigError):
     """Fourier truncation too small to represent the coupling stencils."""
 
 
@@ -582,21 +583,15 @@ def _krein_label(value, near_origin: bool) -> str:
 
 
 def write_eigen_csv(reports: list, path):
-    """One row per eigenvalue: mu, Re, Im, krein label, near-origin flag.
-
-    The bytes of csv.writer (floats as their repr, rows ended by CR LF),
-    written as one string per report.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write("mu,re_lambda,im_lambda,krein,flag\r\n")
-        for rep in reports:
-            mu, w = float(rep.mu), rep.eigenvalues
-            near = (np.abs(w) < _ORIGIN_TOL).tolist()
-            fh.write("".join([
-                f"{mu!r},{re!r},{im!r},{_krein_label(kr, nr)},"
-                f"{'near-origin' if nr else ''}\r\n"
-                for re, im, kr, nr in zip(w.real.tolist(), w.imag.tolist(),
-                                          rep.krein.tolist(), near)]))
+    """One row per eigenvalue: mu, Re, Im, krein label, near-origin flag."""
+    def columns(rep):
+        w = rep.eigenvalues
+        near = (np.abs(w) < _ORIGIN_TOL).tolist()
+        return ([float(rep.mu)] * w.size, w.real.tolist(), w.imag.tolist(),
+                [_krein_label(kr, nr) for kr, nr in zip(rep.krein.tolist(), near)],
+                ["near-origin" if nr else "" for nr in near])
+    write_csv(path, ("mu", "re_lambda", "im_lambda", "krein", "flag"),
+              map(columns, reports))
 
 
 def eigen_summary(reports: list, params: SolutionParams) -> dict:

@@ -140,13 +140,6 @@ SCHEMAS = {
     },
 }
 
-# Exceptions that indicate a bad configuration rather than a code defect.  A
-# ValueError (the waves errors included) or an OSError is one only where
-# objects are built from the config, inside ``from_settings``, which raises it
-# as a ConfigError; elsewhere it is a defect and exits 4.
-_CONFIG_ERRORS = (ConfigError, bloch.InvalidMuError, bloch.TruncationTooSmallError)
-
-
 def resolve_config(command: str, config_path, overrides: dict) -> dict:
     """File values + defaults + flag overrides, with unknown keys rejected."""
     schema = SCHEMAS[command]
@@ -440,7 +433,9 @@ def main(argv=None) -> int:
         # the one record of the settings, some of them resolved by the handler
         runs.write_outputs(args.out, {
             "resolved.cfg": lambda p: p.write_text(format_flat_config(cfg))})
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
+        # a ValueError or OSError is one only where ``from_settings`` builds
+        # objects from the config; elsewhere it is a defect and exits 4
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

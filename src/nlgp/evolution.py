@@ -22,7 +22,6 @@ settings.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -31,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import kernels
-from .runs import BlowUpError
+from .runs import BlowUpError, write_csv
 from .spectral import PeriodicGrid, WaveField, _fft, _ifft, filter_multipliers
 from .waves import SineSquared
 
@@ -346,19 +345,14 @@ def perturbed_initial(phi: WaveField, nu: float, seed: int,
 
 def write_trajectory_csv(traj: Trajectory, path):
     """Long format: one row per (t, grid index) with Re/Im of the state."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x_index,re_psi,im_psi\r\n")
-        # the bytes of csv.writer, which writes a float as its repr and ends
-        # rows with \r\n; one string per record keeps the lists small
-        for t, row in zip(traj.times.tolist(), traj.samples):
-            fh.write("".join([f"{t!r},{i},{re!r},{im!r}\r\n" for i, re, im in
-                              zip(range(row.size), row.real.tolist(), row.imag.tolist())]))
+    index = range(traj.samples.shape[1])
+    write_csv(path, ("t", "x_index", "re_psi", "im_psi"),
+              (([t] * len(index), index, row.real.tolist(), row.imag.tolist())
+               for t, row in zip(traj.times.tolist(), traj.samples)))
 
 
 def write_summary_csv(traj: Trajectory, path, deviation: np.ndarray):
     """Per-snapshot mass, energy and orbit ``deviation`` (see deviation_from)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mass", "energy", "mod_deviation"])
-        w.writerows(zip(traj.times.tolist(), traj.mass.tolist(),
-                        traj.energy.tolist(), deviation.tolist()))
+    write_csv(path, ("t", "mass", "energy", "mod_deviation"),
+              [(traj.times.tolist(), traj.mass.tolist(), traj.energy.tolist(),
+                deviation.tolist())])

@@ -9,7 +9,6 @@ run are recorded by the command line (``resolved.cfg``), not here.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bloch, evolution, kernels, waves
-from .runs import DEFAULT_SEED, FIGURE_REGIMES, ConfigError, from_settings, write_outputs
+from .runs import (DEFAULT_SEED, FIGURE_REGIMES, ConfigError, from_settings, write_csv,
+                   write_outputs)
 from .spectral import PeriodicGrid, WaveField
 
 
@@ -102,12 +102,10 @@ def run_aes_sweep(epsilons=(0.1, 0.05, 0.025, 0.0125), *, B=1.0, V0=-1.0, k=1.0,
 
 
 def _write_aes_csv(table: AesTable, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "sup_t_err_linf", "sup_t_err_h1"])
-        for r in table.rows:
-            w.writerow([repr(float(r.epsilon)), repr(float(r.err_linf)),
-                        repr(float(r.err_h1))])
+    rows = table.rows
+    write_csv(path, ("epsilon", "sup_t_err_linf", "sup_t_err_h1"),
+              [([float(r.epsilon) for r in rows], [float(r.err_linf) for r in rows],
+                [float(r.err_h1) for r in rows])])
 
 
 def _write_aes_plot_script(path):
@@ -316,16 +314,11 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
 
 
 def _write_map_csv(m: StabilityMap, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["B", "V0", "A", "abscissa", "above_b_star", "above_a_crit"])
-        for i, B in enumerate(m.B_values):
-            for j, V0 in enumerate(m.V0_values):
-                above_bs = "" if m.b_star is None else int(B > m.b_star)
-                above_ac = int(m.A_values[j] >= m.a_crit)
-                w.writerow([repr(float(B)), repr(float(V0)),
-                            repr(float(m.A_values[j])),
-                            repr(float(m.abscissa[i, j])), above_bs, above_ac])
+    B, A = (a.ravel() for a in np.meshgrid(m.B_values, m.A_values, indexing="ij"))
+    above_bs = [""] * B.size if m.b_star is None else (B > m.b_star).astype(int).tolist()
+    write_csv(path, ("B", "V0", "A", "abscissa", "above_b_star", "above_a_crit"),
+              [(B.tolist(), np.tile(m.V0_values, m.B_values.size).tolist(), A.tolist(),
+                m.abscissa.ravel().tolist(), above_bs, (A >= m.a_crit).astype(int).tolist())])
 
 
 def _write_map_plot_script(path):

@@ -8,12 +8,12 @@ zeta_hat(s) = integral exp(-i*s*x) zeta(x) dx.
 
 The algebraic kernel's a^nu K_nu(a) uses Temme's series (J. Comput. Phys. 19
 (1975) 324-337) and a trapezoid rule (Trefethen & Weideman, SIAM Review 56
-(2014) 385-458); scipy is imported only by the first quadrature.
+(2014) 385-458); scipy is imported only by the first quadrature, and csv only
+to read a tabulated kernel.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -194,6 +194,7 @@ def _power_kv(nu: float):
 
 
 def _read_table(path):
+    import csv
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

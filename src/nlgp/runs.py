@@ -1,6 +1,6 @@
 """The plumbing of a run, which every command needs and none computes: the
 two errors that set an exit code, the guard around objects built from run
-settings, the output writer, and the published figure regimes.
+settings, the output and table writers, and the published figure regimes.
 
 Nothing here imports the rest of the package, so a command loads only the
 engines it runs.
@@ -24,7 +24,8 @@ DEFAULT_SEED = 1234
 
 
 class ConfigError(ValueError):
-    """Invalid run settings: the command line exits 2 on it, not 4."""
+    """Invalid run settings: the command line exits 2 on it, and on no other
+    error."""
 
 
 class BlowUpError(RuntimeError):
@@ -56,3 +57,15 @@ def write_outputs(out_dir, writers: dict):
     out.mkdir(parents=True, exist_ok=True)
     for fname, writer in writers.items():
         writer(out / fname)
+
+
+def write_csv(path, header, blocks):
+    """Write a header row, then each block of equal-length columns with one
+    ``write``: every cell as its ``str`` (a float as its repr), joined by
+    commas, rows ended by CR LF.  These are csv.writer's bytes for cells
+    that need no quoting, which is all the tables hold."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.write("".join([",".join(map(str, row)) + "\r\n"
+                              for row in zip(*columns)]))

@@ -49,8 +49,8 @@ class SineSquared:
         ratio = grid.period * self.k / np.pi
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
-                f"potential period pi/k = {np.pi/self.k:.6g} does not divide "
-                f"grid period {grid.period:.6g}"
+                f"potential period pi/k = {np.pi/self.k!r} does not divide "
+                f"grid period {grid.period!r}"
             )
         return self.V0 * np.sin(self.k * grid.points) ** 2
 
@@ -117,8 +117,8 @@ def build_solution(params: SolutionParams, grid: PeriodicGrid) -> WaveField:
     ratio = grid.period * params.k / (2.0 * np.pi)
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise PeriodMismatchError(
-            f"grid period {grid.period:.6g} is not an integer multiple of 2*pi/k = "
-            f"{2*np.pi/params.k:.6g}"
+            f"grid period {grid.period!r} is not an integer multiple of 2*pi/k = "
+            f"{2*np.pi/params.k!r}"
         )
     x = grid.points
     samples = (np.sqrt(params.B) * np.cos(params.k * x)

@@ -59,7 +59,7 @@ def test_every_exported_name_resolves():
 def test_imports_load_only_what_runs(tmp_path):
     # importing the package loads no module of it, a name loads its own
     # module, a spectrum run loads neither the evolution nor the experiments
-    # nor json, and a seeded perturbation does not load numpy.random
+    # nor json nor csv, and a seeded perturbation does not load numpy.random
     cfg = tmp_path / "s.cfg"
     cfg.write_text("spectrum.truncation = 16\n")
     script = (
@@ -74,7 +74,7 @@ def test_imports_load_only_what_runs(tmp_path):
         "assert loaded() == ['nlgp.runs', 'nlgp.spectral'], loaded()\n"
         "from nlgp import cli\n"
         f"assert cli.main(['spectrum', '--config', {str(cfg)!r}]) in (0, 1)\n"
-        "late = {'nlgp.evolution', 'nlgp.experiments', 'json'} & set(sys.modules)\n"
+        "late = {'nlgp.evolution', 'nlgp.experiments', 'json', 'csv'} & set(sys.modules)\n"
         "assert not late, late\n"
         "kern = nlgp.ScaledKernel(nlgp.KernelSpec.gaussian_raw(), 0.0)\n"
         "phi = nlgp.build_solution(nlgp.solution_params(0.01, -2.46, 1.0, 1, kern),\n"

@@ -924,6 +924,25 @@ def test_indefinite_cluster_is_labelled_zero_and_counted():
     assert rep.count_identity_holds
 
 
+@pytest.mark.parametrize("M", [
+    pytest.param(M, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="N3: the absolute cluster tolerance joins the pair next to the "
+               "origin cluster, which spectrum labels zero and the oracle signs"))
+    for M in (8, 15)])
+def test_pair_next_to_the_origin_cluster_keeps_the_oracle_signs(M):
+    # at B = V0 = eps = 0 and mu = 1e-6 the four nu = +-(1 -+ 5e-7) 1e-6 fall
+    # in one cluster: the two below _ORIGIN_TOL form the origin cluster, and
+    # the 1e-9 cluster tolerance (absolute below |nu| = 1) adds the two just
+    # outside it, which the oracle signs +1
+    op = assemble(1e-6, M, _params(B=0.0, V0=0.0))
+    rep = spectrum(op)
+    _, _, on_axis, sig = _full_solve_oracle(op)
+    small = np.abs(on_axis) < 1e-5
+    nearest = [int(np.argmin(np.abs(rep.eigenvalues - lam))) for lam in on_axis[small]]
+    assert rep.krein[nearest].tolist() == sig[small].tolist()
+
+
 def test_inertia_sweep_rejects_singular_and_non_finite_pivots():
     ops = [assemble(mu, 8, _params(B=1.0, V0=-0.5, eps=0.2)) for mu in (0.25, 0.5)]
     bands = np.stack([op.bands for op in ops])

@@ -137,6 +137,9 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     # only 0 means one wave period
     ("simulate", "grid.period = -5",
      "grid.period must be positive, or 0 for one wave period, got -5.0"),
+    # both periods in full, which once printed as the same 3.14159
+    ("simulate", "solution.k = 2\ngrid.period = 3.14159",
+     "grid period 3.14159 is not an integer multiple of 2*pi/k = 3.141592653589793"),
     # k is checked before the wave period 2 pi / k is derived from it
     *((command, f"{key} = {k}", f"wavenumber k must be positive, got {k:.1f}")
       for command, key in (("simulate", "solution.k"), ("aes-sweep", "aes.k"))
@@ -282,6 +285,21 @@ def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):
         assert len(err) == 1 and err[0].startswith("internal error: ")
         assert "did not converge" in err[0]
         assert f"mu={mu}:" in err[0]
+    # a stacked call that fails while each of its blocks solves alone: its
+    # error is raised as it came, with no mu to name
+    calls = []
+
+    def stack_fails(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", stack_fails)
+    assert cli.main(["spectrum", "--config", cfg]) == 4
+    assert calls == [stacks[0].shape] + [stacks[0][0].shape] * 2
+    assert capsys.readouterr().err == ("internal error: LinAlgError: "
+                                       "eigenvalues did not converge\n")
 
 
 @pytest.mark.parametrize("where, message", [("interior", "exceeds its size"),
@@ -782,6 +800,7 @@ def test_stability_map_command(tmp_path):
     assert cli.main(["stability-map", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "stability_map.csv").exists()
     assert (out / "plot_map.py").exists()
+    compile((out / "plot_map.py").read_text(), "plot_map.py", "exec")
 
 
 def test_kernel_flag_overrides_config(tmp_path, capsys):

@@ -48,6 +48,7 @@ def test_aes_sweep_small_case(tmp_path):
     assert len(rows) == 2
     assert float(rows[0]["epsilon"]) == 0.2
     assert (tmp_path / "plot_aes.py").exists()
+    compile((tmp_path / "plot_aes.py").read_text(), "plot_aes.py", "exec")
 
 
 def test_aes_sweep_epsilon_zero_row_is_exact():
@@ -75,6 +76,7 @@ def test_figure_regime_small_run(tmp_path):
     for fname in ("trajectory.csv", "summary.csv", "spectrum.csv",
                   "report.json", "plot_regime.py"):
         assert (tmp_path / fname).exists(), fname
+    compile((tmp_path / "plot_regime.py").read_text(), "plot_regime.py", "exec")
 
 
 def test_figure_regime_unstable_has_growth(tmp_path):

@@ -362,6 +362,14 @@ def test_validate_first_moment_rejects_divergent_tails():
         assert check.passed, check.detail
 
 
+def test_first_moment_reports_a_failed_quadrature_as_a_failure():
+    def zeta(x):
+        raise ArithmeticError("no value")
+
+    check = kernels._check_first_moment(zeta)
+    assert (check.passed, check.detail) == (False, "quadrature failed: no value")
+
+
 def test_validate_oscillating_table_fails_positivity(tmp_path):
     # a transform that dips negative violates the strict-positivity hypothesis
     s_grid = np.linspace(0, 20, 2001)

@@ -171,6 +171,13 @@ def test_sine_squared_potential_matches_formula():
     assert np.max(np.abs(v - (-0.9) * np.sin(grid.points) ** 2)) < 1e-14
 
 
+def test_sine_squared_refusal_prints_both_periods_in_full():
+    with pytest.raises(ValueError) as info:
+        SineSquared(-0.9, 2.0).values(PeriodicGrid(3.14159, 64))
+    assert str(info.value) == ("potential period pi/k = 1.5707963267948966 does not "
+                               "divide grid period 3.14159")
+
+
 def test_invalid_scalar_inputs():
     kern = _local_kernel()
     with pytest.raises(ValueError):
