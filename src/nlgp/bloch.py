@@ -116,6 +116,7 @@ def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperato
     """
     if not 0.0 <= mu < 1.0:
         raise InvalidMuError(f"Bloch parameter must lie in [0, 1), got {mu}")
+    check_settings(truncation)
     return BlochOperator(mu=float(mu), truncation=int(truncation), D=params.D,
                          bands=_bands([mu], truncation, params)[0])
 
@@ -123,8 +124,6 @@ def assemble(mu: float, truncation: int, params: SolutionParams) -> BlochOperato
 def _bands(mus, truncation: int, params: SolutionParams) -> np.ndarray:
     """``BlochOperator.bands`` at each mu, from one zeta_hat call: band arrays
     combined by the square form's operations hold its entries and signed zeros."""
-    if truncation < 8:
-        raise TruncationTooSmallError(f"need truncation >= 8, got {truncation}")
     centre = np.array([[mu - 1.0 if mu > 0.5 else mu] for mu in mus])
     modes = np.arange(-truncation, truncation + 1) - centre
     k, B, A, alpha = params.k, params.B, params.A, params.alpha
@@ -325,6 +324,14 @@ def _negative_counts(bands: np.ndarray, s: np.ndarray, t: np.ndarray, mus) -> np
     return (rows - count / 2).astype(int)
 
 
+def check_settings(truncation: int, n_periods: int = 1) -> None:
+    """Refuse truncation < 8 or n_periods < 1 before any state is built."""
+    if n_periods < 1:
+        raise InvalidMuError(f"n_periods must be >= 1 (mu = r/n_periods), got {n_periods}")
+    if truncation < 8:
+        raise TruncationTooSmallError(f"need truncation >= 8, got {truncation}")
+
+
 def full_period_spectrum(n_periods: int, params: SolutionParams,
                          truncation: int) -> list:
     """Spectra at mu = r/n_periods, r = 0..n_periods-1, in mu order.
@@ -333,8 +340,7 @@ def full_period_spectrum(n_periods: int, params: SolutionParams,
     per-mu spectra.  Only r <= n/2 is solved; the report at r > n/2 is the
     conjugate of the one at n - r (see the module docstring).
     """
-    if n_periods < 1:
-        raise InvalidMuError(f"n_periods must be >= 1 (mu = r/n_periods), got {n_periods}")
+    check_settings(truncation, n_periods)
     mus = [r / n_periods for r in range(n_periods // 2 + 1)]
     solved = _spectra(mus, _bands(mus, truncation, params))
     return [solved[r] if 2 * r <= n_periods

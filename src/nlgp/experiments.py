@@ -270,7 +270,7 @@ class StabilityMap:
     B_values: np.ndarray
     V0_values: np.ndarray
     abscissa: np.ndarray  # shape (len(B), len(V0)); NaN where no solution exists
-    A_values: np.ndarray  # A for each V0
+    A_values: np.ndarray  # A for each V0; NaN where beta vanishes
     b_star: float | None
     a_crit: float
 
@@ -285,6 +285,7 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
     V0_values = np.asarray(sorted(set(float(v) for v in V0_values)))
     if B_values.size == 0 or V0_values.size == 0:
         raise ConfigError("B_values and V0_values must be nonempty")
+    bloch.check_settings(truncation, n_periods)
     with from_settings():
         kern = kernels.ScaledKernel(base, eps)
         bta = kernels.beta(kern, k)
@@ -303,7 +304,7 @@ def stability_map(B_values, V0_values, *, k=1.0, eps=0.0, alpha=1,
 
     grid_vals = np.array([[np.nan if p is None else abscissa(p) for p in row]
                           for row in points])
-    A_values = -V0_values / (alpha * bta)
+    A_values = np.array([waves.potential_shift(V0, alpha, bta) for V0 in V0_values])
     result = StabilityMap(B_values, V0_values, grid_vals, A_values,
                           bloch.b_star(k, kern), bloch.a_crit(k))
     write_outputs(out_dir, {
@@ -318,7 +319,8 @@ def _write_map_csv(m: StabilityMap, path):
     above_bs = [""] * B.size if m.b_star is None else (B > m.b_star).astype(int).tolist()
     write_csv(path, ("B", "V0", "A", "abscissa", "above_b_star", "above_a_crit"),
               [(B.tolist(), np.tile(m.V0_values, m.B_values.size).tolist(), A.tolist(),
-                m.abscissa.ravel().tolist(), above_bs, (A >= m.a_crit).astype(int).tolist())])
+                m.abscissa.ravel().tolist(), above_bs,
+                ["" if np.isnan(a) else int(a >= m.a_crit) for a in A])])
 
 
 def _write_map_plot_script(path):

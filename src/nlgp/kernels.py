@@ -86,7 +86,7 @@ class KernelSpec:
             if nonzero.any():
                 # past a = 750, e^-a and so zeta_hat are 0
                 out[nonzero] = c_hat * power_kv(np.minimum(a[nonzero], 750.0))
-            return out[()]
+            return np.minimum(out, 1.0)[()]  # rounding must not lift it past zeta_hat(0)
 
         return cls(family=f"algebraic:{p:g}", zeta=zeta, zeta_hat=zeta_hat,
                    decreasing=True)

@@ -5,11 +5,11 @@ profile (in the frame rotating at frequency omega)
 
     phi(x) = sqrt(B) cos(kx) + i sqrt(B+A) sin(kx),
 
-where A = -V0/(alpha*beta(k; eps)) and beta is the kernel multiplier at
-s = 2k.  The family exists whenever beta != 0 and B >= max(-A, 0):
-:func:`solution_params` checks a tuple once, and :func:`build_solution`
-samples phi, a plain WaveField, on a grid holding whole wave periods 2*pi/k;
-the caller keeps the parameters beside it.
+where A = -V0/(alpha*beta(k; eps)) (0 at V0 = 0, see :func:`potential_shift`)
+and beta is the kernel multiplier at s = 2k.  The family exists wherever A is
+defined and B >= max(-A, 0): :func:`solution_params` checks a tuple once, and
+:func:`build_solution` samples phi, a plain WaveField, on a grid holding whole
+wave periods 2*pi/k; the caller keeps the parameters beside it.
 """
 
 from __future__ import annotations
@@ -75,34 +75,31 @@ class SolutionParams:
     omega: float
 
 
+def potential_shift(V0, alpha, bta) -> float:
+    """A = -V0/(alpha*beta) for beta = beta(k; eps): 0 at V0 = 0 whatever beta
+    is, NaN where beta vanishes (|beta| < 1e-12) and the family is undefined."""
+    if V0 == 0.0:
+        return 0.0
+    return float("nan") if abs(bta) < _BETA_FLOOR else -V0 / (alpha * bta)
+
+
 def solution_params(B, V0, k, alpha, kernel: kernels.ScaledKernel) -> SolutionParams:
     """Validate the input tuple and fill in beta, A, D, omega."""
-    if k <= 0:
-        raise ValueError(f"wavenumber k must be positive, got {k}")
     if alpha not in (+1, -1):
         raise ValueError(f"alpha must be +1 or -1, got {alpha}")
     if B < 0:
         raise OffsetTooSmallError(f"offset B must be nonnegative, got {B}")
     bta = kernels.beta(kernel, k)
-    if V0 == 0.0:
-        # A = -V0/(alpha beta) and the V0/(2 beta) frequency term both vanish
-        # identically, so a degenerate beta (huge eps) is harmless here.
-        A = 0.0
-        omega_pot = 0.0
-    else:
-        if abs(bta) < _BETA_FLOOR:
-            raise BetaZeroError(
-                f"beta(k={k}, eps={kernel.epsilon}) = {bta:.3e} vanishes; "
-                "the solution family is undefined there"
-            )
-        A = -V0 / (alpha * bta)
-        omega_pot = -V0 / (2.0 * bta)
+    A = potential_shift(V0, alpha, bta)
+    if np.isnan(A):
+        raise BetaZeroError(f"beta(k={k}, eps={kernel.epsilon}) = {bta:.3e} vanishes; "
+                            "the solution family is undefined there")
     if B < max(-A, 0.0) - 1e-12:
         raise OffsetTooSmallError(
             f"need B >= max(-A, 0) = {max(-A, 0.0):.6g}, got B = {B}"
         )
     D = float(np.sqrt(1.0 + A / B)) if B > 0 else None
-    omega = (V0 + k**2) / 2.0 + alpha * B + omega_pot
+    omega = (V0 + k**2) / 2.0 + alpha * B + alpha * A / 2.0
     # For kernels of non-unit mass, stationarity shifts the rotation frequency
     # by a constant: the textbook formula above assumes zeta_hat(0) = 1.
     zh0 = float(kernel.base.zeta_hat(0.0))

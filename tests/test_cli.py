@@ -458,6 +458,19 @@ def test_figures_checks_the_spectrum_settings_before_it_evolves(
     assert err.startswith("config error: ") and setting in err
 
 
+@pytest.mark.parametrize("line, setting", [("map.n_periods = 0", "n_periods"),
+                                           ("map.truncation = 4", "truncation")])
+def test_stability_map_checks_the_bloch_settings_before_any_point(
+        tmp_path, capsys, line, setting):
+    # every point lies outside the family, so no spectrum would check them
+    cfg = _write(tmp_path, "map.cfg", f"map.B_values = 0.01\nmap.V0_values = 2.0\n{line}\n")
+    out = tmp_path / "map"
+    assert cli.main(["stability-map", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and setting in err
+    assert not (out / "resolved.cfg").exists()
+
+
 # one small run per subcommand, through each handler's whole code path
 _SMALL_RUNS = {
     "simulate": "grid.num_modes = 32\nevolution.horizon = 0.5\n"

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,26 @@ def test_stability_map_marks_invalid_points_nan():
     result = stability_map([0.1], [0.5, -0.5], truncation=16, n_periods=1)
     assert np.isnan(result.abscissa[0, list(result.V0_values).index(0.5)])
     assert np.isfinite(result.abscissa[0, list(result.V0_values).index(-0.5)])
+
+
+def test_stability_map_writes_the_A_of_solution_params(tmp_path):
+    # at V0 = 0 the cells carry solution_params' A = 0.0, which their spectra
+    # were computed with, not the -0.0 that -V0/(alpha*beta) gives
+    stability_map([0.5, 2.0], [-1.0, 0.0, 2.0], out_dir=tmp_path)
+    rows = (tmp_path / "stability_map.csv").read_text().splitlines()
+    assert [r.split(",")[2] for r in rows[1:]] == ["1.0", "0.0", "-2.0"] * 2
+
+
+def test_stability_map_where_beta_vanishes(tmp_path):
+    # beta = zeta_hat(200) underflows to 0: A is undefined at V0 = -1 (NaN,
+    # with no verdict on A_crit) and 0 at V0 = 0, where the family exists
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = stability_map([1.0], [0.0, -1.0], eps=100.0, truncation=8,
+                               out_dir=tmp_path)
+    assert result.b_star is None
+    assert (tmp_path / "stability_map.csv").read_text().splitlines()[1:] == [
+        "1.0,-1.0,nan,nan,,", "1.0,0.0,0.0,0.0,,0"]
 
 
 def test_stability_map_rejects_empty_axes():

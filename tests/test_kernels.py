@@ -133,6 +133,19 @@ def test_algebraic_decay_transform_at_extreme_s(p):
     assert np.array_equal(base.zeta_hat(np.array([1e3, 1e200, -1e300])), [0.0] * 3)
 
 
+def test_algebraic_transform_stays_at_or_below_one_near_zero():
+    # |zeta_hat| <= zeta_hat(0) = 1 for a nonnegative unit-mass kernel;
+    # Temme's series rounds up to 4 ulps past it near s = 0 at large p
+    s = np.geomspace(1e-12, 1e-4, 2001)
+    for p in (20.0, 80.0):
+        assert np.max(KernelSpec.algebraic_decay(p).zeta_hat(s)) <= 1.0
+    # where the series stays below 1 the values are the uncapped closed form
+    nu = 1.0  # p = 3
+    c_hat = 2.0 ** (1.0 - nu) / gamma(nu)
+    assert np.array_equal(KernelSpec.algebraic_decay(3.0).zeta_hat(s),
+                          c_hat * _power_kv(nu)(s))
+
+
 def test_algebraic_decay_requires_integrable_tail():
     # above p = 80, K_nu overflows near s = 0 before zeta_hat is within
     # ~1e-14 of its limit 1 there
