@@ -29,9 +29,8 @@ _EXPORTS = {
               "InvalidMuError", "TruncationTooSmallError", "a_crit",
               "analytic_spectrum_V0_zero", "assemble", "b_star", "eigen_summary",
               "full_period_spectrum", "generalized_zero_mode", "hill_quadratic_form",
-              "instability_predicate", "krein_form", "match_spectra",
-              "matrix_quadratic_form", "phase_zero_mode", "spectrum",
-              "write_eigen_csv"),
+              "krein_form", "match_spectra", "matrix_quadratic_form", "phase_zero_mode",
+              "spectrum", "write_eigen_csv"),
     "experiments": ("AesTable", "FigureRegimeResult", "StabilityMap", "fit_growth_rate",
                     "run_aes_sweep", "run_figure_regime", "stability_map"),
     "runs": ("FIGURE_REGIMES",),

@@ -519,16 +519,6 @@ def a_crit(k: float) -> float:
     return const * k**2
 
 
-def instability_predicate(A: float, k: float) -> str:
-    """"unstable-predicted" iff A >= a_crit(k); otherwise "inconclusive",
-    negative A included.
-
-    The prediction is derived under small B and eps; that hypothesis is
-    the caller's to check, not enforced here.
-    """
-    return "unstable-predicted" if A >= a_crit(k) else "inconclusive"
-
-
 def hill_quadratic_form(g: dict, A: float, k: float) -> float:
     """Quadratic form of L-_0 (eps = 0, mu = 0) on coefficients g = {j: g_j}.
 
@@ -603,6 +593,7 @@ def write_eigen_csv(reports: list, path):
 def eigen_summary(reports: list, params: SolutionParams) -> dict:
     """Aggregate verdicts across a mu sweep, for report files and the CLI."""
     abscissa = max(rep.max_real_part for rep in reports)
+    threshold = a_crit(params.k)
     return {
         "max_real_part": abscissa,
         "verdict": ("unstable" if abscissa > UNSTABLE_ABSCISSA
@@ -615,7 +606,8 @@ def eigen_summary(reports: list, params: SolutionParams) -> dict:
             for rep in reports
         ],
         "b_star": b_star(params.k, params.kernel),
-        "a_crit": a_crit(params.k),
+        "a_crit": threshold,
         "A": params.A,
-        "predicate": instability_predicate(params.A, params.k),
+        # the A_crit prediction assumes small B and eps; neither is checked here
+        "predicate": "unstable-predicted" if params.A >= threshold else "inconclusive",
     }

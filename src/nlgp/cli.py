@@ -200,9 +200,9 @@ def _kernel_base(name: str) -> kernels.KernelSpec:
 
 def _solution(cfg) -> waves.SolutionParams:
     """The exact solution that the solution.* and kernel.* keys select."""
+    base = _kernel_base(cfg["kernel.name"])
     with from_settings():
-        kernel = kernels.ScaledKernel(kernels.kernel_from_name(cfg["kernel.name"]),
-                                      cfg["kernel.epsilon"])
+        kernel = kernels.ScaledKernel(base, cfg["kernel.epsilon"])
         return waves.solution_params(*(cfg[f"solution.{key}"] for key in
                                        ("B", "V0", "k", "alpha")), kernel)
 
@@ -261,7 +261,7 @@ def cmd_spectrum(cfg: dict, out_dir) -> int:
         print(f"B = {params.B:g} {rel} B* = {summary['b_star']:.6g}")
     else:
         print("B* undefined (kernel multiplier nonpositive on the lattice)")
-    rel = ">=" if summary["A"] >= summary["a_crit"] else "<"
+    rel = ">=" if summary["predicate"] == "unstable-predicted" else "<"
     print(f"A = {summary['A']:.6g} {rel} A_crit = {summary['a_crit']:.6g} "
           f"({summary['predicate']})")
     return 1 if summary["verdict"] == "unstable" else 0

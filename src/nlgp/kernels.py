@@ -310,10 +310,14 @@ def _check_even(zeta) -> HypothesisCheck:
 
 
 def _check_unit_mass(zeta) -> HypothesisCheck:
-    mass, _ = quad(zeta, 0, np.inf, epsabs=1e-12, limit=200)
+    # full_output: QUADPACK's warning goes into the detail, not to stderr
+    mass, _, _, *flag = quad(zeta, 0, np.inf, epsabs=1e-12, limit=200, full_output=1)
     mass *= 2.0
     ok = abs(mass - 1.0) <= 1e-8
-    return HypothesisCheck("unit L1 mass", bool(ok), f"integral zeta = {mass:.10f}")
+    detail = f"integral zeta = {mass:.10f}"
+    if flag:
+        detail += f" (QUADPACK: {flag[0].splitlines()[0]})"
+    return HypothesisCheck("unit L1 mass", bool(ok), detail)
 
 
 def _check_first_moment(zeta) -> HypothesisCheck:
@@ -331,18 +335,18 @@ def _check_first_moment(zeta) -> HypothesisCheck:
     return HypothesisCheck("x*zeta integrable", bool(ok), detail)
 
 
-def _check_decay_envelope(zeta_hat, label: str) -> HypothesisCheck:
+def _check_decay_envelope(zeta_hat) -> HypothesisCheck:
     """Fit |zeta_hat(s)| ~ (1+s)^(-q) over s in [1, 1e3]; need q > 1/2 + 1e-3."""
     s = np.logspace(0.0, 3.0, 60)
     vals = np.abs(np.asarray(zeta_hat(s), float))
     keep = vals > 1e-280  # underflowed tails carry no slope information
     if keep.sum() < 5:
         # decays so fast the samples underflow almost immediately: passes trivially
-        return HypothesisCheck(label, True, "transform underflows by s ~ 1 (superfast decay)")
-    slope = np.polyfit(np.log(1.0 + s[keep]), np.log(vals[keep]), 1)[0]
-    q = -slope
-    ok = q >= 0.5 + 1e-3
-    return HypothesisCheck(label, bool(ok), f"fitted decay exponent q = {q:.4f} (need > 0.501)")
+        ok, detail = True, "transform underflows by s ~ 1 (superfast decay)"
+    else:
+        q = -np.polyfit(np.log(1.0 + s[keep]), np.log(vals[keep]), 1)[0]
+        ok, detail = q >= 0.5 + 1e-3, f"fitted decay exponent q = {q:.4f} (need > 0.501)"
+    return HypothesisCheck("transform decay envelope", bool(ok), detail)
 
 
 def _check_transform_positive(zeta_hat) -> HypothesisCheck:
@@ -350,6 +354,15 @@ def _check_transform_positive(zeta_hat) -> HypothesisCheck:
     vals = np.asarray(zeta_hat(s), float)
     mn = float(np.min(vals))
     return HypothesisCheck("zeta_hat > 0", mn > 0.0, f"min zeta_hat on [0,50] = {mn:.3e}")
+
+
+# each hypothesis set in report order: its checks on zeta, then those on zeta_hat
+_HYPOTHESES = {
+    "H": ((_check_nonnegative, _check_unit_mass, _check_first_moment),
+          (_check_decay_envelope,)),
+    "Hprime": ((_check_nonnegative, _check_even, _check_unit_mass),
+               (_check_transform_positive, _check_decay_envelope)),
+}
 
 
 def validate_hypotheses(base: KernelSpec, which: str = "H") -> ValidationReport:
@@ -361,22 +374,8 @@ def validate_hypotheses(base: KernelSpec, which: str = "H") -> ValidationReport:
     unit mass, strict positivity of zeta_hat, and the same decay envelope.
     Failures land in the report; nothing raises.
     """
-    z, zh = base.zeta, base.zeta_hat
-    if which == "H":
-        checks = (
-            _check_nonnegative(z),
-            _check_unit_mass(z),
-            _check_first_moment(z),
-            _check_decay_envelope(zh, "transform decay envelope"),
-        )
-    elif which == "Hprime":
-        checks = (
-            _check_nonnegative(z),
-            _check_even(z),
-            _check_unit_mass(z),
-            _check_transform_positive(zh),
-            _check_decay_envelope(zh, "transform decay envelope"),
-        )
-    else:
+    if which not in _HYPOTHESES:
         raise ValueError(f"which must be 'H' or 'Hprime', got {which!r}")
-    return ValidationReport(base.family, checks)
+    on_zeta, on_transform = _HYPOTHESES[which]
+    return ValidationReport(base.family, tuple([check(base.zeta) for check in on_zeta]
+                                               + [check(base.zeta_hat) for check in on_transform]))

@@ -63,13 +63,6 @@ class PeriodicGrid:
     def spacing(self) -> float:
         return self.period / self.num_modes
 
-    @cached_property
-    def bracket(self) -> np.ndarray:
-        """Japanese-bracket weights <j> = 1 + 4 pi^2 j^2 / T^2 for Sobolev norms."""
-        w = 1.0 + 4.0 * np.pi**2 * self.modes.astype(float) ** 2 / self.period**2
-        w.setflags(write=False)
-        return w
-
 
 @dataclass(frozen=True, eq=False)
 class WaveField:
@@ -124,10 +117,11 @@ class WaveField:
         return float(np.max(np.abs(self.samples)))
 
     def hs_norm(self, s: float) -> float:
-        """Sobolev H_s norm, sqrt(sum <j>^s |c_j|^2).  Requires s >= 0."""
+        """Sobolev H_s norm, sqrt(sum <j>^s |c_j|^2), <j> = 1 + 4 pi^2 j^2 / T^2; s >= 0."""
         if s < 0:
             raise ValueError(f"Sobolev order must be nonnegative, got s={s}")
-        return float(np.sqrt(np.sum(self.grid.bracket**s * np.abs(self.coeffs) ** 2)))
+        bracket = 1.0 + 4.0 * np.pi**2 * self.grid.modes.astype(float) ** 2 / self.grid.period**2
+        return float(np.sqrt(np.sum(bracket**s * np.abs(self.coeffs) ** 2)))
 
     # -- calculus ---------------------------------------------------------
 

@@ -21,7 +21,6 @@ from nlgp.bloch import (
     full_period_spectrum,
     generalized_zero_mode,
     hill_quadratic_form,
-    instability_predicate,
     krein_form,
     match_spectra,
     matrix_quadratic_form,
@@ -451,10 +450,12 @@ def test_below_b_star_negative_signature_appears():
 def test_a_crit_value_and_predicate():
     assert a_crit(1.0) == pytest.approx(2.4533, abs=5e-4)
     assert a_crit(2.0) == pytest.approx(4 * a_crit(1.0), rel=1e-14)
-    assert instability_predicate(2.46, 1.0) == "unstable-predicted"
-    assert instability_predicate(a_crit(1.0), 1.0) == "unstable-predicted"
-    assert instability_predicate(1.0, 1.0) == "inconclusive"
-    assert instability_predicate(-0.5, 1.0) == "inconclusive"
+    # at eps = 0 beta = 1, so V0 = -A gives A itself: a_crit(1.0) is the boundary
+    for A, predicate in ((2.46, "unstable-predicted"), (a_crit(1.0), "unstable-predicted"),
+                         (1.0, "inconclusive"), (-0.5, "inconclusive")):
+        p = _params(B=1.0, V0=-A)
+        assert p.A == A
+        assert eigen_summary(full_period_spectrum(1, p, 8), p)["predicate"] == predicate
 
 
 def test_hill_form_reference_values():

@@ -77,6 +77,16 @@ def test_validate_kernel_exit_codes(tmp_path):
     assert cli.main(["validate-kernel", "--config", cfg]) == 0
 
 
+def test_validate_kernel_both_prints_the_H_block_then_the_Hprime_block(tmp_path, capsys):
+    for kernel in ("gaussian-normalized", "gaussian-raw", "algebraic:3"):
+        blocks = []
+        for which in ("H", "Hprime", "both"):
+            cfg = _write(tmp_path, "v.cfg", f"validate.which = {which}\n")
+            cli.main(["validate-kernel", "--config", cfg, "--kernel", kernel])
+            blocks.append(capsys.readouterr().out)
+        assert blocks[2] == blocks[0] + blocks[1]
+
+
 def test_validate_kernel_custom_table_failure(tmp_path):
     s = np.linspace(0, 20, 401)
     vals = np.exp(-(s**2) / 16) * np.cos(1.5 * s)
@@ -252,6 +262,23 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
                       "spectrum.truncation = 16\nspectrum.n_periods = 2\n")
     assert cli.main(["spectrum", "--config", unstable]) == 1
     assert "unstable" in capsys.readouterr().out
+
+
+def test_a_equal_to_a_crit_is_on_the_unstable_side(tmp_path, capsys):
+    # at eps = 0 the normalized Gaussian has beta = 1, so V0 = -a_crit(1)
+    # gives A == a_crit exactly, where both the spectrum and the map say ">="
+    V0 = -float(bloch.a_crit(1.0))
+    cfg = _write(tmp_path, "s.cfg", f"solution.V0 = {V0!r}\n"
+                 "spectrum.truncation = 8\nspectrum.n_periods = 1\n")
+    assert cli.main(["spectrum", "--config", cfg]) == 1
+    assert "A = 2.45325 >= A_crit = 2.45325 (unstable-predicted)" in capsys.readouterr().out
+    cfg = _write(tmp_path, "m.cfg", f"map.B_values = 1.0\nmap.V0_values = {V0!r}\n"
+                 "map.truncation = 8\n")
+    out = tmp_path / "map"
+    assert cli.main(["stability-map", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "stability_map.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (float(row["A"]), row["above_a_crit"]) == (-V0, "1")
 
 
 def test_eigensolver_failure_is_exit_4(tmp_path, capsys, monkeypatch):

@@ -326,7 +326,7 @@ def test_from_table_skips_comment_and_blank_rows(tmp_path):
 def test_decay_envelope_passes_a_transform_that_vanishes(tmp_path):
     # zeta_hat = 0 from s = 1 on: no slope to fit, and nothing to fail
     base = KernelSpec.from_table(_write_table(tmp_path, [(0.0, 1.0), (1.0, 0.0)]))
-    check = kernels._check_decay_envelope(base.zeta_hat, "transform decay envelope")
+    check = kernels._check_decay_envelope(base.zeta_hat)
     assert check.passed and "underflows" in check.detail
 
 
@@ -373,6 +373,18 @@ def test_validate_first_moment_rejects_divergent_tails():
                  KernelSpec.gaussian_normalized()):
         check = first_moment(base)
         assert check.passed, check.detail
+
+
+def test_unit_mass_reports_quadpack_warnings_in_its_detail(tmp_path):
+    # a short table gives a profile QUADPACK cannot integrate to tolerance:
+    # its warning goes into the detail, not to stderr (filterwarnings = error)
+    rows = [(0.0, 1.0), (1.0, 0.8), (2.0, 0.5), (4.0, 0.1), (8.0, 0.0)]
+    base = KernelSpec.from_table(_write_table(tmp_path, rows))
+    for which in ("H", "Hprime"):
+        check = next(c for c in validate_hypotheses(base, which=which).checks
+                     if c.name == "unit L1 mass")
+        assert not check.passed
+        assert "(QUADPACK: The algorithm does not converge." in check.detail
 
 
 def test_first_moment_reports_a_failed_quadrature_as_a_failure():
