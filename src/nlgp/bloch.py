@@ -20,9 +20,10 @@ Eigenvalues of JL with positive real part signal spectral instability;
 purely imaginary eigenvalues carry a Krein signature sgn(<L v, v>) whose
 negative values mark the collisions that can trigger instability.  The
 signatures and n(L) are read off inertia counts, not eigenvectors (the
-graphical Krein signature of Kollar & Miller, SIAM Review 56, 2014).  A sweep
-over mu is one stacked solve on the bands of L': one eigvals call per parity
-and one block-LDL^T sweep of L' - nu P for every mu at once.
+graphical Krein signature of Kollar & Miller, SIAM Review 56, 2014), and one
+round-off scale per operator decides the origin, the axis and the clusters.
+A sweep over mu is one stacked solve on the bands of L': one eigvals call per
+parity and one block-LDL^T sweep of L' - nu P for every mu at once.
 """
 
 from __future__ import annotations
@@ -48,13 +49,7 @@ class TruncationTooSmallError(ConfigError):
 
 
 class EigensolveError(RuntimeError):
-    """The dense eigensolver or the inertia sweep of ``spectrum`` failed.
-    A sweep that met a singular or non-finite pivot marks the (group, shift)
-    entries that ``failed``."""
-
-    def __init__(self, message, failed=None):
-        super().__init__(message)
-        self.failed = failed
+    """The dense eigensolver or the inertia sweep of ``spectrum`` failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +143,14 @@ def _bands(mus, truncation: int, params: SolutionParams) -> np.ndarray:
 class EigenReport:
     """Spectrum of one Bloch operator with Krein bookkeeping.
 
-    ``krein`` is a float array aligned with ``eigenvalues``: +1/-1 for purely
-    imaginary eigenvalues in a cluster of one Krein sign, NaN for eigenvalues
-    off the imaginary axis, and 0 for the origin modes and for every member of an
-    indefinite cluster (purely imaginary eigenvalues within 1e-9 max(1, |lambda|)
-    of each other whose signs differ, so no member has a sign of its own).
-    Eigenvalues within ``_ORIGIN_TOL`` of the origin are symmetry
-    (phase/translation) modes: round-off decides on which axis the split
-    phase Jordan pair lands.  They stay in the list but are excluded from
+    ``scale`` is the operator's round-off scale h (see ``spectrum``).
+    ``krein`` is a float array aligned with ``eigenvalues``: +1/-1 for the
+    members of a Krein-definite cluster, 0 for the origin cluster and the
+    members of an indefinite one (whose signs differ, so no member has a
+    sign of its own), and NaN for eigenvalues in no cluster.  The
+    ``near_origin`` eigenvalues, |lambda| < h, are symmetry (phase and
+    translation) modes: round-off decides on which axis the split phase
+    Jordan pair lands.  They stay in the list but are excluded from
     ``max_real_part`` and from the count identity.
     """
 
@@ -164,7 +159,11 @@ class EigenReport:
     krein: np.ndarray
     max_real_part: float
     counts: tuple  # (k_r, k_c, k_i_minus, n_L)
-    near_origin: int
+    scale: float
+
+    @property
+    def near_origin(self) -> int:
+        return int(np.sum(np.abs(self.eigenvalues) < self.scale))
 
     @property
     def count_identity_holds(self) -> bool:
@@ -172,9 +171,7 @@ class EigenReport:
         return k_r + k_c + k_im == n_L
 
 
-_ORIGIN_TOL = 1e-6
-_IM_AXIS_TOL = 1e-8
-_CLUSTER_TOL = 1e-9
+_SPLIT_FACTOR = 8.0  # h in units of sqrt(eps_mach max(1, max |L'_jj|))
 UNSTABLE_ABSCISSA = 1e-8  # a spectral abscissa above this is "unstable"
 
 
@@ -187,12 +184,18 @@ def spectrum(op: BlochOperator) -> EigenReport:
     axis, complex nu come in the pairs lambda, -conj(lambda).  A real nu is
     where an eigenvalue curve of the pencil L' - s P crosses zero, with slope
     -w^T P w, and w^T L' w = nu w^T P w; so the sign of <L v, v> is sign(nu)
-    times the jump of the negative count of L' - s P as s crosses nu.  Real
-    nu within 1e-9 max(1, |nu|) of each other share one jump, and so do two
-    clusters between which the sweep meets a singular pivot; a cluster whose
-    jump is smaller than its size is indefinite and still adds its exact
-    number of negative signs to k_i^-.  n(L) is the negative count of
-    L' + tau I, tau = 1e-8 max(1, max |L'_jj|), leaving out the near-zero
+    times the jump of the negative count of L' - s P as s crosses nu.
+
+    A Jordan block splits by about sqrt(eps_mach |L'|), so one scale,
+    h = 8 sqrt(eps_mach max(1, max |L'_jj|)), decides the rest: |lambda| < h
+    is the origin cluster, and the other nu with |Im nu| < h whose Re nu lie
+    within h of each other form one cluster with one jump.  A cluster whose
+    |jump| is its size is Krein-definite and cannot leave the axis (MacKay &
+    Saffman, Proc. R. Soc. A 406, 1986): its members carry its sign and count
+    as Re lambda = 0.  Otherwise it is indefinite: its members are labelled
+    0, keep their Re lambda and add (size - sign(nu) jump)/2 to k_i^-.  k_r
+    and k_c count the eigenvalues in no cluster.  n(L) is the negative count
+    of L' + tau I, tau = 1e-8 max(1, max |L'_jj|), leaving out the near-zero
     symmetry eigenvalues of L'.  A sweep makes this solve for all mu at once.
     """
     return _spectra([op.mu], op.bands[None])[0]
@@ -218,45 +221,36 @@ def _spectra(mus, bands: np.ndarray) -> list:
     group = np.repeat(np.arange(half.size), 2 * half)
     w = 1j * nu
     w.real += 0.0  # 1j * nu gives Re = -0.0 for real nu < 0
-    scale, origin = _IM_AXIS_TOL * (1.0 + np.abs(w)), np.abs(w) < _ORIGIN_TOL
-    right = ~origin & (w.real > scale)
+    diag = np.maximum(1.0, np.max(np.abs(bands[:, ::3, 1]), axis=(1, 2)))
+    h = _SPLIT_FACTOR * np.sqrt(np.finfo(float).eps * diag)[:, None]
+    origin = np.abs(w) < h
 
-    # clusters of real nu per group, in (group, nu) order; the origin modes
-    # form one cluster, so no shift falls where L' is singular
-    real = np.flatnonzero(origin | (np.abs(w.real) < scale))
-    real = real[np.lexsort((nu.real.flat[real], group[real]))]
-    x, xg, xo = nu.real.flat[real], group[real], origin.flat[real]
-    joined = (xg[1:] == xg[:-1]) & (
-        (np.diff(x) <= _CLUSTER_TOL * np.maximum(1.0, np.abs(x[1:])))
-        | (xo[1:] & xo[:-1]))
-    tau = 1e-8 * np.maximum(1.0, np.max(np.abs(bands[:, ::3, 1]), axis=(1, 2)))
-    while True:
-        first = np.flatnonzero(np.concatenate([[True], ~joined]))
-        last = np.append(first[1:], real.size) - 1
-        size, cg = last - first + 1, xg[first]
-        # shifts below, between and above a group's k clusters in columns 0..k (the
-        # second write keeps "above" for the top one only), then (0, tau) for n(L)
-        k = np.bincount(cg, minlength=half.size)
-        rank = np.arange(cg.size) - np.searchsorted(cg, cg)
-        s = np.zeros((half.size, k.max() + 2))
-        s[cg, rank + 1] = x[last] + 1.0
-        s[cg, rank] = np.where(rank > 0, 0.5 * (x[first - 1] + x[first]), x[first] - 1.0)
-        t = np.where(np.arange(s.shape[1]) <= k[:, None], 0.0, np.repeat(tau, 2)[:, None])
-        try:
-            neg = _negative_counts(bands, s, t, mus)
-            break
-        except EigensolveError as exc:
-            # the unpivoted sweep meets a singular leading block where a shift
-            # splits a double nu that round-off made two clusters (nu = 2 -+ 4e-8
-            # at mu = 0, alpha = -1, B = 1, V0 = 0, where L' - s P has an
-            # eigenvalue of 1e-14 across the gap): the two become one cluster
-            g, c = np.nonzero(exc.failed)
-            if np.any((c == 0) | (c >= k[g])):  # an end or n(L) shift
-                raise
-            joined[first[np.searchsorted(cg, g) + c] - 1] = True
+    # clusters of nu within h of the real axis per group, in (group, Re nu)
+    # order; the origin modes form one cluster, so no shift falls where L' is
+    # singular
+    member = np.flatnonzero(np.abs(w.real) < h)
+    member = member[np.lexsort((nu.real.flat[member], group[member]))]
+    x, xg, xo = nu.real.flat[member], group[member], origin.flat[member]
+    joined = (xg[1:] == xg[:-1]) & ((np.diff(x) < h[xg[1:] // 2, 0]) | (xo[1:] & xo[:-1]))
+    first = np.flatnonzero(np.concatenate([[True], ~joined]))
+    last = np.append(first[1:], member.size) - 1
+    size, cg = last - first + 1, xg[first]
+    # shifts below, between and above a group's k clusters in columns 0..k (the
+    # second write keeps "above" for the top one only), then (0, tau) for n(L).
+    # A gap's shift is its golden section, not its midpoint: at V0 = 0 and
+    # mu = 0 a coupled pair nu = c -+ r leaves a leading block of L' - cP
+    # singular, where the unpivoted sweep stops
+    k = np.bincount(cg, minlength=half.size)
+    rank = np.arange(cg.size) - np.searchsorted(cg, cg)
+    s = np.zeros((half.size, k.max() + 2))
+    s[cg, rank + 1] = x[last] + 1.0
+    gap = x[first] - x[first - 1]
+    s[cg, rank] = np.where(rank > 0, x[first - 1] + 0.381966 * gap, x[first] - 1.0)
+    t = np.where(np.arange(s.shape[1]) <= k[:, None], 0.0, np.repeat(1e-8 * diag, 2)[:, None])
+    neg = _negative_counts(bands, s, t, mus)
 
     ends = neg[np.arange(half.size), k]
-    for g in np.flatnonzero((neg[:, 0] != half) | (ends != half)):  # -s P: h negative
+    for g in np.flatnonzero((neg[:, 0] != half) | (ends != half)):  # -s P: half negative
         raise EigensolveError(
             f"inertia sweep failed at mu={mus[g // 2]}: the Krein jumps of block "
             f"{g % 2} do not sum to zero (end counts {neg[g, 0]}, {ends[g]}, "
@@ -267,20 +261,23 @@ def _spectra(mus, bands: np.ndarray) -> list:
             f"inertia sweep failed at mu={mus[cg[c] // 2]}: a cluster's "
             "negative-count jump exceeds its size or differs from it in parity")
 
-    at_origin = np.logical_or.reduceat(xo, first) if real.size else xo
+    at_origin = np.logical_or.reduceat(xo, first)
     sgn = np.sign(x[first])
     definite = ~at_origin & (np.abs(jump) == size)
-    krein = np.full(nu.shape, np.nan)
-    krein.flat[real] = np.repeat(np.where(definite, sgn * np.sign(jump), 0.0), size)
+    krein = np.full(nu.shape, np.nan)  # NaN: in no cluster
+    krein.flat[member] = np.repeat(np.where(definite, sgn * np.sign(jump), 0.0), size)
     k_im = np.bincount(cg // 2, np.where(at_origin, 0, (size - sgn * jump) / 2), len(mus))
-    k_r = np.sum(right & (np.abs(w.imag) < scale), axis=1)
+    right = np.isnan(krein) & (w.real > 0.0)
+    k_r = np.sum(right & (np.abs(w.imag) < h), axis=1)
     counts = np.stack([k_r, np.sum(right, axis=1) - k_r, k_im,
                        neg[::2, -1] + neg[1::2, -1]], axis=1).astype(int).tolist()
-    abscissa = np.max(w.real, axis=1, where=~origin, initial=-np.inf).tolist()
+    # a definite cluster is on the axis, whatever round-off made of its members
+    abscissa = np.max(np.where(np.abs(krein) == 1.0, 0.0, w.real), axis=1,
+                      where=~origin, initial=-np.inf).tolist()
     order = np.lexsort((w.real, w.imag))
     w, krein = (np.take_along_axis(a, order, 1) for a in (w, krein))
-    return [EigenReport(mu, w[o], krein[o], abscissa[o], tuple(counts[o]),
-                        int(np.sum(origin[o]))) for o, mu in enumerate(mus)]
+    return [EigenReport(mu, w[o], krein[o], abscissa[o], tuple(counts[o]), float(h[o, 0]))
+            for o, mu in enumerate(mus)]
 
 
 def _negative_counts(bands: np.ndarray, s: np.ndarray, t: np.ndarray, mus) -> np.ndarray:
@@ -320,7 +317,7 @@ def _negative_counts(bands: np.ndarray, s: np.ndarray, t: np.ndarray, mus) -> np
     failed = ~((least > 0.0) & (most < np.inf))  # NaN fails both tests
     for g in np.flatnonzero(failed.any(axis=1)):
         raise EigensolveError(f"inertia sweep failed at mu={mus[g // 2]}: a singular "
-                              "or non-finite pivot", failed)
+                              "or non-finite pivot")
     return (rows - count / 2).astype(int)
 
 
@@ -582,7 +579,7 @@ def write_eigen_csv(reports: list, path):
     """One row per eigenvalue: mu, Re, Im, krein label, near-origin flag."""
     def columns(rep):
         w = rep.eigenvalues
-        near = (np.abs(w) < _ORIGIN_TOL).tolist()
+        near = (np.abs(w) < rep.scale).tolist()
         return ([float(rep.mu)] * w.size, w.real.tolist(), w.imag.tolist(),
                 [_krein_label(kr, nr) for kr, nr in zip(rep.krein.tolist(), near)],
                 ["near-origin" if nr else "" for nr in near])

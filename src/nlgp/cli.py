@@ -353,8 +353,9 @@ def cmd_stability_map(cfg: dict, out_dir) -> int:
     n_unst = int(np.sum(result.abscissa > bloch.UNSTABLE_ABSCISSA))
     print(f"{n_pts} points: {n_unst} unstable, "
           f"{n_pts - n_bad - n_unst} stable, {n_bad} outside the family")
-    if result.b_star is not None:
-        print(f"B* = {result.b_star:.6g}, A_crit = {result.a_crit:.6g}")
+    b = ("B* undefined (kernel multiplier nonpositive on the lattice)"
+         if result.b_star is None else f"B* = {result.b_star:.6g}")
+    print(f"{b}, A_crit = {result.a_crit:.6g}")
     return 0
 
 

@@ -352,10 +352,11 @@ def test_inertia_sweep_failure_is_exit_4(tmp_path, capsys, monkeypatch, where, m
 
 
 def test_focusing_state_with_a_split_double_nu_is_exit_1(tmp_path, capsys):
-    # at mu = 0 round-off splits the double nu = 2 into 2 -+ 4e-8, and the
-    # unpivoted inertia sweep meets a singular pivot at the shift between
-    # them: the pair is one indefinite cluster, and the modulationally
-    # unstable state gets its verdict instead of an internal error
+    # at mu = 0 round-off splits the double nu = 2 into 2 -+ 4e-8, within the
+    # round-off scale h, so no shift of the unpivoted inertia sweep falls
+    # between them (where L' - s P is singular): the pair is one indefinite
+    # cluster, and the modulationally unstable state gets its verdict
+    # instead of an internal error
     cfg = _write(tmp_path, "f.cfg", "solution.alpha = -1\nsolution.B = 1.0\n"
                                     "solution.V0 = 0.0\nspectrum.truncation = 32\n")
     out = tmp_path / "out"
@@ -365,6 +366,16 @@ def test_focusing_state_with_a_split_double_nu_is_exit_1(tmp_path, capsys):
         pair = [row["krein"] for row in csv.DictReader(fh) if row["mu"] == "0.0"
                 and row["re_lambda"] == "0.0" and abs(float(row["im_lambda"]) - 2) < 1e-6]
     assert pair == ["indefinite", "indefinite"]
+
+
+def test_large_B_defocusing_state_is_spectrally_stable(tmp_path, capsys):
+    # eps = 0, B = 16, V0 = -0.5 at the default M = 64: round-off splits
+    # double nu by about 1e-6, which absolute tolerances read as an
+    # abscissa of 1.36e-6 and exit 1; every cluster here is Krein-definite
+    cfg = _write(tmp_path, "s.cfg", "solution.B = 16\nsolution.V0 = -0.5\n")
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith(
+        "max real part 0 over 4 Bloch parameters -> spectrally stable\n")
 
 
 def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
@@ -841,6 +852,16 @@ def test_stability_map_command(tmp_path):
     assert (out / "stability_map.csv").exists()
     assert (out / "plot_map.py").exists()
     compile((out / "plot_map.py").read_text(), "plot_map.py", "exec")
+
+
+def test_stability_map_prints_a_crit_when_b_star_is_undefined(tmp_path, capsys):
+    # at eps = 100 the normalized Gaussian's multiplier underflows to 0 on
+    # the lattice, so B* is undefined, as spectrum says; A_crit is defined
+    cfg = _write(tmp_path, "m.cfg", "map.eps = 100\nmap.truncation = 8\n"
+                 "map.B_values = 1\nmap.V0_values = -1,0\n")
+    assert cli.main(["stability-map", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "B* undefined (kernel multiplier nonpositive on the lattice), A_crit = 2.45325"]
 
 
 def test_kernel_flag_overrides_config(tmp_path, capsys):
