@@ -165,6 +165,11 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     ("spectrum", "kernel.name = custom:{tmp}/inf.csv",
      "kernel table {tmp}/inf.csv line 3: need two finite numbers s, zeta_hat, "
      "got 'inf,0'"),
+    # a table with two rows at one s, which validate-kernel audited and the
+    # AES sweep ran (exit 0) with whichever value each reader took
+    *((command, f"{key} = custom:{{tmp}}/repeated.csv",
+       "kernel table {tmp}/repeated.csv repeats s = 0.0: zeta_hat needs one value per s")
+      for command, key in (("validate-kernel", "kernel.name"), ("aes-sweep", "aes.kernel"))),
 ])
 def test_malformed_values_are_exit_2(tmp_path, capsys, command, line, message):
     for name, text in _BAD_TABLES.items():
@@ -178,7 +183,8 @@ def test_malformed_values_are_exit_2(tmp_path, capsys, command, line, message):
 
 _BAD_TABLES = {"one-column.csv": "0,1\n0.5\n1,0.5\n",
                "nan.csv": "0,1\n1,nan\n2,0.2\n",
-               "inf.csv": "0,1\n1,0.5\ninf,0\n"}
+               "inf.csv": "0,1\n1,0.5\ninf,0\n",
+               "repeated.csv": "0,1\n0,0.5\n1,0.2\n3,0\n"}
 
 
 @pytest.mark.parametrize("command", ["spectrum", "stability-map"])  # both kernel paths
@@ -708,6 +714,7 @@ def test_python_api_defaults_match_the_cli_schemas(monkeypatch):
         return {name: p.default for name, p in inspect.signature(fn).parameters.items()
                 if p.default is not inspect.Parameter.empty}
 
+    compared = {command: set() for command in cli.SCHEMAS}
     # (callable, subcommand, {keyword: config key})
     for fn, command, keys in (
             (experiments.run_aes_sweep, "aes-sweep", {
@@ -732,6 +739,7 @@ def test_python_api_defaults_match_the_cli_schemas(monkeypatch):
         api, schema = defaults(fn), cli.SCHEMAS[command]
         for name, key in keys.items():
             assert (type(api[name]), api[name]) == (type(schema[key]), schema[key]), key
+        compared[command] |= set(keys.values())
     eps = defaults(experiments.run_aes_sweep)["epsilons"]
     assert list(eps) == cli._parse_float_list(cli.SCHEMAS["aes-sweep"]["aes.epsilons"], "")
 
@@ -753,6 +761,20 @@ def test_python_api_defaults_match_the_cli_schemas(monkeypatch):
     # run_aes_sweep scales its local reference first
     assert families == ["gaussian-normalized",
                         *(kernels.kernel_from_name(name).family for name in names)]
+
+    # every other key is one the Python side takes without a default
+    compared["aes-sweep"] |= {"aes.epsilons", "aes.kernel"}
+    compared["figures"].add("figures.kernel")
+    compared["stability-map"].add("map.kernel")
+    required = {
+        "aes-sweep": set(),
+        "figures": {"figures.regime"},
+        "stability-map": {"map.B_values", "map.V0_values"},
+        "simulate": {*cli._SOLUTION_KEYS, "grid.period", "grid.num_modes",
+                     "perturbation.nu", "run.seed"},
+    }
+    for command, keys in required.items():
+        assert set(cli.SCHEMAS[command]) - compared[command] == keys, command
 
 
 # regime settings small enough for a run of a few milliseconds

@@ -311,6 +311,10 @@ def test_from_table_input_validation(tmp_path):
         KernelSpec.from_table(_write_table(tmp_path, [(0.0, 1.0)]))
     with pytest.raises(ValueError):
         KernelSpec.from_table(_write_table(tmp_path, [(-1.0, 1.0), (0.0, 1.0)]))
+    # two values at one s: np.interp would read one, the profile's trapezoid both
+    with pytest.raises(ValueError, match=r"repeats s = 0\.0: zeta_hat needs one value per s"):
+        KernelSpec.from_table(
+            _write_table(tmp_path, [(0.0, 1.0), (0.0, 0.5), (1.0, 0.2), (3.0, 0.0)]))
     # out-of-order rows are sorted on load, not rejected
     base = KernelSpec.from_table(
         _write_table(tmp_path, [(0.0, 1.0), (2.0, 0.5), (1.0, 0.8)]))
@@ -375,16 +379,20 @@ def test_validate_first_moment_rejects_divergent_tails():
         assert check.passed, check.detail
 
 
-def test_unit_mass_reports_quadpack_warnings_in_its_detail(tmp_path):
-    # a short table gives a profile QUADPACK cannot integrate to tolerance:
-    # its warning goes into the detail, not to stderr (filterwarnings = error)
-    rows = [(0.0, 1.0), (1.0, 0.8), (2.0, 0.5), (4.0, 0.1), (8.0, 0.0)]
-    base = KernelSpec.from_table(_write_table(tmp_path, rows))
-    for which in ("H", "Hprime"):
-        check = next(c for c in validate_hypotheses(base, which=which).checks
-                     if c.name == "unit L1 mass")
-        assert not check.passed
-        assert "(QUADPACK: The algorithm does not converge." in check.detail
+def test_unit_mass_of_a_table_is_its_transform_at_zero(tmp_path, capfd):
+    # the mass is zeta_hat(0), what the engines use: the profile rebuilt from
+    # a table is periodic in x, so no quadrature over the line finds it
+    s = np.linspace(0.0, 20.0, 2001)
+    tables = {"short.csv": [(0.0, 1.0), (1.0, 0.8), (2.0, 0.5), (4.0, 0.1), (8.0, 0.0)],
+              "g201.csv": list(zip(s[::10], np.exp(-s[::10] ** 2 / 4))),
+              "g2001.csv": list(zip(s, np.exp(-s ** 2 / 4)))}
+    for name, rows in tables.items():
+        base = KernelSpec.from_table(_write_table(tmp_path, rows, name))
+        for which in ("H", "Hprime"):
+            check = next(c for c in validate_hypotheses(base, which=which).checks
+                         if c.name == "unit L1 mass")
+            assert (check.passed, check.detail) == (True, "integral zeta = 1.0000000000")
+    assert capfd.readouterr() == ("", "")
 
 
 def test_first_moment_reports_a_failed_quadrature_as_a_failure():
@@ -442,9 +450,9 @@ def test_from_table_profile_matches_one_shot_transform(tmp_path):
 
 
 def test_quadrature_is_imported_only_when_a_validator_runs(tmp_path):
-    # importing the package and the CLI, and a spectrum of the algebraic
-    # kernel, load no scipy module; the first quadrature loads
-    # scipy.integrate, with the verdicts of the eager import
+    # importing the package and the CLI, a spectrum of the algebraic kernel
+    # and hypothesis H' load no scipy module; H's first-moment quadrature
+    # loads scipy.integrate, with the verdicts of the eager import
     cfg = tmp_path / "s.cfg"
     cfg.write_text("kernel.epsilon = 0.5\nspectrum.truncation = 16\n")
     script = (
@@ -457,8 +465,9 @@ def test_quadrature_is_imported_only_when_a_validator_runs(tmp_path):
         f"nlgp.cli.main(['spectrum', '--kernel', 'algebraic:3', '--config', {str(cfg)!r}])\n"
         "assert not scipy_modules(), scipy_modules()\n"
         "base = KernelSpec.gaussian_normalized()\n"
-        "for which in ('H', 'Hprime'):\n"
-        "    print(*validate_hypotheses(base, which).lines(), sep='\\n')\n"
+        "print(*validate_hypotheses(base, 'Hprime').lines(), sep='\\n')\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "print(*validate_hypotheses(base, 'H').lines(), sep='\\n')\n"
         "assert 'scipy.integrate' in sys.modules\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -467,7 +476,7 @@ def test_quadrature_is_imported_only_when_a_validator_runs(tmp_path):
                          capture_output=True, check=True).stdout.splitlines()
     assert out[0].startswith("max real part ")
     base = KernelSpec.gaussian_normalized()
-    expected = [line for which in ("H", "Hprime")
+    expected = [line for which in ("Hprime", "H")
                 for line in validate_hypotheses(base, which).lines()]
     assert out[3:] == expected
     assert all(line.split(": ")[1].startswith("pass") for line in expected)
