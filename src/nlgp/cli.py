@@ -29,7 +29,7 @@ import numpy as np
 # the handlers that evolve import evolution and experiments themselves
 from . import bloch, kernels, runs, waves
 from .runs import ConfigError, from_settings
-from .spectral import PeriodicGrid, filter_multipliers
+from .spectral import PeriodicGrid
 
 
 def parse_flat_config(text: str) -> dict:
@@ -90,7 +90,6 @@ SCHEMAS = {
         "evolution.atol": 1e-10,
         "evolution.record_every": 0.25,
         "perturbation.nu": 0.0,
-        "perturbation.mode_cutoff": 16,
         "run.seed": runs.DEFAULT_SEED,
     },
     "spectrum": {
@@ -116,10 +115,8 @@ SCHEMAS = {
         "figures.kernel": "gaussian-raw",
         "figures.horizon": 30.0,
         "figures.num_modes": 128,
-        "figures.n_periods": 4,
         "figures.truncation": 64,
         "figures.record_every": 0.25,
-        "figures.mode_cutoff": 16,
         "evolution.rtol": 1e-10,
         "evolution.atol": 1e-10,
         "run.seed": runs.DEFAULT_SEED,
@@ -161,23 +158,14 @@ def resolve_config(command: str, config_path, overrides: dict) -> dict:
         else:
             out[key] = default
     for key, value in overrides.items():
+        if isinstance(value, str) and "#" in value:  # the echo would end it there
+            raise ConfigError(f"{key} = {value!r}: '#' starts a comment in a config "
+                              "file, so resolved.cfg could not replay this value")
         if value is not None:
             out[key] = value
     if out.get("run.seed", 0) < 0:  # the generator would seed -s as s
         raise ConfigError(f"run.seed must be nonnegative, got {out['run.seed']}")
     return out
-
-
-def _warn_damped_perturbation(num_modes: int, mode_cutoff: int, nu: float):
-    """One stderr line when mode_cutoff exceeds N/8: the perturbation keeps to
-    |j| <= mode_cutoff, so at or below N/8 the filter takes at most 0.055% of
-    any of its modes."""
-    if nu > 0 and mode_cutoff > num_modes // 8:
-        grid = PeriodicGrid(1.0, num_modes)
-        factor = filter_multipliers(grid)[grid.modes == mode_cutoff][0]
-        print(f"warning: perturbation modes reach {mode_cutoff} > N/8 = {num_modes // 8}; "
-              f"the evolution's filter multiplies mode {mode_cutoff} by {factor:.4g}",
-              file=sys.stderr)
 
 
 def _parse_float_list(text: str, key: str):
@@ -218,8 +206,7 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     with from_settings():
         period = cfg["grid.period"] = period or 2.0 * np.pi / params.k
         phi = waves.build_solution(params, PeriodicGrid(period, cfg["grid.num_modes"]))
-        psi0 = evolution.perturbed_initial(phi, cfg["perturbation.nu"], cfg["run.seed"],
-                                           cfg["perturbation.mode_cutoff"])
+        psi0 = evolution.perturbed_initial(phi, cfg["perturbation.nu"], cfg["run.seed"])
         econf = evolution.EvolutionConfig(
             kernel=params.kernel, potential=waves.SineSquared(params.V0, params.k),
             alpha=params.alpha, time_horizon=cfg["evolution.horizon"],
@@ -242,8 +229,6 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     print(f"final orbit deviation {dev[-1]:.6g} (max {np.max(dev):.6g})")
     print(f"relative mass drift {traj.mass_drift():.3g}, "
           f"energy drift {traj.energy_drift():.3g}")
-    _warn_damped_perturbation(cfg["grid.num_modes"], cfg["perturbation.mode_cutoff"],
-                              cfg["perturbation.nu"])
     return 0
 
 
@@ -300,18 +285,15 @@ def cmd_figures(cfg: dict, out_dir) -> int:
     result = experiments.run_figure_regime(
         regime, kernel_base=base, seed=cfg["run.seed"],
         horizon=cfg["figures.horizon"], num_modes=cfg["figures.num_modes"],
-        n_periods=cfg["figures.n_periods"], truncation=cfg["figures.truncation"],
-        rtol=cfg["evolution.rtol"], atol=cfg["evolution.atol"],
-        record_every=cfg["figures.record_every"],
-        mode_cutoff=cfg["figures.mode_cutoff"], out_dir=out_dir)
+        truncation=cfg["figures.truncation"], rtol=cfg["evolution.rtol"],
+        atol=cfg["evolution.atol"], record_every=cfg["figures.record_every"],
+        out_dir=out_dir)
     print(f"regime {regime}: abscissa {result.abscissa:.6g}, "
           f"max deviation {np.max(result.deviations):.6g}")
     if result.growth_rate is not None:
         print(f"fitted growth rate {result.growth_rate:.6g}")
     else:
         print("no resolvable exponential growth window")
-    _warn_damped_perturbation(cfg["figures.num_modes"], cfg["figures.mode_cutoff"],
-                              runs.FIGURE_REGIMES[regime]["nu"])
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0

@@ -312,29 +312,30 @@ def random_band_limited(grid: PeriodicGrid, seed: int, mode_cutoff: int) -> Wave
     return WaveField(grid, f.samples.real / f.l2_norm())
 
 
-def perturbed_initial(phi: WaveField, nu: float, seed: int,
-                      mode_cutoff: int = 16) -> WaveField:
-    """phi + nu*p with ||p||_2 = 1 and p band-limited to |j| <= mode_cutoff:
+def perturbed_initial(phi: WaveField, nu: float, seed: int) -> WaveField:
+    """phi + nu*p with ||p||_2 = 1 and p band-limited to |j| <= min(16, N // 8):
     p is m*exp(i*theta), with theta the phase of phi and m the seeded field
     of :func:`random_band_limited`, projected onto those modes and rescaled.
 
-    The projection matters: the phase factor spreads m's modes, and it nearly
-    jumps where |phi| is small (in regime 1a at N = 128, 11-44% of the
-    product's energy lies above |j| = 16), which the adaptive stepper would
-    resolve at a cost of thousands of steps.  The evolution's fixed filter
-    multiplies the right-hand side at j = N/8 by 0.99945, at j = N/4 by 0.87
-    and at j = 3N/8 by 0.027, so mode_cutoff <= N/8 bounds its damping of
-    the whole perturbation.
+    The band is the published runs' 16 modes, or fewer where the evolution's
+    fixed filter would damp them: it multiplies the right-hand side at
+    j = N/8 by 0.99945 and at j = N/4 by 0.87.  So a perturbation needs
+    N >= 8.  The projection matters: the phase factor spreads m's modes, and
+    it nearly jumps where |phi| is small (in regime 1a at N = 128, 11-44% of
+    the product's energy lies above |j| = 16), which the adaptive stepper
+    would resolve at a cost of thousands of steps.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    if mode_cutoff < 1:
-        raise ValueError("mode_cutoff must be positive")
     if nu == 0:
         return phi
-    m = random_band_limited(phi.grid, seed, mode_cutoff)
+    n = phi.grid.num_modes
+    if n < 8:
+        raise ValueError(f"a perturbation needs N >= 8 grid modes, got N = {n}")
+    band = min(16, n // 8)
+    m = random_band_limited(phi.grid, seed, band)
     aligned = WaveField(phi.grid, m.samples * np.exp(1j * np.angle(phi.samples)))
-    c = np.where(np.abs(phi.grid.modes) <= mode_cutoff, aligned.coeffs, 0.0)
+    c = np.where(np.abs(phi.grid.modes) <= band, aligned.coeffs, 0.0)
     p = WaveField.from_coeffs(phi.grid, c / np.linalg.norm(c))
     return WaveField(phi.grid, phi.samples + nu * p.samples)
 

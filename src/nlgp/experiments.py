@@ -163,12 +163,15 @@ def fit_growth_rate(times, deviations, nu: float, phi_sup: float) -> float | Non
 
 
 def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = None,
-                      seed=DEFAULT_SEED, horizon=30.0, num_modes=128, n_periods=4,
+                      seed=DEFAULT_SEED, horizon=30.0, num_modes=128,
                       truncation=64, rtol=1e-10, atol=1e-10, record_every=0.25,
-                      mode_cutoff=16, out_dir=None) -> FigureRegimeResult:
+                      out_dir=None) -> FigureRegimeResult:
     """Reproduce one published regime: perturbed evolution plus Bloch spectra.
 
-    The regimes run with k = 1, alpha = 1 on [0, 8*pi].  The default kernel
+    The regimes run with k = 1, alpha = 1 on [0, 8*pi], which holds 4 wave
+    periods, so the spectra are the ones at mu = 0, 1/4, 1/2, 3/4 that the
+    evolution's domain admits; the perturbation is
+    :func:`evolution.perturbed_initial`'s, on its band.  The default kernel
     is the raw Gaussian used by the published numerics; pass a normalized
     base to get the theory-valid variant (the choice lands in the run
     metadata either way).
@@ -184,14 +187,14 @@ def run_figure_regime(which: str, *, kernel_base: kernels.KernelSpec | None = No
         params = waves.solution_params(reg["B"], reg["V0"], k, alpha,
                                        kernels.ScaledKernel(base, reg["eps"]))
         phi = waves.build_solution(params, grid)
-        psi0 = evolution.perturbed_initial(phi, reg["nu"], seed, mode_cutoff)
+        psi0 = evolution.perturbed_initial(phi, reg["nu"], seed)
         cfg = evolution.EvolutionConfig(
             kernel=params.kernel, potential=waves.SineSquared(reg["V0"], k),
             alpha=alpha, time_horizon=horizon, rtol=rtol, atol=atol,
             record_every=record_every)
-    # the spectra first: they check n_periods and truncation before the
-    # evolution's cost is spent
-    reports = bloch.full_period_spectrum(n_periods, params, truncation)
+    # the spectra first: they check truncation before the evolution's cost
+    # is spent
+    reports = bloch.full_period_spectrum(4, params, truncation)
     abscissa = max(rep.max_real_part for rep in reports)
     traj = evolution.evolve(psi0, cfg)
     deviations = traj.deviation_from(phi)

@@ -99,11 +99,8 @@ def solution_params(B, V0, k, alpha, kernel: kernels.ScaledKernel) -> SolutionPa
             f"need B >= max(-A, 0) = {max(-A, 0.0):.6g}, got B = {B}"
         )
     D = float(np.sqrt(1.0 + A / B)) if B > 0 else None
-    omega = (V0 + k**2) / 2.0 + alpha * B + alpha * A / 2.0
-    # For kernels of non-unit mass, stationarity shifts the rotation frequency
-    # by a constant: the textbook formula above assumes zeta_hat(0) = 1.
-    zh0 = float(kernel.base.zeta_hat(0.0))
-    omega += alpha * (zh0 - 1.0) * (B + A / 2.0)
+    # the kernel's mass zeta_hat(0) scales the nonlinear part of the frequency
+    omega = (V0 + k**2) / 2.0 + alpha * float(kernel.base.zeta_hat(0.0)) * (B + A / 2.0)
     return SolutionParams(float(B), float(V0), float(k), int(alpha), kernel,
                           float(bta), float(A), D, float(omega))
 

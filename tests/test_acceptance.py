@@ -117,7 +117,7 @@ def test_criterion_03_conservation_in_regime_1b(capsys):
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(_RAW, p["eps"])
     phi = build_solution(solution_params(p["B"], p["V0"], 1.0, 1, kern), grid)
-    psi0 = perturbed_initial(phi, p["nu"], DEFAULT_SEED, mode_cutoff=16)
+    psi0 = perturbed_initial(phi, p["nu"], DEFAULT_SEED)
     traj = evolve(psi0, EvolutionConfig(
         kernel=kern, potential=SineSquared(p["V0"], 1.0), alpha=1,
         time_horizon=10.0, record_every=0.5,

@@ -108,7 +108,12 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
                           ("spectrum", "run.seed = 7"),
                           ("aes-sweep", "run.seed = 7"),
                           ("stability-map", "run.seed = 7"),
-                          ("validate-kernel", "kernel.epsilon = 1.0")):
+                          ("validate-kernel", "kernel.epsilon = 1.0"),
+                          # the band is min(16, N // 8), and figures sweeps the
+                          # mu = r/4 of its [0, 8 pi]
+                          ("simulate", "perturbation.mode_cutoff = 16"),
+                          ("figures", "figures.mode_cutoff = 16"),
+                          ("figures", "figures.n_periods = 4")):
         cfg = _write(tmp_path, "bad.cfg", line + "\n")
         assert cli.main([command, "--config", cfg]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
@@ -402,14 +407,18 @@ def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
     assert len(written[0].splitlines()) == 1 + 4 * 2 * (2 * 128 + 1)
 
 
-def _replay_echo(tmp_path, command, cfg_text, csv_name):
-    """Run once, rerun from the run's resolved.cfg, and compare both runs."""
+def _replay_echo(tmp_path, command, cfg_text, flags=()):
+    """Run once, rerun from the run's resolved.cfg alone, and compare every
+    output file of both runs."""
     cfg = _write(tmp_path, f"{command}.cfg", cfg_text)
     out1, out2 = tmp_path / f"{command}-1", tmp_path / f"{command}-2"
-    assert cli.main([command, "--config", cfg, "--out", str(out1)]) == 0
+    code = cli.main([command, "--config", cfg, "--out", str(out1), *flags])
+    assert code in (0, 1)
     echo = out1 / "resolved.cfg"
-    assert cli.main([command, "--config", str(echo), "--out", str(out2)]) == 0
-    for name in (csv_name, "resolved.cfg"):
+    assert cli.main([command, "--config", str(echo), "--out", str(out2)]) == code
+    names = sorted(p.name for p in out1.iterdir())
+    assert len(names) > 1 and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     return out1
 
@@ -418,14 +427,41 @@ def test_simulate_writes_artifacts_and_echo(tmp_path):
     out = _replay_echo(tmp_path, "simulate",
                        "grid.num_modes = 32\nevolution.horizon = 0.5\n"
                        "evolution.rtol = 1e-8\nevolution.atol = 1e-8\n"
-                       "perturbation.nu = 0.01\nperturbation.mode_cutoff = 8\n",
-                       "trajectory.csv")
+                       "perturbation.nu = 0.01\n")
+    assert (out / "trajectory.csv").exists()
     assert (out / "summary.csv").exists()
-    # resolved.cfg is the only settings record, so the sweeps replay from it too
-    _replay_echo(tmp_path, "stability-map", "map.truncation = 16\n",
-                 "stability_map.csv")
-    _replay_echo(tmp_path, "aes-sweep", "aes.horizon = 0.5\naes.num_modes = 32\n",
-                 "aes.csv")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "aes-sweep", "figures",
+                                     "validate-kernel", "stability-map"])
+def test_every_subcommand_replays_from_its_echo(tmp_path, command):
+    # resolved.cfg is the only settings record, so every command replays from it
+    _replay_echo(tmp_path, command, _SMALL_RUNS[command])
+
+
+def test_a_flag_set_kernel_replays_from_the_echo(tmp_path):
+    # for a flag the echo is the only record: a custom table, not the
+    # config's default kernel, must come back
+    table = tmp_path / "table.csv"
+    table.write_text("0,1\n1,0.8\n2,0.5\n4,0.1\n8,0\n")
+    out = _replay_echo(tmp_path, "validate-kernel", "",
+                       flags=("--kernel", f"custom:{table}"))
+    assert f"kernel.name = custom:{table}" in (out / "resolved.cfg").read_text()
+
+
+def test_a_flag_value_holding_a_comment_sign_is_exit_2(tmp_path, capsys):
+    # resolved.cfg would echo it, and reading the echo back would cut the
+    # value at the '#'
+    table = tmp_path / "a#b" / "t.csv"
+    table.parent.mkdir()
+    table.write_text("0,1\n1,0.8\n2,0.5\n4,0.1\n8,0\n")
+    out = tmp_path / "out"
+    assert cli.main(["validate-kernel", "--kernel", f"custom:{table}",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: kernel.name = ")
+    assert "'#'" in err[0]
+    assert not out.exists()
 
 
 def test_simulate_records_a_horizon_just_past_a_multiple_once(tmp_path):
@@ -460,11 +496,13 @@ def test_simulate_stall_is_exit_3_with_partial(tmp_path, monkeypatch):
 def test_simulate_real_stall_is_exit_3_with_partial(tmp_path, capsys):
     # at tolerances of 1e3 the state overflows before t = 0.25 and the solver
     # then gives up: a blow-up, though the solver's own message is a stall
+    # (N = 128 gives the perturbation 16 modes; at N = 32 its 4 modes stall
+    # the stepper instead)
     cfg = _write(tmp_path, "loose.cfg",
                  "solution.B = 50\nsolution.V0 = 0\n"
                  "evolution.rtol = 1e3\nevolution.atol = 1e3\n"
                  "evolution.horizon = 5\nperturbation.nu = 0.5\n"
-                 "grid.num_modes = 32\nperturbation.mode_cutoff = 8\n")
+                 "grid.num_modes = 128\n")
     out = tmp_path / "loose"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -480,16 +518,14 @@ def test_figures_stall_is_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evolution, "solve_ivp", _stalls_before_first_record)
     cfg = _write(tmp_path, "fig.cfg",
                  "figures.regime = 1b\nfigures.num_modes = 32\n"
-                 "figures.horizon = 0.5\nfigures.truncation = 12\n"
-                 "figures.n_periods = 1\nfigures.mode_cutoff = 8\n")
+                 "figures.horizon = 0.5\nfigures.truncation = 12\n")
     assert cli.main(["figures", "--config", cfg]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("blow-up: ")
     assert "stalled" in err[0]
 
 
-@pytest.mark.parametrize("line, setting", [("figures.n_periods = 0", "n_periods"),
-                                           ("figures.truncation = 4", "truncation")])
+@pytest.mark.parametrize("line, setting", [("figures.truncation = 4", "truncation")])
 def test_figures_checks_the_spectrum_settings_before_it_evolves(
         tmp_path, capsys, monkeypatch, line, setting):
     def must_not_evolve(*args, **kwargs):
@@ -518,12 +554,12 @@ def test_stability_map_checks_the_bloch_settings_before_any_point(
 # one small run per subcommand, through each handler's whole code path
 _SMALL_RUNS = {
     "simulate": "grid.num_modes = 32\nevolution.horizon = 0.5\n"
-                "perturbation.nu = 0.01\nperturbation.mode_cutoff = 8\n",
+                "perturbation.nu = 0.01\n",
     "spectrum": "spectrum.truncation = 8\nspectrum.n_periods = 2\n",
     "aes-sweep": "aes.horizon = 0.4\naes.num_modes = 32\naes.epsilons = 0.1,0.05\n",
     "figures": "figures.regime = 1b\nfigures.num_modes = 32\nfigures.horizon = 0.5\n"
-               "figures.truncation = 8\nfigures.n_periods = 1\n"
-               "figures.record_every = 0.5\nfigures.mode_cutoff = 8\n",
+               "figures.truncation = 8\n"
+               "figures.record_every = 0.5\n",
     "validate-kernel": "",
     "stability-map": "map.truncation = 8\nmap.B_values = 1\nmap.V0_values = -1\n",
 }
@@ -573,8 +609,8 @@ def test_blow_up_in_a_runner_leaves_only_the_echo(tmp_path, capsys, monkeypatch,
     ("spectrum", "spectrum.truncation = 8\nspectrum.n_periods = 2\n"),
     ("stability-map", "map.truncation = 8\n"),
     ("figures", "figures.regime = 1b\nfigures.num_modes = 32\nfigures.horizon = 0.5\n"
-                "figures.truncation = 8\nfigures.n_periods = 1\n"
-                "figures.record_every = 0.5\nfigures.mode_cutoff = 8\n"),
+                "figures.truncation = 8\n"
+                "figures.record_every = 0.5\n"),
 ])
 def test_value_error_inside_the_bloch_core_is_exit_4(tmp_path, capsys, monkeypatch,
                                                      command, text):
@@ -636,8 +672,7 @@ def test_seed_flag_changes_outputs(tmp_path):
     cfg = _write(tmp_path, "sim.cfg",
                  "grid.num_modes = 32\nevolution.horizon = 0.25\n"
                  "evolution.rtol = 1e-8\nevolution.atol = 1e-8\n"
-                 "evolution.record_every = 0.25\nperturbation.nu = 0.05\n"
-                 "perturbation.mode_cutoff = 8\n")
+                 "evolution.record_every = 0.25\nperturbation.nu = 0.05\n")
     outs = []
     for seed, tag in (("1", "a"), ("1", "b"), ("2", "c")):
         out = tmp_path / tag
@@ -650,9 +685,8 @@ def test_seed_flag_changes_outputs(tmp_path):
 
 @pytest.mark.parametrize("command, text", [
     ("simulate", "grid.num_modes = 32\nevolution.horizon = 0.25\n"
-                 "perturbation.nu = 0.05\nperturbation.mode_cutoff = 8\n"),
-    ("figures", "figures.regime = 1b\nfigures.num_modes = 32\n"
-                "figures.mode_cutoff = 8\n"),
+                 "perturbation.nu = 0.05\n"),
+    ("figures", "figures.regime = 1b\nfigures.num_modes = 32\nfigures.horizon = 0.5\n"),
 ])
 def test_negative_seed_is_exit_2(tmp_path, capsys, command, text):
     # the generator would seed -3 as 3: a negative seed is refused, with its key
@@ -695,12 +729,16 @@ def test_figures_command_with_config_regime(tmp_path):
     cfg = _write(tmp_path, "fig.cfg",
                  "figures.regime = 1b\nfigures.num_modes = 32\n"
                  "figures.horizon = 0.5\nfigures.truncation = 12\n"
-                 "figures.n_periods = 1\nfigures.record_every = 0.5\n"
-                 "figures.mode_cutoff = 8\nevolution.rtol = 1e-8\n"
+                 "figures.record_every = 0.5\n"
+                 "evolution.rtol = 1e-8\n"
                  "evolution.atol = 1e-8\n")
     out = tmp_path / "fig"
     assert cli.main(["figures", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+    # [0, 8 pi] holds 4 wave periods: the spectra at mu = r/4, whatever the truncation
+    with open(out / "spectrum.csv", newline="") as fh:
+        mus = [float(row["mu"]) for row in csv.DictReader(fh)]
+    assert mus == sorted(mus) and sorted(set(mus)) == [0.0, 0.25, 0.5, 0.75]
     # the positional regime wins over the config key
     out2 = tmp_path / "fig2"
     assert cli.main(["figures", "2a", "--config", cfg,
@@ -724,18 +762,15 @@ def test_python_api_defaults_match_the_cli_schemas(monkeypatch):
                 "record_every": "aes.record_every"}),
             (experiments.run_figure_regime, "figures", {
                 "seed": "run.seed", "horizon": "figures.horizon",
-                "num_modes": "figures.num_modes", "n_periods": "figures.n_periods",
-                "truncation": "figures.truncation", "rtol": "evolution.rtol",
-                "atol": "evolution.atol", "record_every": "figures.record_every",
-                "mode_cutoff": "figures.mode_cutoff"}),
+                "num_modes": "figures.num_modes", "truncation": "figures.truncation",
+                "rtol": "evolution.rtol", "atol": "evolution.atol",
+                "record_every": "figures.record_every"}),
             (experiments.stability_map, "stability-map", {
                 "k": "map.k", "eps": "map.eps", "alpha": "map.alpha",
                 "n_periods": "map.n_periods", "truncation": "map.truncation"}),
             (evolution.EvolutionConfig, "simulate", {
                 "time_horizon": "evolution.horizon", "rtol": "evolution.rtol",
-                "atol": "evolution.atol", "record_every": "evolution.record_every"}),
-            (evolution.perturbed_initial, "simulate", {
-                "mode_cutoff": "perturbation.mode_cutoff"})):
+                "atol": "evolution.atol", "record_every": "evolution.record_every"})):
         api, schema = defaults(fn), cli.SCHEMAS[command]
         for name, key in keys.items():
             assert (type(api[name]), api[name]) == (type(schema[key]), schema[key]), key
@@ -753,8 +788,8 @@ def test_python_api_defaults_match_the_cli_schemas(monkeypatch):
 
     monkeypatch.setattr(kernels, "ScaledKernel", Recorded)
     experiments.run_aes_sweep((0.1,), horizon=0.2, num_modes=16, record_every=0.2)
-    experiments.run_figure_regime("2a", horizon=0.25, num_modes=32, n_periods=1,
-                                  truncation=8, mode_cutoff=4, rtol=1e-6, atol=1e-6)
+    experiments.run_figure_regime("2a", horizon=0.25, num_modes=32, truncation=8,
+                                  rtol=1e-6, atol=1e-6)
     experiments.stability_map([1.0], [-1.0], truncation=8)
     names = (cli.SCHEMAS["aes-sweep"]["aes.kernel"], cli.SCHEMAS["figures"]["figures.kernel"],
              cli.SCHEMAS["stability-map"]["map.kernel"])
@@ -779,7 +814,6 @@ def test_python_api_defaults_match_the_cli_schemas(monkeypatch):
 
 # regime settings small enough for a run of a few milliseconds
 _SMALL_FIGURE = ("figures.num_modes = 32\nfigures.horizon = 6\nfigures.truncation = 12\n"
-                 "figures.n_periods = 1\nfigures.mode_cutoff = 4\n"
                  "evolution.rtol = 1e-6\nevolution.atol = 1e-6\n")
 
 
@@ -807,34 +841,6 @@ def test_figures_warns_when_theory_and_dynamics_disagree(tmp_path, capsys, monke
         "only 0; linear theory and dynamics disagree"]
 
 
-@pytest.mark.parametrize("command, modes_key, cutoff_key, text", [
-    ("simulate", "grid.num_modes", "perturbation.mode_cutoff",
-     "evolution.horizon = 0.25\nevolution.record_every = 0.25\nperturbation.nu = 0.01\n"),
-    ("figures", "figures.num_modes", "figures.mode_cutoff",
-     "figures.regime = 1b\nfigures.horizon = 0.25\nfigures.record_every = 0.25\n"
-     "figures.truncation = 8\nfigures.n_periods = 1\n"),
-])
-def test_perturbation_modes_the_filter_damps_warn_once(tmp_path, capsys, command,
-                                                       modes_key, cutoff_key, text):
-    text += "evolution.rtol = 1e-8\nevolution.atol = 1e-8\n"
-    # the defaults, N = 128 and mode_cutoff = 16 = N/8: silent
-    assert cli.main([command, "--config", _write(tmp_path, "a.cfg", text)]) == 0
-    assert capsys.readouterr().err == ""
-    # N = 64 puts mode 16 at N/4, where the filter's factor is 0.87
-    cfg = _write(tmp_path, "b.cfg", text + f"{modes_key} = 64\n{cutoff_key} = 16\n")
-    assert cli.main([command, "--config", cfg]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: perturbation modes reach 16 > N/8 = 8; "
-        "the evolution's filter multiplies mode 16 by 0.8687"]
-
-
-def test_unperturbed_simulate_does_not_warn(tmp_path, capsys):
-    cfg = _write(tmp_path, "s.cfg", "grid.num_modes = 32\nevolution.horizon = 0.25\n"
-                                    "evolution.record_every = 0.25\n")
-    assert cli.main(["simulate", "--config", cfg]) == 0  # mode_cutoff 16 > 32/8
-    assert capsys.readouterr().err == ""
-
-
 def test_figures_requires_some_regime(capsys):
     assert cli.main(["figures"]) == 2
     err = capsys.readouterr().err
@@ -847,8 +853,7 @@ def test_threads_and_seed_flags_parse(tmp_path):
     smoke = {
         "figures": "figures.regime = 1b\nfigures.num_modes = 32\n"
                    "figures.horizon = 0.5\nfigures.truncation = 12\n"
-                   "figures.n_periods = 1\nfigures.record_every = 0.5\n"
-                   "figures.mode_cutoff = 8\n",
+                   "figures.record_every = 0.5\n",
         "aes-sweep": "aes.epsilons = 0.2,0.1\naes.horizon = 0.5\n"
                      "aes.num_modes = 32\n",
         "stability-map": "map.B_values = 2.0\nmap.V0_values = -1.0\n"

@@ -86,7 +86,7 @@ def test_mass_and_energy_conserved():
     grid = PeriodicGrid(8 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), 0.01)
     phi = _phi(grid, B=1.0, V0=-1.0, kern=kern)
-    psi0 = perturbed_initial(phi, 0.01, 2, 16)
+    psi0 = perturbed_initial(phi, 0.01, 2)
     cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=10.0, record_every=0.5)
     traj = evolve(psi0, cfg)
@@ -113,7 +113,7 @@ def test_time_reversal_round_trip():
     grid = PeriodicGrid(2 * np.pi, 64)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.05)
     phi = _phi(grid, kern=kern)
-    psi0 = perturbed_initial(phi, 0.05, 7, 10)
+    psi0 = perturbed_initial(phi, 0.05, 7)
     cfg = EvolutionConfig(kernel=kern, potential=SineSquared(-1.0, 1.0),
                           alpha=1, time_horizon=2.0, record_every=2.0,
                           rtol=1e-12, atol=1e-12)
@@ -154,23 +154,26 @@ def test_perturbation_profile_properties():
 
 
 def test_perturbed_initial_is_band_limited_with_norm_nu():
-    # psi0 - phi = nu * p, p band-limited to |j| <= mode_cutoff with
-    # ||p||_2 = 1; regime 1a's small |phi| is where the phase factor spreads
-    # the product m * e^{i theta} furthest above the cutoff
+    # psi0 - phi = nu * p, p band-limited to |j| <= min(16, N // 8) with
+    # ||p||_2 = 1: the published 16 modes, or fewer where the filter would
+    # damp them; regime 1a's small |phi| is where the phase factor spreads
+    # the product m * e^{i theta} furthest above the band
     reg = FIGURE_REGIMES["1a"]
-    grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
-    phi = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
-    for cutoff in (8, 16):
-        psi0 = perturbed_initial(phi, 0.05, 11, cutoff)
+    params = solution_params(reg["B"], reg["V0"], 1.0, 1, kern)
+    for num_modes, band in ((64, 8), (128, 16), (256, 16)):
+        grid = PeriodicGrid(8.0 * np.pi, num_modes)
+        phi = build_solution(params, grid)
+        psi0 = perturbed_initial(phi, 0.05, 11)
         diff = WaveField(grid, psi0.samples - phi.samples)
-        assert np.max(np.abs(diff.coeffs[np.abs(grid.modes) > cutoff])) < 1e-15
+        assert np.max(np.abs(diff.coeffs[np.abs(grid.modes) > band])) < 1e-15
+        assert np.min(np.abs(diff.coeffs[np.abs(grid.modes) == band])) > 1e-6
         assert diff.l2_norm() == pytest.approx(0.05, rel=1e-13)
-    again = perturbed_initial(phi, 0.05, 11, 16)
+    again = perturbed_initial(phi, 0.05, 11)
     assert np.array_equal(again.samples, psi0.samples)
-    other = perturbed_initial(phi, 0.05, 12, 16)
+    other = perturbed_initial(phi, 0.05, 12)
     assert np.max(np.abs(other.samples - psi0.samples)) > 1e-3
-    clean = perturbed_initial(phi, 0.0, 11, 16)
+    clean = perturbed_initial(phi, 0.0, 11)
     assert np.array_equal(clean.samples, phi.samples)
 
 
@@ -178,24 +181,27 @@ def test_perturbation_validation():
     grid = PeriodicGrid(2 * np.pi, 32)
     phi = _phi(grid)
     with pytest.raises(ValueError, match="nu must be nonnegative"):
-        perturbed_initial(phi, -0.1, 1, 8)
-    # checked before nu = 0 returns the state unperturbed
-    with pytest.raises(ValueError, match="mode_cutoff must be positive"):
-        perturbed_initial(phi, 0.0, 1, 0)
+        perturbed_initial(phi, -0.1, 1)
+    # N = 6 leaves no band below N/8; unperturbed, the state is still fine
+    small = _phi(PeriodicGrid(2 * np.pi, 6))
+    with pytest.raises(ValueError, match="N >= 8 grid modes, got N = 6"):
+        perturbed_initial(small, 0.01, 1)
+    assert perturbed_initial(small, 0.0, 1) is small
     with pytest.raises(ValueError):
         random_band_limited(grid, seed=1, mode_cutoff=16)  # cutoff = N/2
     # the generator seeds -s as s, so a negative seed is refused
     with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
-        perturbed_initial(phi, 0.1, -3, 8)
+        perturbed_initial(phi, 0.1, -3)
 
 
 def test_adaptive_blow_up_is_not_reported_as_a_stall():
     # at tolerances of 1e3 the state overflows between records; the solver
     # then gives up with a step-size message, but the last right-hand side
-    # it evaluated is non-finite
-    grid = PeriodicGrid(2 * np.pi, 32)
+    # it evaluated is non-finite (N = 128 gives the perturbation 16 modes;
+    # at N = 32 its 4 modes stall the stepper instead)
+    grid = PeriodicGrid(2 * np.pi, 128)
     phi = _phi(grid, B=50.0, V0=0.0)
-    psi0 = perturbed_initial(phi, 0.5, 1234, 8)
+    psi0 = perturbed_initial(phi, 0.5, 1234)
     cfg = EvolutionConfig(kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=5.0, record_every=0.25,
                           rtol=1e3, atol=1e3)
@@ -388,7 +394,7 @@ def _nonlocal_n32(tol):
     """A nonlocal flow at N = 32 that the stepper solves at rtol = atol = tol."""
     grid = PeriodicGrid(2 * np.pi, 32)
     kern = ScaledKernel(KernelSpec.gaussian_normalized(), 0.5)
-    psi0 = perturbed_initial(_phi(grid, B=4.0, kern=kern), 0.5, 3, 8)
+    psi0 = perturbed_initial(_phi(grid, B=4.0, kern=kern), 0.5, 3)
     cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(-1.0, 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.5,
@@ -479,7 +485,7 @@ def _regime_1a_to_t2():
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
     phi = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
-    psi0 = perturbed_initial(phi, reg["nu"], 1234, 16)
+    psi0 = perturbed_initial(phi, reg["nu"], 1234)
     cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(reg["V0"], 1.0), alpha=1,
                           time_horizon=2.0, record_every=0.25,

@@ -65,13 +65,14 @@ def test_aes_sweep_rejects_negative_epsilon():
 
 
 def test_figure_regime_small_run(tmp_path):
-    result = run_figure_regime("2a", horizon=1.0, num_modes=64, n_periods=2,
-                               truncation=16, rtol=1e-8, atol=1e-8,
-                               record_every=0.5, out_dir=tmp_path)
+    result = run_figure_regime("2a", horizon=1.0, num_modes=64, truncation=16,
+                               rtol=1e-8, atol=1e-8, record_every=0.5,
+                               out_dir=tmp_path)
     assert result.regime == "2a"
     assert result.params.B == 1.0
     assert result.abscissa < 1e-8
-    assert len(result.reports) == 2
+    # [0, 8 pi] holds 4 wave periods: the spectra at mu = r/4
+    assert [rep.mu for rep in result.reports] == [0.0, 0.25, 0.5, 0.75]
     assert result.deviations.shape == (len(result.trajectory.times),)
     assert np.max(result.deviations) < 0.1
     for fname in ("trajectory.csv", "summary.csv", "spectrum.csv",
@@ -81,9 +82,8 @@ def test_figure_regime_small_run(tmp_path):
 
 
 def test_figure_regime_unstable_has_growth(tmp_path):
-    result = run_figure_regime("1a", horizon=8.0, num_modes=64, n_periods=2,
-                               truncation=24, rtol=1e-8, atol=1e-8,
-                               record_every=0.25)
+    result = run_figure_regime("1a", horizon=8.0, num_modes=64, truncation=24,
+                               rtol=1e-8, atol=1e-8, record_every=0.25)
     assert result.abscissa > 1e-3
     assert np.max(result.deviations) > 3 * result.nu
     if result.growth_rate is not None:
@@ -97,7 +97,7 @@ def test_figure_regime_rejects_unknown_name():
 
 
 def test_figure_regime_seed_reproducibility(tmp_path):
-    kwargs = dict(horizon=0.5, num_modes=64, n_periods=1, truncation=16,
+    kwargs = dict(horizon=0.5, num_modes=64, truncation=16,
                   rtol=1e-8, atol=1e-8, record_every=0.5)
     a = run_figure_regime("1b", seed=77, **kwargs)
     b = run_figure_regime("1b", seed=77, **kwargs)
