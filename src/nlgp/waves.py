@@ -98,6 +98,8 @@ def solution_params(B, V0, k, alpha, kernel: kernels.ScaledKernel) -> SolutionPa
         raise OffsetTooSmallError(
             f"need B >= max(-A, 0) = {max(-A, 0.0):.6g}, got B = {B}"
         )
+    if B + A < 0.0:  # below -A by no more than the allowance: the edge B + A = 0
+        A = -B if B > 0 else 0.0
     D = float(np.sqrt(1.0 + A / B)) if B > 0 else None
     # the kernel's mass zeta_hat(0) scales the nonlinear part of the frequency
     omega = (V0 + k**2) / 2.0 + alpha * float(kernel.base.zeta_hat(0.0)) * (B + A / 2.0)

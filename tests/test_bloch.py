@@ -634,6 +634,9 @@ def _same_bits(a, b):
        B=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), V0=st.floats(-3.0, 0.0),
        eps=st.floats(0.0, 1.0), alpha=st.sampled_from([1, -1]),
        n=st.sampled_from([1, 2, 3, 4, 8]), M=st.sampled_from([8, 16, 33, 64]))
+# B lies below -A within solution_params' round-off allowance: B + A = 0
+@example(kernel="algebraic:1.5", B=2.2426492623724913e-213,
+         V0=-2.1837444675588885e-164, eps=0.0, alpha=-1, n=1, M=8)
 def test_band_blocks_and_stacked_sweep_match_one_operator_bitwise(kernel, B, V0, eps,
                                                                   alpha, n, M):
     try:

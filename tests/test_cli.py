@@ -275,6 +275,17 @@ def test_spectrum_verdict_exit_codes(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().out
 
 
+def test_spectrum_of_an_offset_just_below_minus_A_is_computed(tmp_path, capsys):
+    # B + A = -4.9e-13 lies within solution_params' round-off allowance, so
+    # the state is the edge state B + A = 0, not a NaN eigensolve (exit 4)
+    cfg = _write(tmp_path, "s.cfg", "solution.B = 1e-14\nsolution.V0 = -5e-13\n"
+                 "solution.alpha = -1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["spectrum", "--config", cfg]) == 0
+    assert "A = -1e-14 < A_crit" in capsys.readouterr().out
+
+
 def test_a_equal_to_a_crit_is_on_the_unstable_side(tmp_path, capsys):
     # at eps = 0 the normalized Gaussian has beta = 1, so V0 = -a_crit(1)
     # gives A == a_crit exactly, where both the spectrum and the map say ">="
@@ -496,10 +507,10 @@ def test_simulate_stall_is_exit_3_with_partial(tmp_path, monkeypatch):
 def test_simulate_real_stall_is_exit_3_with_partial(tmp_path, capsys):
     # at tolerances of 1e3 the state overflows before t = 0.25 and the solver
     # then gives up: a blow-up, though the solver's own message is a stall
-    # (N = 128 gives the perturbation 16 modes; at N = 32 its 4 modes stall
-    # the stepper instead)
+    # (N = 128 gives the perturbation 16 modes; at B = 50 the stepper creeps
+    # for 1.4 million right-hand sides before the overflow)
     cfg = _write(tmp_path, "loose.cfg",
-                 "solution.B = 50\nsolution.V0 = 0\n"
+                 "solution.B = 100\nsolution.V0 = 0\n"
                  "evolution.rtol = 1e3\nevolution.atol = 1e3\n"
                  "evolution.horizon = 5\nperturbation.nu = 0.5\n"
                  "grid.num_modes = 128\n")

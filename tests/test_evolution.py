@@ -198,9 +198,10 @@ def test_adaptive_blow_up_is_not_reported_as_a_stall():
     # at tolerances of 1e3 the state overflows between records; the solver
     # then gives up with a step-size message, but the last right-hand side
     # it evaluated is non-finite (N = 128 gives the perturbation 16 modes;
-    # at N = 32 its 4 modes stall the stepper instead)
+    # at B = 50 the stepper creeps for 1.4 million right-hand sides before
+    # the overflow, at B = 100 it overflows within 400)
     grid = PeriodicGrid(2 * np.pi, 128)
-    phi = _phi(grid, B=50.0, V0=0.0)
+    phi = _phi(grid, B=100.0, V0=0.0)
     psi0 = perturbed_initial(phi, 0.5, 1234)
     cfg = EvolutionConfig(kernel=_local(), potential=NO_POTENTIAL,
                           alpha=1, time_horizon=5.0, record_every=0.25,
@@ -403,12 +404,13 @@ def _nonlocal_n32(tol):
 
 
 @pytest.mark.parametrize("flow, rejects", [
-    pytest.param(lambda: _nonlocal_n32(1e-8), False, id="1e-08-False"),
+    # DOP853's first steps at 1e-8 include one rejected attempt
+    pytest.param(lambda: _nonlocal_n32(1e-8), True, id="1e-08-True"),
     pytest.param(lambda: _nonlocal_n32(1e-2), True, id="0.01-True"),
     # the benchmarked path: N = 128, constant multiplier, 1e-10
-    pytest.param(lambda: _regime_1a_to_t2(), False, id="regime-1a"),
+    pytest.param(lambda: _regime("1a", 2.0), False, id="regime-1a"),
 ])
-def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, flow, rejects):
+def test_stepper_takes_scipy_dop853_steps_exactly(monkeypatch, flow, rejects):
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     psi0, cfg = flow()
@@ -420,12 +422,24 @@ def test_stepper_takes_scipy_rk45_steps_exactly(monkeypatch, flow, rejects):
         return fun(t, y)
 
     ours = evolution.solve_ivp(timed, t_span, y0, **kwargs)
-    ref = scipy_solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
+    ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853", **kwargs)
     assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
-    assert ours.nfev == ref.nfev and ours.success and ref.success
-    # an attempt's last stage is at its end time: a retry ends earlier
-    ends = np.array(times[2:][5::6])
+    assert ours.nfev == ref.nfev == len(times) and ours.success and ref.success
+    # an attempt's last two calls, and no other two in a row, are both at its
+    # end time (node 1 and the FSAL slope): a retry ends earlier
+    ends = np.array([b for a, b in zip(times, times[1:]) if a == b])
     assert bool(np.any(np.diff(ends) <= 0)) == rejects
+
+
+def test_tableau_is_scipys_dop853():
+    from scipy.integrate._ivp import dop853_coefficients as dop853
+
+    assert np.array_equal(evolution._C, dop853.C)
+    assert np.array_equal(evolution._A, dop853.A)
+    assert np.array_equal(evolution._A[12, :12], dop853.B)
+    assert np.array_equal(evolution._E5, dop853.E5)
+    assert np.array_equal(evolution._E3, dop853.E3)
+    assert np.array_equal(evolution._D, dop853.D)
 
 
 @pytest.mark.parametrize("kern, ffts", [
@@ -479,24 +493,25 @@ def test_half_spectrum_phase_equals_full_exponential(N):
         assert np.array_equal(ws.phase(t), np.exp(ws.i_half_ksq * t)), t
 
 
-def _regime_1a_to_t2():
-    """Perturbed regime-1a state and its first two time units at N = 128."""
-    reg = FIGURE_REGIMES["1a"]
+def _regime(which, horizon, tol=1e-10):
+    """A perturbed figure regime at seed 1234 and N = 128, as the figures
+    command evolves it, to ``horizon`` at rtol = atol = ``tol``."""
+    reg = FIGURE_REGIMES[which]
     grid = PeriodicGrid(8.0 * np.pi, 128)
     kern = ScaledKernel(KernelSpec.gaussian_raw(), reg["eps"])
     phi = build_solution(solution_params(reg["B"], reg["V0"], 1.0, 1, kern), grid)
     psi0 = perturbed_initial(phi, reg["nu"], 1234)
     cfg = EvolutionConfig(kernel=kern,
                           potential=SineSquared(reg["V0"], 1.0), alpha=1,
-                          time_horizon=2.0, record_every=0.25,
-                          rtol=1e-10, atol=1e-10)
+                          time_horizon=horizon, record_every=0.25,
+                          rtol=tol, atol=tol)
     return psi0, cfg
 
 
 def test_cached_phase_leaves_regime_1a_bitwise_unchanged(monkeypatch):
-    # the sixth and FSAL stages share one exponential; the trajectory must
+    # the node-1 and FSAL stages share one exponential; the trajectory must
     # equal the one that exponentiates on every right-hand side
-    psi0, cfg = _regime_1a_to_t2()
+    psi0, cfg = _regime("1a", 2.0)
     exps = []
     cached = evolution._Workspace.phase
     monkeypatch.setattr(evolution._Workspace, "phase", lambda ws, t: (
@@ -507,14 +522,35 @@ def test_cached_phase_leaves_regime_1a_bitwise_unchanged(monkeypatch):
     ref = evolve(psi0, cfg)
     for name in ("times", "samples", "mass", "energy"):
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
-    # after the two initial-step calls, each step's six calls make five
-    # exponentials
-    assert (len(exps) - 2) % 6 == 0 and exps.count(False) == (len(exps) - 2) // 6
+    # after the two initial-step calls, each attempt's 12 calls make 11
+    # exponentials, and each step that covers a record makes 3 more calls
+    # for its interpolant: the 9 records 0, 0.25, ..., 2 lie in 9 steps
+    attempts = exps.count(False)
+    assert len(exps) == 2 + 12 * attempts + 3 * len(traj.times)
+
+
+@pytest.mark.parametrize("which, max_nfev", [("1a", 12_000), ("1b", 6_000)])
+def test_default_tolerance_accuracy_and_work_over_the_figure_horizon(monkeypatch,
+                                                                    which, max_nfev):
+    # at rtol = atol = 1e-10 over T = 30 the states stay within 5e-9 of a
+    # 1e-13 run, in at most max_nfev right-hand sides
+    real, nfev = evolution.solve_ivp, []
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(evolution, "solve_ivp", counting)
+    traj = evolve(*_regime(which, 30.0))
+    ref = evolve(*_regime(which, 30.0, tol=1e-13))
+    assert np.max(np.abs(traj.samples - ref.samples)) <= 5e-9
+    assert nfev[0] <= max_nfev
 
 
 def test_direct_transforms_leave_regime_1a_bitwise_unchanged(monkeypatch):
     # the trajectory must equal the one that transforms through np.fft
-    psi0, cfg = _regime_1a_to_t2()
+    psi0, cfg = _regime("1a", 2.0)
     traj = evolve(psi0, cfg)
     monkeypatch.setattr(evolution, "_fft", np.fft.fft)
     monkeypatch.setattr(evolution, "_ifft", np.fft.ifft)
@@ -526,7 +562,7 @@ def test_direct_transforms_leave_regime_1a_bitwise_unchanged(monkeypatch):
 def test_work_buffers_alias_neither_inputs_nor_results(monkeypatch):
     # the stepper and the right-hand side write into buffers they allocate
     # once per call; none of them may leak into y0, a result or a later run
-    psi0, cfg = _regime_1a_to_t2()
+    psi0, cfg = _regime("1a", 2.0)
     fun, y0, t_span, kwargs = _flow(monkeypatch, cfg, psi0)
     kept = y0.copy()
     first = evolution.solve_ivp(fun, t_span, y0, **kwargs)

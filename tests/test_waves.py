@@ -122,6 +122,27 @@ def test_offset_lower_bound_enforced():
     assert p.D == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("B, V0, base", [
+    (1e-14, -5e-13, KernelSpec.gaussian_normalized()),
+    (2.2426492623724913e-213, -2.1837444675588885e-164, KernelSpec.algebraic_decay(1.5)),
+    (0.0, -5e-13, KernelSpec.gaussian_normalized()),
+])
+def test_offset_within_the_allowance_below_minus_A_is_the_edge_state(B, V0, base):
+    # alpha = -1 makes A = V0/beta < 0, and B lies below -A by less than the
+    # guard's 1e-12: the state is the one with B + A = 0, with no NaN in D,
+    # the profile or the Bloch operator
+    from nlgp.bloch import assemble
+
+    with np.errstate(all="raise"):
+        p = solution_params(B, V0, 1.0, -1, ScaledKernel(base, 0.0))
+        phi = build_solution(p, PeriodicGrid(2 * np.pi, 16))
+        op = assemble(0.25, 8, p)
+    assert p.B + p.A == 0.0
+    assert p.D == (0.0 if B > 0 else None)
+    assert np.array_equal(phi.samples, np.sqrt(B) * np.cos(phi.grid.points))
+    assert np.all(np.isfinite(op.bands))
+
+
 def test_zero_offset_allowed_when_A_nonnegative():
     grid = PeriodicGrid(2 * np.pi, 64)
     params = solution_params(0.0, -1.0, 1.0, 1, _local_kernel())
