@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import inspect
@@ -170,6 +171,13 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     ("spectrum", "kernel.name = custom:{tmp}/inf.csv",
      "kernel table {tmp}/inf.csv line 3: need two finite numbers s, zeta_hat, "
      "got 'inf,0'"),
+    ("spectrum", "kernel.name = custom:{tmp}/text.csv",
+     "kernel table {tmp}/text.csv line 2: need two finite numbers s, zeta_hat, "
+     "got '1,abc'"),
+    # a kernel string whose p is not a number
+    *((command, f"kernel.name = algebraic:{p}",
+       f"kernel 'algebraic:{p}' needs a number p in algebraic:p")
+      for command, p in (("spectrum", "abc"), ("validate-kernel", ""))),
     # a table with two rows at one s, which validate-kernel audited and the
     # AES sweep ran (exit 0) with whichever value each reader took
     *((command, f"{key} = custom:{{tmp}}/repeated.csv",
@@ -189,6 +197,7 @@ def test_malformed_values_are_exit_2(tmp_path, capsys, command, line, message):
 _BAD_TABLES = {"one-column.csv": "0,1\n0.5\n1,0.5\n",
                "nan.csv": "0,1\n1,nan\n2,0.2\n",
                "inf.csv": "0,1\n1,0.5\ninf,0\n",
+               "text.csv": "0,1\n1,abc\n",
                "repeated.csv": "0,1\n0,0.5\n1,0.2\n3,0\n"}
 
 
@@ -574,6 +583,40 @@ _SMALL_RUNS = {
     "validate-kernel": "",
     "stability-map": "map.truncation = 8\nmap.B_values = 1\nmap.V0_values = -1\n",
 }
+
+
+def test_no_subcommand_loads_scipy(tmp_path, capsys):
+    # scipy is the tests' reference library, not a runtime dependency: with
+    # it unimportable, each small run exits as it does here, and
+    # validate-kernel prints the same report under each hypothesis set
+    runs = [(command, text) for command, text in _SMALL_RUNS.items()
+            if command != "validate-kernel"]
+    runs += [("validate-kernel", f"kernel.name = algebraic:3\nvalidate.which = {which}\n")
+             for which in ("H", "Hprime", "both")]
+    argvs = [[command, "--config", _write(tmp_path, f"{i}.cfg", text)]
+             for i, (command, text) in enumerate(runs)]
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from nlgp import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(argv)\n"
+        "    print(repr((code, out.getvalue())))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    got = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    expected = []
+    for argv in argvs:
+        code = cli.main(argv)
+        expected.append((code, capsys.readouterr().out))
+    assert [code for code, _ in got] == [code for code, _ in expected]
+    assert got[-3:] == expected[-3:]
+    assert expected[-1][0] == 0 and expected[-1][1].count(": pass") == 9
 
 
 class _ReadRecorder(dict):

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -32,14 +27,12 @@ def test_gaussian_normalized_closed_forms():
     assert abs(base.zeta(0.0) - 1.0 / np.sqrt(np.pi)) < 1e-14
     assert abs(base.zeta_hat(0.0) - 1.0) < 1e-14
     assert abs(base.zeta_hat(2.0) - np.exp(-1.0)) < 1e-14
-    assert abs(_x_weighted_l1(base) - 1.0 / np.sqrt(np.pi)) < 1e-6
 
 
 def test_gaussian_raw_closed_forms():
     base = KernelSpec.gaussian_raw()
     assert abs(base.zeta(0.0) - 1.0) < 1e-14
     assert abs(base.zeta_hat(0.0) - np.sqrt(np.pi)) < 1e-14
-    assert abs(_x_weighted_l1(base) - 1.0) < 1e-6
 
 
 def test_algebraic_decay_transform_values():
@@ -276,17 +269,28 @@ def test_beta_rejects_a_nonpositive_wavenumber():
             beta(kern, k)
 
 
+# the families whose first moment is finite, each with its closed form
+_FIRST_MOMENT_KERNELS = ["gaussian-normalized", "gaussian-raw",
+                         *(f"algebraic:{p}" for p in (2.5, 3, 4, 7, 80))]
+
+
+@pytest.mark.parametrize("name", _FIRST_MOMENT_KERNELS)
+def test_first_moment_is_the_quadrature_of_x_zeta(name):
+    base = kernel_from_name(name)
+    assert base.first_moment == pytest.approx(_x_weighted_l1(base), rel=1e-6, abs=0)
+
+
 def test_multiplier_lipschitz_in_epsilon():
     # |zeta_hat(eps1 s) - zeta_hat(eps2 s)| <= |eps1 - eps2| |s| ||x zeta||_1
-    rng = np.random.default_rng(23)
-    base = KernelSpec.gaussian_normalized()
-    bound_const = _x_weighted_l1(base)
-    for _ in range(50):
-        e1, e2 = rng.uniform(0.0, 3.0, 2)
-        s = float(rng.uniform(-10, 10))
-        gap = abs(float(multiplier(ScaledKernel(base, e1), s))
-                  - float(multiplier(ScaledKernel(base, e2), s)))
-        assert gap <= abs(e1 - e2) * abs(s) * bound_const + 1e-12
+    for name in _FIRST_MOMENT_KERNELS:
+        rng = np.random.default_rng(23)
+        base = kernel_from_name(name)
+        for _ in range(50):
+            e1, e2 = rng.uniform(0.0, 3.0, 2)
+            s = float(rng.uniform(-10, 10))
+            gap = abs(float(multiplier(ScaledKernel(base, e1), s))
+                      - float(multiplier(ScaledKernel(base, e2), s)))
+            assert gap <= abs(e1 - e2) * abs(s) * base.first_moment + 1e-12, name
 
 
 def _write_table(tmp_path, rows, name="kern.csv"):
@@ -363,16 +367,17 @@ def test_validate_algebraic_passes_Hprime():
     assert report.all_passed, report.lines()
 
 
-def test_validate_first_moment_rejects_divergent_tails():
-    # x*zeta ~ x^(1-P): integrable only for P > 2; QUADPACK returns a
-    # negative value with a small error estimate at P = 1.5
+def test_validate_first_moment_rejects_divergent_tails(tmp_path):
+    # x*zeta ~ x^(1-P): integrable only for P > 2; a table's piecewise-linear
+    # zeta_hat puts a 1/x^2 tail on zeta
     def first_moment(base):
         report = validate_hypotheses(base, which="H")
         return next(c for c in report.checks if c.name == "x*zeta integrable")
 
-    for p in (1.5, 2.0):
-        check = first_moment(KernelSpec.algebraic_decay(p))
-        assert not check.passed, check.detail
+    table = KernelSpec.from_table(_write_table(tmp_path, [(0.0, 1.0), (1.0, 0.5), (3.0, 0.0)]))
+    for base in (KernelSpec.algebraic_decay(1.5), KernelSpec.algebraic_decay(2.0), table):
+        check = first_moment(base)
+        assert (check.passed, check.detail) == (False, "||x zeta||_L1 = inf")
     for base in (KernelSpec.algebraic_decay(2.5), KernelSpec.algebraic_decay(3.0),
                  KernelSpec.gaussian_normalized()):
         check = first_moment(base)
@@ -393,14 +398,6 @@ def test_unit_mass_of_a_table_is_its_transform_at_zero(tmp_path, capfd):
                          if c.name == "unit L1 mass")
             assert (check.passed, check.detail) == (True, "integral zeta = 1.0000000000")
     assert capfd.readouterr() == ("", "")
-
-
-def test_first_moment_reports_a_failed_quadrature_as_a_failure():
-    def zeta(x):
-        raise ArithmeticError("no value")
-
-    check = kernels._check_first_moment(zeta)
-    assert (check.passed, check.detail) == (False, "quadrature failed: no value")
 
 
 def test_validate_oscillating_table_fails_positivity(tmp_path):
@@ -447,36 +444,3 @@ def test_from_table_profile_matches_one_shot_transform(tmp_path):
     assert abs(base.zeta(x[3]) - one_shot[3]) <= 1e-15
     assert np.ndim(base.zeta(x[3])) == 0
     assert base.zeta(np.array([])).shape == (0,)
-
-
-def test_quadrature_is_imported_only_when_a_validator_runs(tmp_path):
-    # importing the package and the CLI, a spectrum of the algebraic kernel
-    # and hypothesis H' load no scipy module; H's first-moment quadrature
-    # loads scipy.integrate, with the verdicts of the eager import
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("kernel.epsilon = 0.5\nspectrum.truncation = 16\n")
-    script = (
-        "import sys\n"
-        "import nlgp, nlgp.cli\n"
-        "from nlgp.kernels import KernelSpec, validate_hypotheses\n"
-        "def scipy_modules():\n"
-        "    return [m for m in sys.modules if m.startswith('scipy')]\n"
-        "assert not scipy_modules(), scipy_modules()\n"
-        f"nlgp.cli.main(['spectrum', '--kernel', 'algebraic:3', '--config', {str(cfg)!r}])\n"
-        "assert not scipy_modules(), scipy_modules()\n"
-        "base = KernelSpec.gaussian_normalized()\n"
-        "print(*validate_hypotheses(base, 'Hprime').lines(), sep='\\n')\n"
-        "assert not scipy_modules(), scipy_modules()\n"
-        "print(*validate_hypotheses(base, 'H').lines(), sep='\\n')\n"
-        "assert 'scipy.integrate' in sys.modules\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, text=True,
-                         capture_output=True, check=True).stdout.splitlines()
-    assert out[0].startswith("max real part ")
-    base = KernelSpec.gaussian_normalized()
-    expected = [line for which in ("Hprime", "H")
-                for line in validate_hypotheses(base, which).lines()]
-    assert out[3:] == expected
-    assert all(line.split(": ")[1].startswith("pass") for line in expected)
