@@ -1,9 +1,10 @@
 """Periodic nonlocal Gross-Pitaevskii toolkit.
 
-Three things live here: a filtered pseudo-spectral time integrator for the
-cubic (local or nonlocally smoothed) equation on the torus, the explicit
-family of traveling-wave solutions supported by a sin^2 potential, and the
-Bloch eigenvalue machinery that decides their spectral stability.
+Three things live here: a pseudo-spectral time integrator for the cubic
+(local or nonlocally smoothed) equation on the torus, alias-free on the
+Fourier band it evolves, the explicit family of traveling-wave solutions
+supported by a sin^2 potential, and the Bloch eigenvalue machinery that
+decides their spectral stability.
 
 Importing the package loads none of its modules: each name below, and each
 module by its name, is imported on first access (PEP 562).
@@ -15,7 +16,7 @@ __version__ = "0.1.0"
 
 # the public names by the module that defines them
 _EXPORTS = {
-    "spectral": ("PeriodicGrid", "WaveField", "filter_multipliers"),
+    "spectral": ("PeriodicGrid", "WaveField"),
     "kernels": ("KernelSpec", "ScaledKernel", "ValidationReport", "beta",
                 "convolve_periodic", "kernel_from_name", "multiplier",
                 "validate_hypotheses"),

@@ -1,15 +1,17 @@
-"""Filtered pseudo-spectral time evolution of the (non)local GP equation.
+"""Pseudo-spectral time evolution of the (non)local GP equation.
 
 The integrated system is  i psi_t = -psi_xx/2 + alpha*psi*(R*|psi|^2) + V*psi,
-with the convolution acting as a Fourier multiplier on |psi|^2 and the fixed
-exponential filter applied to the nonlinear and potential terms.  The local
-cubic equation is the kernel at eps = 0: the unit-mass kernel's multiplier is
-then exactly 1, and any constant multiplier is applied pointwise, without the
+with the convolution acting as a Fourier multiplier on |psi|^2.  Only the
+modes |j| < N/4 are evolved, where the N-point grid aliases none of these
+terms (Orszag's rule for a cubic term): the right-hand side is the exact
+Fourier-Galerkin one, which conserves mass and energy.  The local cubic
+equation is the kernel at eps = 0: the unit-mass kernel's multiplier is then
+exactly 1, and any constant multiplier is applied pointwise, without the
 convolution's FFT pair.
 
 The flow is stepped in integrating-factor form: the stiff Laplacian symbol
 is applied exactly through u = exp(i*|kappa|^2*t/2) * psi_hat, and the
-adaptive Dormand-Prince 8(5,3) solver below integrates only the filtered
+adaptive Dormand-Prince 8(5,3) solver below integrates only the band's
 nonlinear and potential terms.  Each run is one call of that solver, whose
 snapshots are its dense output at the record times, with steps capped at
 record_every.  The solver and the right-hand side allocate their work arrays
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .runs import BlowUpError, write_csv
-from .spectral import PeriodicGrid, WaveField, _fft, _ifft, filter_multipliers
+from .spectral import PeriodicGrid, WaveField, _fft, _ifft
 from .waves import SineSquared
 
 
@@ -262,9 +264,9 @@ class _Workspace:
         # a constant multiplier (every eps = 0 kernel) makes R*q = c*q
         self.local = self.mult[0] if np.all(self.mult == self.mult[0]) else None
         self.V = cfg.potential.values(grid)
-        filt = np.fft.ifftshift(filter_multipliers(grid))
-        filt[j == -N // 2] = 0.0  # unmatched Nyquist mode gets no RHS
-        self.filt_i = -1j * filt
+        # -i on |j| < N/4, where psi*(R*|psi|^2 + V) aliases nowhere (V's
+        # harmonic 2n < N/2, see waves.build_solution), and 0 outside, Nyquist too
+        self.band_i = -1j * (4 * np.abs(j) < N)
         self.h = grid.spacing
         # buffers: phase, psi, u/e and transforms, R*|psi|^2, squares, |psi|^2
         self._half, self._e = np.empty(N // 2 + 1, complex), np.empty(N, complex)
@@ -285,9 +287,9 @@ class _Workspace:
         return self._phase[1]
 
     def rhs(self, t, u):
-        """u' = e*filt_i*FFT(psi*(alpha*(R*|psi|^2) + V)) at psi = IFFT(u/e),
-        e = exp(i*half_ksq*t): -i times the filtered nonlinear and potential
-        terms in the integrating-factor variable u = e*psi_hat.  Only the
+        """u' = e*band_i*FFT(psi*(alpha*(R*|psi|^2) + V)) at psi = IFFT(u/e),
+        e = exp(i*half_ksq*t): -i times the nonlinear and potential terms on
+        |j| < N/4 in the integrating-factor variable u = e*psi_hat.  Only the
         result is a fresh array; it is kept with t as ``last``."""
         e = self.phase(t)
         psi = _ifft(np.divide(u, e, out=self._hat), out=self._psi)
@@ -299,7 +301,7 @@ class _Workspace:
             w = _ifft(np.multiply(_fft(w, out=self._hat), self.mult, out=self._hat),
                       out=self._conv)
         hat = _fft(np.multiply(psi, np.add(w, self.V, out=w), out=psi), out=self._hat)
-        self.last = t, np.multiply(e, np.multiply(self.filt_i, hat, out=hat))
+        self.last = t, np.multiply(e, np.multiply(self.band_i, hat, out=hat))
         return self.last[1]
 
     def mass_energy(self, y):
@@ -343,7 +345,8 @@ def _record_times(cfg: EvolutionConfig) -> np.ndarray:
 
 def evolve(psi0: WaveField, cfg: EvolutionConfig) -> Trajectory:
     """Integrate psi0 on its grid to cfg.time_horizon in one pass, recording
-    snapshots every record_every.
+    snapshots every record_every.  psi0's coefficients outside the evolved
+    band |j| < N/4 follow only the free flow.
 
     Raises NonFiniteError on blow-up and StepSizeUnderflowError on stepper
     stall; both carry the finite prefix in their ``trajectory`` attribute.
@@ -406,13 +409,12 @@ def perturbed_initial(phi: WaveField, nu: float, seed: int) -> WaveField:
     p is m*exp(i*theta), with theta the phase of phi and m the seeded field
     of :func:`random_band_limited`, projected onto those modes and rescaled.
 
-    The band is the published runs' 16 modes, or fewer where the evolution's
-    fixed filter would damp them: it multiplies the right-hand side at
-    j = N/8 by 0.99945 and at j = N/4 by 0.87.  So a perturbation needs
-    N >= 8.  The projection matters: the phase factor spreads m's modes, and
-    it nearly jumps where |phi| is small (in regime 1a at N = 128, 11-44% of
-    the product's energy lies above |j| = 16), which the adaptive stepper
-    would resolve at a cost of thousands of steps.
+    The band is the published runs' 16 modes, or fewer where they would
+    leave the inner half of the evolved band |j| < N/4.  So a perturbation
+    needs N >= 8.  The projection matters: the phase factor spreads m's
+    modes, and it nearly jumps where |phi| is small (in regime 1a at N = 128,
+    11-44% of the product's energy lies above |j| = 16), which the adaptive
+    stepper would resolve at a cost of thousands of steps.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")

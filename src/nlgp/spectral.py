@@ -1,4 +1,4 @@
-"""Uniform periodic grids, Fourier coefficient transforms, norms, and the filter.
+"""Uniform periodic grids, Fourier coefficient transforms and norms.
 
 Fields live on the circle of circumference T, sampled at x_m = m*T/N.  The
 coefficient view expands a field in the orthonormal basis
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-MACHINE_EPS = float(np.finfo(float).eps)
 
 
 # np.fft.fft/ifft along the last axis: the pocketfft gufuncs numpy calls for
@@ -130,12 +128,3 @@ class WaveField:
         sym = (-2j * np.pi * self.grid.modes / self.grid.period) ** order
         return WaveField.from_coeffs(self.grid, self.coeffs * sym)
 
-
-def filter_multipliers(grid: PeriodicGrid) -> np.ndarray:
-    """Exponential filter exp(ln(eps_mach) * (|j|/(N/2))^8) on grid.modes.
-
-    The highest retained mode is damped to machine epsilon while the j = 0
-    mode passes through unchanged.
-    """
-    eta = np.abs(grid.modes) / (grid.num_modes // 2)
-    return np.exp(np.log(MACHINE_EPS) * eta**8)

@@ -109,13 +109,18 @@ def solution_params(B, V0, k, alpha, kernel: kernels.ScaledKernel) -> SolutionPa
 
 def build_solution(params: SolutionParams, grid: PeriodicGrid) -> WaveField:
     """The stationary profile phi of ``params`` (from :func:`solution_params`)
-    on ``grid``, whose period must be a whole number of wave periods."""
+    on ``grid``, whose period must be a whole number n of wave periods, and
+    whose evolved band |j| < N/4 must hold phi's harmonics +-n: N > 4n."""
     ratio = grid.period * params.k / (2.0 * np.pi)
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 or n < 1:
         raise PeriodMismatchError(
             f"grid period {grid.period!r} is not an integer multiple of 2*pi/k = "
             f"{2*np.pi/params.k!r}"
         )
+    if 4 * n >= grid.num_modes:
+        raise ValueError(f"{grid.num_modes} grid modes cannot evolve phi's harmonic {n}: "
+                         f"the evolved band |j| < N/4 needs N > {4 * n}")
     x = grid.points
     samples = (np.sqrt(params.B) * np.cos(params.k * x)
                + 1j * np.sqrt(params.B + params.A) * np.sin(params.k * x))

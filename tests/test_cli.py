@@ -156,6 +156,14 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     # both periods in full, which once printed as the same 3.14159
     ("simulate", "solution.k = 2\ngrid.period = 3.14159",
      "grid period 3.14159 is not an integer multiple of 2*pi/k = 3.141592653589793"),
+    # a grid whose evolved band |j| < N/4 misses phi's harmonic n, which
+    # once evolved (exit 0) with phi's own term damped by the former filter
+    ("simulate", "grid.num_modes = 4",
+     "4 grid modes cannot evolve phi's harmonic 1: the evolved band |j| < N/4 "
+     "needs N > 4"),
+    ("figures", "figures.regime = 1b\nfigures.num_modes = 16",
+     "16 grid modes cannot evolve phi's harmonic 4: the evolved band |j| < N/4 "
+     "needs N > 16"),
     # k is checked before the wave period 2 pi / k is derived from it
     *((command, f"{key} = {k}", f"wavenumber k must be positive, got {k:.1f}")
       for command, key in (("simulate", "solution.k"), ("aes-sweep", "aes.k"))
@@ -556,6 +564,13 @@ def test_figures_checks_the_spectrum_settings_before_it_evolves(
     assert cli.main(["figures", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and setting in err
+
+
+def test_figures_runs_on_the_coarsest_grid_that_evolves_its_harmonic(tmp_path):
+    # [0, 8 pi] holds 4 wave periods: N = 18 is the first even N > 4 * 4
+    cfg = _write(tmp_path, "fig.cfg",
+                 _SMALL_RUNS["figures"].replace("num_modes = 32", "num_modes = 18"))
+    assert cli.main(["figures", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("line, setting", [("map.n_periods = 0", "n_periods"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlgp.spectral import MACHINE_EPS, PeriodicGrid, WaveField, filter_multipliers
+from nlgp.spectral import PeriodicGrid, WaveField
 
 
 def test_grid_basic_geometry():
@@ -109,36 +109,6 @@ def test_conjugate_symmetry_of_real_fields():
             ip = np.where(grid.modes == j)[0][0]
             im = np.where(grid.modes == -j)[0][0]
             assert abs(c[im] - np.conj(c[ip])) < 1e-12
-
-
-def test_filter_multiplier_endpoints():
-    grid = PeriodicGrid(2 * np.pi, 64)
-    mult = filter_multipliers(grid)
-    zero_idx = np.where(grid.modes == 0)[0][0]
-    assert mult[zero_idx] == 1.0
-    nyq_idx = np.where(grid.modes == -32)[0][0]
-    # the top mode is damped to machine epsilon
-    assert abs(mult[nyq_idx] - MACHINE_EPS) < 1e-18
-    assert mult[nyq_idx] < 1e-15
-
-
-def test_filter_is_linear_and_idempotent_on_low_modes():
-    rng = np.random.default_rng(2)
-    grid = PeriodicGrid(2 * np.pi, 64)
-    mult = filter_multipliers(grid)
-
-    def apply_filter(samples):
-        coeffs = WaveField(grid, samples).coeffs * mult
-        return WaveField.from_coeffs(grid, coeffs).samples
-
-    f = rng.standard_normal(64) + 0j
-    g = rng.standard_normal(64) + 0j
-    lhs = apply_filter(2.0 * f + g)
-    rhs = 2.0 * apply_filter(f) + apply_filter(g)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-    # mode 1 of 64 is damped by exp(ln(eps)*(1/32)^8) ~ 1 - 3e-11, near identity
-    low = WaveField.basis_mode(grid, 1).samples
-    assert np.max(np.abs(apply_filter(low) - low)) < 1e-9
 
 
 def test_wave_field_rejects_arrays_off_its_grid():
